@@ -7,7 +7,6 @@ numerically from the associated error-system matrices.
 """
 
 from .algorithms import (
-    AgentState,
     AlgorithmError,
     DivergenceError,
     HyperParams,
@@ -41,7 +40,6 @@ from .analysis import (
     sufficient_params_ef,
 )
 from .compression import (
-    CompressedMessage,
     CompressionError,
     CompressorKind,
     CompressorProfile,

@@ -32,8 +32,8 @@ from .compression import (
     bit_cost,
     compress_rows_multi,
     compressor_label,
+    _key_states,
     _state_uniform,
-    _stream_state,
 )
 from .problems import RidgeProblem, gradient_matrix, optimal_solution
 from .topology import WeightMatrix
@@ -71,8 +71,8 @@ class HyperParams:
 
     def __post_init__(self) -> None:
         eta = np.asarray(self.eta, dtype=float)
-        if np.any(eta <= 0):
-            raise AlgorithmError(f"step-size eta must be positive, got {self.eta!r}")
+        if not np.all((eta > 0) & np.isfinite(eta)):
+            raise AlgorithmError(f"step-size eta must be positive and finite, got {self.eta!r}")
         if not 0 < self.gamma <= 1:
             raise AlgorithmError(f"consensus step-size gamma must be in (0, 1], got {self.gamma!r}")
         for name in ("alpha_x", "alpha_y", "beta_x", "beta_y"):
@@ -90,21 +90,6 @@ class HyperParams:
         return eta[:, None].copy()
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """One agent's view of the network state (rows of the stacked matrices)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    h_x: np.ndarray
-    h_y: np.ndarray
-    h_xw: np.ndarray | None = None
-    h_yw: np.ndarray | None = None
-    e_x: np.ndarray | None = None
-    e_y: np.ndarray | None = None
-    grad_prev: np.ndarray | None = None
-
-
 @dataclass
 class NetworkState:
     """Stacked per-agent iterates; row i belongs to agent i."""
@@ -118,14 +103,6 @@ class NetworkState:
     E_x: np.ndarray | None = None
     E_y: np.ndarray | None = None
     grad: np.ndarray | None = None
-
-    def agent(self, i: int) -> AgentState:
-        pick = lambda m: None if m is None else m[i]
-        return AgentState(
-            x=self.X[i], y=self.Y[i], h_x=self.H_x[i], h_y=self.H_y[i],
-            h_xw=pick(self.H_xw), h_yw=pick(self.H_yw),
-            e_x=pick(self.E_x), e_y=pick(self.E_y), grad_prev=pick(self.grad),
-        )
 
 
 @dataclass(frozen=True)
@@ -198,8 +175,7 @@ def default_x0(pb: RidgeProblem, seed: int, init: str = "zeros") -> np.ndarray:
     if init == "zeros":
         return np.zeros((pb.n, pb.dim))
     if init == "uniform":
-        states = _stream_state(seed, np.arange(pb.n), 0, TAG_INIT)
-        return _state_uniform(states, pb.dim)
+        return _state_uniform(_key_states(seed, np.arange(pb.n), 0, TAG_INIT), pb.dim)
     raise AlgorithmError(f"unknown init {init!r} (expected 'zeros' or 'uniform')")
 
 
@@ -279,7 +255,6 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                          states_x=None if xs is None else xs[: steps_done + 1],
                          states_y=None if ys is None else ys[: steps_done + 1])
 
-    eta_scalar = float(hp.eta) if np.asarray(hp.eta).ndim == 0 else None
     cs_x = X.sum(axis=0)
     cs_y = Y.sum(axis=0)
 
@@ -316,13 +291,12 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                 Y_hat_w = H_yw + w @ Qh_y
                 H_yw = H_yw + ay * (w @ Q_y)
 
-        step = eta_scalar * Y if eta_scalar is not None else eta * Y
+        step = eta * Y
         if efficient:
             X_new = X - gamma * (X_hat - X_hat_w) - step
         else:
             X_new = X - gamma * (i_minus_w @ X_hat) - step
-        res_vec = (pb.U * X_new).sum(axis=1) - pb.v
-        grad_new = (2.0 * res_vec)[:, None] * pb.U + (2.0 * pb.rho) * X_new
+        grad_new = gradient_matrix(pb, X_new)
         if efficient:
             Y_new = Y - gamma * (Y_hat - Y_hat_w) + grad_new - grad
         else:

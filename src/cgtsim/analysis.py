@@ -282,10 +282,6 @@ class Certificate:
     eta: float
     epsilon: np.ndarray
 
-    @property
-    def ok(self) -> bool:
-        return self.componentwise_ok
-
     def to_text(self) -> str:
         out = io.StringIO()
         out.write(f"verdict = {'certified' if self.componentwise_ok else 'not-certified'}\n")

@@ -10,11 +10,20 @@ import argparse
 import sys
 
 from . import harness
+from .algorithms import AlgorithmError, DivergenceError
+from .analysis import AnalysisError
+from .compression import CompressionError
+from .problems import ProblemError
+from .topology import TopologyError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_VERIFY = 3
+
+# bad input anywhere in the library surfaces as one of these: exit 1, no traceback
+CONFIG_ERRORS = (harness.ConfigError, AlgorithmError, AnalysisError, CompressionError,
+                 ProblemError, TopologyError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,7 +82,11 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.verb == "compare":
             cfgs = [harness.parse_config_file(path) for path in args.configs]
-            path = harness.compare(cfgs, out_dir=args.out, prefix=args.prefix)
+            try:
+                path = harness.compare(cfgs, out_dir=args.out, prefix=args.prefix)
+            except DivergenceError as exc:
+                print(f"diverged: {exc}", file=sys.stderr)
+                return EXIT_DIVERGED
             print(f"merged trace: {path}")
             return EXIT_OK
 
@@ -92,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             print(report, end="")
             print(f"certificate: {path}")
             return EXIT_OK
-    except harness.ConfigError as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError(f"unhandled verb {args.verb!r}")

@@ -23,7 +23,6 @@ __all__ = [
     "RescaledNormSign",
     "CompressorKind",
     "CompressorProfile",
-    "CompressedMessage",
     "RngStream",
     "TAG_X_DIFF",
     "TAG_Y_DIFF",
@@ -110,8 +109,8 @@ class RescaledNormSign:
     def __post_init__(self) -> None:
         if self.q not in (1, 2, math.inf):
             raise CompressionError(f"norm index must be 1, 2 or inf, got {self.q!r}")
-        if self.r <= 0:
-            raise CompressionError(f"scale r must be positive, got {self.r!r}")
+        if not 0 < self.r < math.inf:
+            raise CompressionError(f"scale r must be positive and finite, got {self.r!r}")
 
 
 CompressorKind = Identity | UnbiasedQuantize | TopK | RandK | NormSign | RescaledNormSign
@@ -155,6 +154,10 @@ def parse_compressor(text: str) -> CompressorKind:
             return RescaledNormSign(q=_parse_q(args["q"]), r=float(args["r"]))
     except KeyError as exc:
         raise CompressionError(f"compressor {text!r} is missing argument {exc}") from None
+    except CompressionError:
+        raise
+    except ValueError as exc:
+        raise CompressionError(f"compressor {text!r} has a malformed argument: {exc}") from None
     raise CompressionError(f"unknown compressor kind {head!r}")
 
 
@@ -207,32 +210,25 @@ def _u64(x: int | np.ndarray) -> np.ndarray:
     return np.asarray([x & _MASK], dtype=np.uint64)
 
 
-def _stream_state(seed: int, agent: int | np.ndarray, iteration: int, tag: int) -> np.ndarray:
-    """Per-agent stream states as a 1-d uint64 array."""
-    h = _mix64(_u64(seed) + _PHI)
-    h = _mix64(h ^ (_u64(agent) + _PHI))
-    h = _mix64(h ^ (_u64(iteration) + _PHI))
-    h = _mix64(h ^ (_u64(tag) + _PHI))
+def _key_states(*words: int | np.ndarray, prefix: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 chain over the key words (seed, agent, iteration, tag).
+
+    Each word is folded in as ``h = mix64(h ^ (word + phi))`` from ``h = 0``;
+    array words broadcast against each other.  ``prefix`` resumes a chain that
+    was already folded over the leading words.
+    """
+    h = np.zeros(1, dtype=np.uint64) if prefix is None else prefix
+    for word in words:
+        h = _mix64(h ^ (_u64(word) + _PHI))
     return h
 
 
 @lru_cache(maxsize=128)
-def _agent_chain(seed: int, n: int) -> np.ndarray:
-    h = _mix64(_u64(seed) + _PHI)
-    h = _mix64(h ^ (_u64(np.arange(n)) + _PHI))
+def _agent_prefix(seed: int, n: int) -> np.ndarray:
+    """The (seed, agent) part of the key for agents 0..n-1, shared by all iterations."""
+    h = _key_states(seed, np.arange(n))
     h.setflags(write=False)
     return h
-
-
-def _stream_states_tags(seed: int, n: int, iteration: int, tags: tuple[int, ...]) -> np.ndarray:
-    """States for agents 0..n-1 under each tag, tag-major, shape (len(tags)*n,).
-
-    Identical values to stacking :func:`_stream_state` per tag; one fused
-    chain for the simulation inner loop.
-    """
-    h = _mix64(_agent_chain(seed, n) ^ (_u64(iteration) + _PHI))
-    t = np.asarray([x & _MASK for x in tags], dtype=np.uint64)
-    return _mix64(h[None, :] ^ (t[:, None] + _PHI)).ravel()
 
 
 def _state_uniform(state: np.ndarray, m: int, offset: int = 0) -> np.ndarray:
@@ -258,27 +254,12 @@ class RngStream:
     tag: int = 0
 
     def uniform(self, m: int, offset: int = 0) -> np.ndarray:
-        state = _stream_state(self.seed, self.agent, self.iteration, self.tag)
+        state = _key_states(self.seed, self.agent, self.iteration, self.tag)
         return _state_uniform(state, m, offset)[0]
-
-    def subset(self, p: int, k: int) -> np.ndarray:
-        """Uniformly random k-subset of range(p): indices of the k smallest draws."""
-        u = self.uniform(p)
-        if k == 1:
-            return np.array([int(np.argmin(u))])
-        return np.sort(np.argpartition(u, k - 1)[:k])
 
 
 # ---------------------------------------------------------------------------
 # the operators
-
-@dataclass(frozen=True)
-class CompressedMessage:
-    """Decompressed-equivalent payload plus the bits the protocol would send."""
-
-    payload: np.ndarray
-    bit_cost: int
-
 
 def _check_input(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -330,7 +311,7 @@ def _topk_rows(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def _randk_rows(m: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
-    # kept set = indices of the k smallest uniforms, as in RngStream.subset
+    # kept set = indices of the k smallest uniforms: a uniformly random k-subset
     out = np.zeros_like(m)
     if k == 1:
         rows = np.arange(m.shape[0])
@@ -366,50 +347,42 @@ def _apply_rows(kind: CompressorKind, m: np.ndarray, u: np.ndarray | None) -> np
     raise CompressionError(f"unknown kind {kind!r}")
 
 
-def compress(kind: CompressorKind, x: np.ndarray, rng: RngStream | None = None) -> CompressedMessage:
-    """Apply a compression operator to one vector.
+def compress(kind: CompressorKind, x: np.ndarray, rng: RngStream | None = None) -> np.ndarray:
+    """Apply a compression operator to one vector and return the payload.
 
     Deterministic kinds ignore ``rng``; the quantizer and random-k draw all
     their randomness from it.  The zero vector maps to the zero vector for
-    every kind.
+    every kind.  The bits the payload costs are ``bit_cost(kind, x.size)``.
     """
     x = _check_input(x)
-    p = x.size
     u = None
     if isinstance(kind, _STOCHASTIC_KINDS):
-        u = _need_rng(kind, rng).uniform(p)[None, :]
-    payload = _apply_rows(kind, x[None, :], u)[0]
-    return CompressedMessage(payload=payload, bit_cost=bit_cost(kind, p))
+        u = _need_rng(kind, rng).uniform(x.size)[None, :]
+    return _apply_rows(kind, x[None, :], u)[0]
 
 
 def compress_rows(kind: CompressorKind, m: np.ndarray, seed: int, iteration: int, tag: int) -> np.ndarray:
     """Compress each row of ``m`` with the stream keyed by (seed, row, iteration, tag).
 
-    Bit-identical to calling :func:`compress` row by row; vectorized for the
-    simulation inner loop.
+    Bit-identical to calling :func:`compress` row by row.
     """
-    m = np.asarray(m, dtype=float)
-    u = None
-    if isinstance(kind, _STOCHASTIC_KINDS):
-        states = _stream_state(seed, np.arange(m.shape[0]), iteration, tag)
-        u = _state_uniform(states, m.shape[1])
-    return _apply_rows(kind, m, u)
+    return compress_rows_multi(kind, [m], [tag], seed, iteration)[0]
 
 
 def compress_rows_multi(kind: CompressorKind, blocks: list[np.ndarray], tags: list[int],
                         seed: int, iteration: int) -> list[np.ndarray]:
     """Compress several same-shaped row blocks in one pass, one tag per block.
 
-    Equivalent to ``[compress_rows(kind, b, seed, iteration, t) ...]`` but
-    with a single vectorized application; the engine batches the x/y (and
-    error-feedback) compressions of one iteration this way.
+    Row i of the block with tag t uses the stream keyed by (seed, i, iteration,
+    t); the engine batches the x/y (and error-feedback) compressions of one
+    iteration this way.
     """
     n = blocks[0].shape[0]
-    stacked = np.concatenate(blocks, axis=0)
+    stacked = np.concatenate(blocks, axis=0, dtype=float)
     u = None
     if isinstance(kind, _STOCHASTIC_KINDS):
-        states = _stream_states_tags(seed, n, iteration, tuple(tags))
-        u = _state_uniform(states, stacked.shape[1])
+        states = _key_states(iteration, np.asarray(tags)[:, None], prefix=_agent_prefix(seed, n))
+        u = _state_uniform(states.ravel(), stacked.shape[1])
     out = _apply_rows(kind, stacked, u)
     return [out[i * n:(i + 1) * n] for i in range(len(blocks))]
 
@@ -515,19 +488,7 @@ def _test_inputs(p: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 _INNER_REPS = 50
-
-
-def _mean_sq_error(kind: CompressorKind, x: np.ndarray, r: float, seed: int, trial: int) -> tuple[float, float]:
-    """Mean and standard error of ||C(x)/r - x||^2 over the operator's randomness."""
-    if isinstance(kind, _STOCHASTIC_KINDS):
-        errs = np.empty(_INNER_REPS)
-        for rep in range(_INNER_REPS):
-            q = compress(kind, x, RngStream(seed=seed, agent=trial, iteration=rep)).payload
-            errs[rep] = float(np.sum((q / r - x) ** 2))
-        se = float(errs.std(ddof=1) / math.sqrt(_INNER_REPS)) if _INNER_REPS > 1 else 0.0
-        return float(errs.mean()), se
-    q = compress(kind, x).payload
-    return float(np.sum((q / r - x) ** 2)), 0.0
+_BLOCK_ROWS = 1000  # (input, repetition) rows per estimator kernel call
 
 
 def estimate_variance_ratio(kind: CompressorKind, p: int, trials: int = 10_000,
@@ -547,10 +508,21 @@ def estimate_contraction(kind: CompressorKind, r: float, p: int, trials: int = 1
     inner = _INNER_REPS if isinstance(kind, _STOCHASTIC_KINDS) else 1
     count = max(1, trials // inner)
     xs = _test_inputs(p, count, gen)
+    seeds = np.array([gen.integers(2**32) for _ in range(count)], dtype=np.uint64)
+    per_block = max(1, _BLOCK_ROWS // inner)
+    reps = np.arange(inner)
     worst = 0.0
-    for t in range(count):
-        mean, _ = _mean_sq_error(kind, xs[t], r, seed=int(gen.integers(2**32)), trial=t)
-        worst = max(worst, mean)  # inputs are unit norm
+    for lo in range(0, count, per_block):
+        trial = np.arange(lo, min(lo + per_block, count))
+        m = np.repeat(xs[trial], inner, axis=0)
+        u = None
+        if isinstance(kind, _STOCHASTIC_KINDS):
+            # input t, repetition rep: the stream keyed by (seed_t, t, rep, 0)
+            states = _key_states(seeds[trial, None], trial[:, None], reps[None, :], 0)
+            u = _state_uniform(states.ravel(), p)
+        err = ((_apply_rows(kind, m, u) / r - m) ** 2).sum(axis=1)
+        # inputs are unit norm, so the mean error is the ratio
+        worst = max(worst, float(err.reshape(-1, inner).mean(axis=1).max()))
     return worst
 
 

@@ -516,11 +516,10 @@ def verify_suite(seed: int = 7) -> list[CheckResult]:
     record("mixing contraction (rho_w)", worst <= 1e-9, f"max violation {worst:.2e}")
 
     # compressor spot checks
-    msg = compress(TopK(k=1), np.array([3.0, -5.0, 1.0]))
-    record("top-1 keeps the largest magnitude",
-           np.array_equal(msg.payload, [0.0, -5.0, 0.0]), str(msg.payload))
-    msg = compress(NormSign(q=math.inf), np.array([2.0, -1.0]))
-    record("norm-sign output", np.array_equal(msg.payload, [2.0, -2.0]), str(msg.payload))
+    out = compress(TopK(k=1), np.array([3.0, -5.0, 1.0]))
+    record("top-1 keeps the largest magnitude", np.array_equal(out, [0.0, -5.0, 0.0]), str(out))
+    out = compress(NormSign(q=math.inf), np.array([2.0, -1.0]))
+    record("norm-sign output", np.array_equal(out, [2.0, -2.0]), str(out))
     prof = analytic_profile(NormSign(q=2), 20)
     record("norm-sign profile (q=2)", prof is not None and prof.C == 19.0 and prof.delta == 0.05,
            repr(prof))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,35 +114,3 @@ def constants(pb: RidgeProblem) -> ProblemConstants:
     mu = float(np.linalg.eigvalsh(hess)[0])
     l_i = 2.0 * np.einsum("ij,ij->i", pb.U, pb.U) + 2.0 * pb.rho
     return ProblemConstants(mu=mu, L_i=l_i, L=float(l_i.max()))
-
-
-def dump_text(pb: RidgeProblem) -> str:
-    """Serialize (U, v, rho) with 17 significant digits for exact reload."""
-    out = io.StringIO()
-    out.write(f"n = {pb.n}\np = {pb.dim}\nrho = {pb.rho:.17g}\n")
-    for i in range(pb.n):
-        row = " ".join(f"{x:.17g}" for x in pb.U[i])
-        out.write(f"u[{i}] = {row}\n")
-    out.write("v = " + " ".join(f"{x:.17g}" for x in pb.v) + "\n")
-    return out.getvalue()
-
-
-def load_text(text: str) -> RidgeProblem:
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, val = line.partition("=")
-        fields[key.strip()] = val.strip()
-    try:
-        n = int(fields["n"])
-        p = int(fields["p"])
-        rho = float(fields["rho"])
-        u = np.array([[float(t) for t in fields[f"u[{i}]"].split()] for i in range(n)])
-        v = np.array([float(t) for t in fields["v"].split()])
-    except KeyError as exc:
-        raise ProblemError(f"problem dump is missing field {exc}") from None
-    if u.shape != (n, p) or v.shape != (n,):
-        raise ProblemError("problem dump has inconsistent dimensions")
-    return RidgeProblem(U=u, v=v, rho=rho)

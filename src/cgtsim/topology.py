@@ -51,18 +51,6 @@ class Graph:
             bwd[j].append(i)
         return _reaches_all(fwd, self.n) and _reaches_all(bwd, self.n)
 
-    def out_neighbors(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.edges if a == i)
-
-    def in_neighbors(self, i: int) -> list[int]:
-        return sorted(a for (a, j) in self.edges if j == i)
-
-    def out_degree(self, i: int) -> int:
-        return sum(1 for (a, _) in self.edges if a == i)
-
-    def in_degree(self, i: int) -> int:
-        return sum(1 for (_, j) in self.edges if j == i)
-
 
 def _reaches_all(adj: list[list[int]], n: int) -> bool:
     seen = {0}
@@ -74,6 +62,12 @@ def _reaches_all(adj: list[list[int]], n: int) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == n
+
+
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(senders, receivers) of every edge of g as integer arrays, in one pass."""
+    e = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+    return e[:, 0], e[:, 1]
 
 
 def build_ring(n: int, directed: bool = True) -> Graph:
@@ -142,17 +136,17 @@ def build_weights_outdegree(g: Graph, p: float | np.ndarray) -> WeightMatrix:
     p_vec = np.broadcast_to(np.asarray(p, dtype=float), (g.n,)).copy()
     if np.any(p_vec <= 0):
         raise TopologyError("per-agent weights p_i must be positive")
-    w = np.zeros((g.n, g.n))
-    for i in range(g.n):
-        deg = g.out_degree(i)
-        diag = 1.0 - deg * p_vec[i]
-        if diag <= 0:
-            raise TopologyError(
-                f"agent {i}: 1 - Deg_out*p = {diag!r} <= 0 (Deg_out={deg}, p={p_vec[i]!r})"
-            )
-        for j in g.out_neighbors(i):
-            w[i, j] = p_vec[i]
-        w[i, i] = diag
+    src, dst = _edge_arrays(g)
+    deg = np.bincount(src, minlength=g.n)
+    diag = 1.0 - deg * p_vec
+    bad = np.flatnonzero(diag <= 0)
+    if bad.size:
+        i = bad[0]
+        raise TopologyError(
+            f"agent {i}: 1 - Deg_out*p = {diag[i]!r} <= 0 (Deg_out={deg[i]}, p={p_vec[i]!r})"
+        )
+    w = np.diag(diag)
+    w[src, dst] = p_vec[src]
     return WeightMatrix(graph=g, matrix=w)
 
 
@@ -160,13 +154,12 @@ def build_weights_laplacian(g: Graph, a: float) -> WeightMatrix:
     """W = I - a*L for balanced graphs; rejects ``a`` that yields negative entries."""
     if a <= 0:
         raise TopologyError(f"tuning parameter a must be positive, got {a!r}")
-    degs = np.array([g.out_degree(i) for i in range(g.n)], dtype=float)
-    in_degs = np.array([g.in_degree(i) for i in range(g.n)], dtype=float)
-    if not np.array_equal(degs, in_degs):
+    src, dst = _edge_arrays(g)
+    degs = np.bincount(src, minlength=g.n).astype(float)
+    if not np.array_equal(degs, np.bincount(dst, minlength=g.n)):
         raise TopologyError("Laplacian construction needs in-degree == out-degree per agent")
     adj = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        adj[i, j] = 1.0
+    adj[src, dst] = 1.0
     lap = np.diag(degs) - adj
     w = np.eye(g.n) - a * lap
     if np.any(np.diag(w) < 0):

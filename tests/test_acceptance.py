@@ -258,7 +258,7 @@ def test_criterion_8_compressor_bounds():
             errs = np.array([
                 float(np.sum((cg.compress(cg.RandK(k=k), x,
                                           cg.RngStream(seed=SEED, agent=trial,
-                                                       iteration=rep)).payload - x) ** 2))
+                                                       iteration=rep)) - x) ** 2))
                 for rep in range(500)
             ])
             mean, se = errs.mean(), errs.std(ddof=1) / np.sqrt(errs.size)

@@ -44,9 +44,9 @@ def run_agent_view_cgt(pb, W, hp, kind, K, seed):
     ax, ay, g = hp.alpha_x, hp.alpha_y, hp.gamma
     eta = float(hp.eta)
     for k in range(K):
-        q_x = [compress(kind, x[i] - h_x[i], RngStream(seed, i, k, TAG_X_DIFF)).payload
+        q_x = [compress(kind, x[i] - h_x[i], RngStream(seed, i, k, TAG_X_DIFF))
                for i in range(n)]
-        q_y = [compress(kind, y[i] - h_y[i], RngStream(seed, i, k, TAG_Y_DIFF)).payload
+        q_y = [compress(kind, y[i] - h_y[i], RngStream(seed, i, k, TAG_Y_DIFF))
                for i in range(n)]
         # "communication": each agent can read q_x[j], q_y[j] of in-neighbors only
         x_hat = [h_x[i] + q_x[i] for i in range(n)]
@@ -84,14 +84,14 @@ def run_agent_view_efcgt(pb, W, hp, kind, K, seed):
         q_x, qh_x, q_y, qh_y = [], [], [], []
         for i in range(n):
             d_x = x[i] - h_x[i]
-            q_x.append(compress(kind, d_x, RngStream(seed, i, k, TAG_X_DIFF)).payload)
+            q_x.append(compress(kind, d_x, RngStream(seed, i, k, TAG_X_DIFF)))
             de_x = bx * e_x[i] + d_x
-            qh_x.append(compress(kind, de_x, RngStream(seed, i, k, TAG_X_EF)).payload)
+            qh_x.append(compress(kind, de_x, RngStream(seed, i, k, TAG_X_EF)))
             e_x[i] = de_x - qh_x[i]
             d_y = y[i] - h_y[i]
-            q_y.append(compress(kind, d_y, RngStream(seed, i, k, TAG_Y_DIFF)).payload)
+            q_y.append(compress(kind, d_y, RngStream(seed, i, k, TAG_Y_DIFF)))
             de_y = by * e_y[i] + d_y
-            qh_y.append(compress(kind, de_y, RngStream(seed, i, k, TAG_Y_EF)).payload)
+            qh_y.append(compress(kind, de_y, RngStream(seed, i, k, TAG_Y_EF)))
             e_y[i] = de_y - qh_y[i]
         # both payload kinds travel; mixing uses in-neighbor weights only
         x_hat = [h_x[i] + qh_x[i] for i in range(n)]

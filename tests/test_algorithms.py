@@ -47,6 +47,9 @@ def test_hyperparams_validation():
         HyperParams(eta=0.1, alpha_x=0.0)
     with pytest.raises(AlgorithmError):
         HyperParams(eta=0.1, beta_y=2.0)
+    for bad in (float("nan"), float("inf"), np.array([0.1, float("nan")])):
+        with pytest.raises(AlgorithmError, match="finite"):
+            HyperParams(eta=bad)
 
 
 def test_single_agent_gt_is_centralized_gradient_descent():
@@ -270,14 +273,6 @@ def test_metrics_fixed_points(pb):
                   "compress_error_x", "compress_error_y"):
         val = getattr(rec, field)
         assert np.isfinite(val) and val >= 0
-
-
-def test_agent_state_view(pb, W_und):
-    res = run_efcgt_efficient(pb, W_und, HyperParams(eta=0.05), TopK(k=1), 10, seed=SEED)
-    agent = res.final.agent(3)
-    assert np.array_equal(agent.x, res.final.X[3])
-    assert np.array_equal(agent.e_x, res.final.E_x[3])
-    assert np.array_equal(agent.h_xw, res.final.H_xw[3])
 
 
 def test_default_x0_modes(pb):

@@ -307,3 +307,33 @@ def test_cli_verify_exit_0(capsys):
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("old,new", [
+    ("eta = 0.05", "eta = -1"),
+    ("eta = 0.05", "eta = nan"),
+    ("dim = 8", "dim = 0"),
+    ("dim = 8\n", "dim = 20\n"),  # with top-50 below: k exceeds the dimension
+    ("p = 0.1", "p = 0.9"),
+], ids=["eta-negative", "eta-nan", "dim-zero", "topk-exceeds-dim", "weights-p-too-large"])
+def test_cli_bad_config_exit_1_without_traceback(tmp_path, capsys, old, new):
+    text = CONFIG_TEXT.replace(old, new)
+    if new == "dim = 20\n":
+        text = text.replace("topk:k=1", "topk:k=50")
+    cfgfile = write_cfg(tmp_path, text)
+    rc = cli.main(["run", str(cfgfile), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1, captured.err
+    assert "config error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_compare_divergence_exit_2(tmp_path, capsys):
+    text = CONFIG_TEXT.replace("eta = 0.05", "eta = 60.0").replace("K = 120", "K = 4000")
+    a = write_cfg(tmp_path, text, "a.cfg")
+    b = write_cfg(tmp_path, text.replace("method = cgt", "method = efcgt"), "b.cfg")
+    rc = cli.main(["compare", str(a), str(b), "--out", str(tmp_path), "--prefix", "cmp"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "diverged" in captured.err
+    assert "Traceback" not in captured.out + captured.err

@@ -5,10 +5,8 @@ from cgtsim.problems import (
     ProblemError,
     RidgeProblem,
     constants,
-    dump_text,
     generate_ridge,
     gradient_matrix,
-    load_text,
     local_gradient,
     optimal_solution,
 )
@@ -178,10 +176,3 @@ def test_generate_rejects_bad_parameters():
     with pytest.raises(ProblemError):
         generate_ridge(5, 5, 0.1, -1.0, seed=0)
 
-
-def test_dump_load_round_trip_exact(paper_instance):
-    text = dump_text(paper_instance)
-    back = load_text(text)
-    assert np.array_equal(back.U, paper_instance.U)
-    assert np.array_equal(back.v, paper_instance.v)
-    assert back.rho == paper_instance.rho

@@ -27,7 +27,8 @@ def test_ring_undirected_has_both_directions():
 
 def test_ring_strongly_connected_out_degree_one():
     g = build_ring(10, directed=True)
-    assert all(g.out_degree(i) == 1 for i in range(10))
+    senders = sorted(i for i, _ in g.edges)
+    assert senders == list(range(10))  # every agent sends along exactly one edge
 
 
 def test_ring_rejects_small_n():
