@@ -11,6 +11,11 @@ draws.  The updates follow a synchronous-rounds contract: within one
 iteration every agent reads only previous-round state, so results are
 independent of intra-round scheduling; single-threaded execution is the
 reference mode.
+
+The engine state Z, the reference states H and H_w = W H and the
+error-feedback accumulator E are (2, n, p) arrays: channel 0 is the decision
+x, channel 1 the tracker y, row i belongs to agent i.  alpha and beta are
+(2, 1, 1) columns, so each update is written once for both variables.
 """
 
 from __future__ import annotations
@@ -137,14 +142,6 @@ class RunResult:
     states_x: np.ndarray | None = None  # (K+1, n, p) when recorded
     states_y: np.ndarray | None = None
 
-    @property
-    def residuals(self) -> np.ndarray:
-        return np.array([t.residual for t in self.trace])
-
-    @property
-    def ks(self) -> np.ndarray:
-        return np.array([t.k for t in self.trace])
-
 
 def _sq(m: np.ndarray) -> float:
     return float(np.sum(m * m))
@@ -207,133 +204,101 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
     n, p = pb.n, pb.dim
     w = W.matrix
     i_minus_w = np.eye(n) - w
-    gamma = hp.gamma
-    ax, ay = hp.alpha_x, hp.alpha_y
+    alpha = np.array([hp.alpha_x, hp.alpha_y])[:, None, None]
+    keep = 1 - alpha
+    beta = np.array([hp.beta_x, hp.beta_y])[:, None, None]
     eta = hp.eta_rows(n)
+    tags = [TAG_X_DIFF, TAG_Y_DIFF] + ([TAG_X_EF, TAG_Y_EF] if error_feedback else [])
 
     X = default_x0(pb, seed, init) if x0 is None else np.array(x0, dtype=float)
     if X.shape != (n, p):
         raise AlgorithmError(f"x0 must have shape ({n}, {p}), got {X.shape}")
     grad = gradient_matrix(pb, X)
-    Y = grad.copy()
-    H_x = np.zeros((n, p))
-    H_y = np.zeros((n, p))
-    H_xw = w @ H_x if efficient else None
-    H_yw = w @ H_y if efficient else None
-    E_x = np.zeros((n, p)) if error_feedback else None
-    E_y = np.zeros((n, p)) if error_feedback else None
+    Z = np.stack([X, grad])
+    H = np.zeros((2, n, p))
+    H_w = w @ H if efficient else None
+    E = np.zeros((2, n, p)) if error_feedback else None
 
-    sol = optimal_solution(pb)
-    x_star = sol.x_star
+    x_star = optimal_solution(pb).x_star
     denom = _sq(X - x_star[None, :])
     if denom == 0.0:
         denom = 1.0
 
-    vectors_per_agent = 4 if error_feedback else 2
-    bits_per_iter = n * vectors_per_agent * bit_cost(kind, p)
-    bits = 0
+    bits_per_iter = n * len(tags) * bit_cost(kind, p)
 
     def snapshot() -> NetworkState:
-        return NetworkState(X=X, Y=Y, H_x=H_x, H_y=H_y, H_xw=H_xw, H_yw=H_yw,
-                            E_x=E_x, E_y=E_y, grad=grad)
+        H_xw, H_yw = (None, None) if H_w is None else H_w
+        E_x, E_y = (None, None) if E is None else E
+        return NetworkState(*Z, *H, H_xw, H_yw, E_x, E_y, grad=grad)
 
     trace = [metrics(snapshot(), pb, x_star, k=0, residual_denom=denom, bits_sent=0)]
     max_track = 0.0
     max_drift = 0.0
-    steps_done = 0
-    xs = ys = None
-    if record_states:
-        xs = np.empty((K + 1, n, p))
-        ys = np.empty((K + 1, n, p))
-        xs[0], ys[0] = X, Y
+    zs = [Z] if record_states else None
 
     def result() -> RunResult:
+        states_x, states_y = (None, None) if zs is None else np.stack(zs, axis=1)
         return RunResult(trace=trace, final=snapshot(), hyper=hp,
                          compressor=compressor_label(kind), seed=seed,
                          algorithm=algorithm, max_tracking_violation=max_track,
                          max_mean_drift=max_drift, x_star=x_star,
-                         states_x=None if xs is None else xs[: steps_done + 1],
-                         states_y=None if ys is None else ys[: steps_done + 1])
+                         states_x=states_x, states_y=states_y)
 
-    cs_x = X.sum(axis=0)
-    cs_y = Y.sum(axis=0)
-
+    cs = Z.sum(axis=1)
     for k in range(K):
         if not error_feedback:
-            Q_x, Q_y = compress_rows_multi(kind, [X - H_x, Y - H_y],
-                                           [TAG_X_DIFF, TAG_Y_DIFF], seed, k)
-            X_hat = H_x + Q_x
-            H_x = X_hat if ax == 1.0 else (1 - ax) * H_x + ax * X_hat
-            Y_hat = H_y + Q_y
-            H_y = Y_hat if ay == 1.0 else (1 - ay) * H_y + ay * Y_hat
+            Q = compress_rows_multi(kind, Z - H, tags, seed, k)
+            Z_hat = H + Q
+            H = keep * H + alpha * Z_hat
             if efficient:
-                X_hat_w = H_xw + w @ Q_x
-                H_xw = X_hat_w if ax == 1.0 else (1 - ax) * H_xw + ax * X_hat_w
-                Y_hat_w = H_yw + w @ Q_y
-                H_yw = Y_hat_w if ay == 1.0 else (1 - ay) * H_yw + ay * Y_hat_w
+                Z_hat_w = H_w + w @ Q
+                H_w = keep * H_w + alpha * Z_hat_w
         else:
-            D_x = X - H_x
-            D_y = Y - H_y
-            DE_x = hp.beta_x * E_x + D_x
-            DE_y = hp.beta_y * E_y + D_y
-            Q_x, Qh_x, Q_y, Qh_y = compress_rows_multi(
-                kind, [D_x, DE_x, D_y, DE_y],
-                [TAG_X_DIFF, TAG_X_EF, TAG_Y_DIFF, TAG_Y_EF], seed, k)
-            E_x = DE_x - Qh_x
-            X_hat = H_x + Qh_x
-            H_x = H_x + ax * Q_x
-            E_y = DE_y - Qh_y
-            Y_hat = H_y + Qh_y
-            H_y = H_y + ay * Q_y
+            D = Z - H
+            DE = beta * E + D
+            out = compress_rows_multi(kind, np.concatenate([D, DE]), tags, seed, k)
+            Q, Qh = out.reshape(2, 2, n, p)
+            E = DE - Qh
+            Z_hat = H + Qh
+            H = H + alpha * Q
             if efficient:
-                X_hat_w = H_xw + w @ Qh_x
-                H_xw = H_xw + ax * (w @ Q_x)
-                Y_hat_w = H_yw + w @ Qh_y
-                H_yw = H_yw + ay * (w @ Q_y)
+                Z_hat_w = H_w + w @ Qh
+                H_w = H_w + alpha * (w @ Q)
 
-        step = eta * Y
-        if efficient:
-            X_new = X - gamma * (X_hat - X_hat_w) - step
-        else:
-            X_new = X - gamma * (i_minus_w @ X_hat) - step
-        grad_new = gradient_matrix(pb, X_new)
-        if efficient:
-            Y_new = Y - gamma * (Y_hat - Y_hat_w) + grad_new - grad
-        else:
-            Y_new = Y - gamma * (i_minus_w @ Y_hat) + grad_new - grad
+        mix = Z_hat - Z_hat_w if efficient else i_minus_w @ Z_hat
+        step = eta * Z[1]
+        Z = Z - hp.gamma * mix
+        X, Y = Z
+        X -= step
+        grad_new = gradient_matrix(pb, X)
+        Y += grad_new
+        Y -= grad
 
         # mean-dynamics identity: the network average follows exact gradient descent
-        cs_x_new = X_new.sum(axis=0)
-        cs_y_new = Y_new.sum(axis=0)
-        diff = cs_x_new - cs_x + step.sum(axis=0)
+        cs_new = Z.sum(axis=1)
+        diff = cs_new[0] - cs[0] + step.sum(axis=0)
         drift = float(np.sqrt(diff @ diff)) / n
-        nx_bar = float(np.sqrt(cs_x @ cs_x)) / n
+        nx_bar = float(np.sqrt(cs[0] @ cs[0])) / n
         max_drift = max(max_drift, drift / (1.0 + nx_bar))
 
-        X, Y, grad = X_new, Y_new, grad_new
-        cs_x, cs_y = cs_x_new, cs_y_new
+        grad, cs = grad_new, cs_new
 
         # gradient-tracking identity: column sums of Y and of the gradients agree
-        gdiff = cs_y - grad.sum(axis=0)
+        gdiff = cs[1] - grad.sum(axis=0)
         viol = float(np.max(np.abs(gdiff)))
         g_flat = grad.ravel()
         max_track = max(max_track, viol / (1.0 + float(np.sqrt(g_flat @ g_flat))))
 
-        bits += bits_per_iter
-        steps_done = k + 1
-        if record_states:
-            xs[k + 1], ys[k + 1] = X, Y
+        if zs is not None:
+            zs.append(Z)
 
         r_flat = (X - x_star[None, :]).ravel()
         residual = float(r_flat @ r_flat) / denom
-        record_now = ((k + 1) % trace_every == 0) or (k + 1 == K)
-        if record_now:
+        diverged = not np.isfinite(residual) or residual > DIVERGENCE_LIMIT
+        if diverged or (k + 1) % trace_every == 0 or k + 1 == K:
             trace.append(metrics(snapshot(), pb, x_star, k=k + 1,
-                                 residual_denom=denom, bits_sent=bits))
-        if not np.isfinite(residual) or residual > DIVERGENCE_LIMIT:
-            if not record_now:
-                trace.append(metrics(snapshot(), pb, x_star, k=k + 1,
-                                     residual_denom=denom, bits_sent=bits))
+                                 residual_denom=denom, bits_sent=(k + 1) * bits_per_iter))
+        if diverged:
             raise DivergenceError(
                 f"{algorithm} diverged at iteration {k + 1}: residual {residual:.3e} "
                 f"exceeds {DIVERGENCE_LIMIT:.0e}",

@@ -20,6 +20,10 @@ from .compression import CompressorProfile
 from .problems import ProblemConstants
 from .topology import SpectralInfo
 
+_RADIUS_TOL = 1e-12  # spectral_radius stops when its estimate changes by less (relative)
+_MAX_SQUARINGS = 60
+_CERT_SLACK = 1e-12  # absolute slack of certify's componentwise test
+
 
 class AnalysisError(ValueError):
     """Raised for violated preconditions or infeasible parameter chains."""
@@ -293,7 +297,7 @@ class Certificate:
         return out.getvalue()
 
 
-def spectral_radius(m: np.ndarray, tol: float = 1e-12, max_squarings: int = 60) -> float:
+def spectral_radius(m: np.ndarray) -> float:
     """Spectral radius of a nonnegative matrix via norm growth of matrix powers.
 
     Repeated squaring with norm scaling evaluates ||M^(2^j)||^(1/2^j), which
@@ -310,13 +314,13 @@ def spectral_radius(m: np.ndarray, tol: float = 1e-12, max_squarings: int = 60) 
     acc = 0.0
     est = math.inf
     cur = m.copy()
-    for j in range(max_squarings):
+    for j in range(_MAX_SQUARINGS):
         nrm = float(np.linalg.norm(cur))
         if nrm == 0.0:
             return 0.0
         acc += math.log(nrm) / (2.0 ** j)
         new_est = math.exp(acc)
-        if j > 0 and abs(new_est - est) <= tol * max(1.0, new_est):
+        if j > 0 and abs(new_est - est) <= _RADIUS_TOL * max(1.0, new_est):
             return new_est
         est = new_est
         cur = cur / nrm
@@ -324,14 +328,14 @@ def spectral_radius(m: np.ndarray, tol: float = 1e-12, max_squarings: int = 60) 
     return est
 
 
-def certify(system: ErrorSystem, slack: float = 1e-12) -> Certificate:
+def certify(system: ErrorSystem) -> Certificate:
     """Spectral radius plus the componentwise test M eps <= theta eps."""
     eps = system.epsilon
     if np.any(eps <= 0):
         raise AnalysisError("test vector must be strictly positive")
     lhs = system.M @ eps
     rhs = system.theta * eps
-    ok = bool(np.all(lhs <= rhs + slack * (1.0 + eps)))
+    ok = bool(np.all(lhs <= rhs + _CERT_SLACK * (1.0 + eps)))
     rho = spectral_radius(system.M)
     return Certificate(rho_M=rho, componentwise_ok=ok, theta=system.theta,
                        gamma=system.gamma, eta=system.eta, epsilon=eps)

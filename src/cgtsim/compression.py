@@ -369,22 +369,23 @@ def compress_rows(kind: CompressorKind, m: np.ndarray, seed: int, iteration: int
     return compress_rows_multi(kind, [m], [tag], seed, iteration)[0]
 
 
-def compress_rows_multi(kind: CompressorKind, blocks: list[np.ndarray], tags: list[int],
-                        seed: int, iteration: int) -> list[np.ndarray]:
-    """Compress several same-shaped row blocks in one pass, one tag per block.
+def compress_rows_multi(kind: CompressorKind, blocks: np.ndarray | list[np.ndarray],
+                        tags: list[int], seed: int, iteration: int) -> np.ndarray:
+    """Compress a stack of same-shaped (n, p) row blocks in one pass, one tag per block.
 
-    Row i of the block with tag t uses the stream keyed by (seed, i, iteration,
-    t); the engine batches the x/y (and error-feedback) compressions of one
-    iteration this way.
+    ``blocks`` is a (B, n, p) array or a list of B (n, p) arrays; the result
+    is one (B, n, p) array.  Row i of the block with tag t uses the stream
+    keyed by (seed, i, iteration, t); the engine compresses its stacked x/y
+    (and error-feedback) channels of one iteration this way.
     """
-    n = blocks[0].shape[0]
-    stacked = np.concatenate(blocks, axis=0, dtype=float)
+    stacked = np.asarray(blocks, dtype=float)
+    b, n, p = stacked.shape
+    rows = stacked.reshape(b * n, p)
     u = None
     if isinstance(kind, _STOCHASTIC_KINDS):
         states = _key_states(iteration, np.asarray(tags)[:, None], prefix=_agent_prefix(seed, n))
-        u = _state_uniform(states.ravel(), stacked.shape[1])
-    out = _apply_rows(kind, stacked, u)
-    return [out[i * n:(i + 1) * n] for i in range(len(blocks))]
+        u = _state_uniform(states.ravel(), p)
+    return _apply_rows(kind, rows, u).reshape(b, n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +547,9 @@ def empirical_profile(kind: CompressorKind, p: int, trials: int = 10_000,
                              provenance="empirical")
 
 
-def profile_for(kind: CompressorKind, p: int, trials: int = 10_000,
-                rng: int | np.random.Generator = 0) -> CompressorProfile:
+def profile_for(kind: CompressorKind, p: int) -> CompressorProfile:
     """Analytic profile when known, empirical otherwise."""
     prof = analytic_profile(kind, p)
     if prof is not None:
         return prof
-    return empirical_profile(kind, p, trials, rng)
+    return empirical_profile(kind, p)

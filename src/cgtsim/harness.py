@@ -46,6 +46,7 @@ import numpy as np
 
 from . import analysis, compression, problems, topology
 from .algorithms import (
+    AlgorithmError,
     DivergenceError,
     HyperParams,
     RunResult,
@@ -129,6 +130,10 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm.K: must be >= 1, got {self.K}")
         if self.trace_every < 1:
             raise ConfigError(f"algorithm.trace_every: must be >= 1, got {self.trace_every}")
+        try:
+            self.hyper.eta_rows(self.problem.n)
+        except AlgorithmError as exc:
+            raise ConfigError(f"hyper.eta: {exc}") from None
         if self.init not in ("zeros", "uniform"):
             raise ConfigError(f"algorithm.init: {self.init!r} not in ('zeros', 'uniform')")
         try:
@@ -156,6 +161,12 @@ def _get(parser: configparser.ConfigParser, section: str, key: str, conv, defaul
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {conv.__name__}") from None
 
 
+def floats(raw: str) -> float | np.ndarray:
+    """One number, or an array of whitespace-separated numbers."""
+    vals = np.array(raw.split(), dtype=float)
+    return float(vals[0]) if vals.size == 1 else vals
+
+
 def parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -178,7 +189,7 @@ def parse_config(text: str) -> ExperimentConfig:
         seed=_get(parser, "problem", "seed", int, 405),
     )
     hp = HyperParams(
-        eta=_get(parser, "hyper", "eta", float, None),
+        eta=_get(parser, "hyper", "eta", floats, None),
         gamma=_get(parser, "hyper", "gamma", float, 1.0),
         alpha_x=_get(parser, "hyper", "alpha_x", float, 1.0),
         alpha_y=_get(parser, "hyper", "alpha_y", float, 1.0),
@@ -365,7 +376,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
 def compare(cfgs: list[ExperimentConfig], out_dir: str | Path | None = None,
             prefix: str = "compare") -> Path:
-    """Run several configs on the same problem and merge residuals column-wise."""
+    """Run several configs on the same problem and merge residuals column-wise.
+
+    A diverged run's column is blank after its last recorded k; the CSV is
+    written before the first divergence is raised.
+    """
     if not cfgs:
         raise ConfigError("compare needs at least one config")
     base = cfgs[0]
@@ -376,17 +391,25 @@ def compare(cfgs: list[ExperimentConfig], out_dir: str | Path | None = None,
             raise ConfigError("compare: topology sections differ")
         if cfg.K != base.K or cfg.trace_every != base.trace_every:
             raise ConfigError("compare: K/trace_every differ, traces would not align")
-    results = [(f"{c.algorithm}:{c.compressor}", run_from_config(c)) for c in cfgs]
-    ks = results[0][1].ks
+    columns, diverged = [], []
+    for c in cfgs:
+        try:
+            trace = run_from_config(c).trace
+        except DivergenceError as exc:
+            trace = exc.partial.trace
+            diverged.append(exc)
+        columns.append({t.k: t.residual for t in trace})
     out = default_out_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{prefix}.csv"
     buf = io.StringIO()
-    buf.write("k," + ",".join(label for label, _ in results) + "\n")
-    columns = [r.residuals for _, r in results]
-    for i, k in enumerate(ks):
-        buf.write(str(int(k)) + "," + ",".join(_fmt(col[i]) for col in columns) + "\n")
+    buf.write("k," + ",".join(f"{c.algorithm}:{c.compressor}" for c in cfgs) + "\n")
+    for k in sorted(set().union(*columns)):
+        buf.write(f"{k}," + ",".join(_fmt(col[k]) if k in col else "" for col in columns) + "\n")
     path.write_text(buf.getvalue())
+    if diverged:
+        raise DivergenceError(f"{diverged[0]}; partial traces in {path}",
+                              partial=diverged[0].partial)
     return path
 
 

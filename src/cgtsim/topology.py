@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 STOCHASTIC_TOL = 1e-12
+_POWER_TOL = 1e-12  # spectral_norm stops when its estimate changes by less (relative)
+_POWER_MAX_ITER = 100_000
 
 
 class TopologyError(ValueError):
@@ -187,7 +189,7 @@ class SpectralInfo:
         return 1.0 - gamma * self.s
 
 
-def spectral_norm(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> float:
+def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value by power iteration on M^T M.
 
     Deterministic: the start vector comes from a fixed-seed generator, so
@@ -200,14 +202,14 @@ def spectral_norm(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) ->
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = b @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
         lam_new = float(v @ (b @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
             lam = lam_new
             break
         lam = lam_new

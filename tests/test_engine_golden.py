@@ -1,0 +1,160 @@
+"""Golden digests of engine trajectories, bit for bit.
+
+Each digest is the sha256 of the run's trace CSV followed by the bytes of its
+final X and Y (and, for ``record_states``, of ``states_x``/``states_y``).  The
+values were recorded before the engine moved to one channel-stacked state, so
+any change to the order or the values of the floating-point updates shows up
+here, where the other engine tests compare with tolerances or with the engine
+itself.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from cgtsim.algorithms import (
+    DivergenceError,
+    HyperParams,
+    run_cgt_efficient,
+    run_cgt_reference,
+    run_efcgt_efficient,
+    run_efcgt_reference,
+    run_gt,
+)
+from cgtsim.compression import parse_compressor
+from cgtsim.harness import trace_csv
+from cgtsim.problems import generate_ridge
+from cgtsim.topology import build_ring, build_weights_outdegree
+
+N, DIM, K = 10, 20, 60
+COMPRESSORS = ("identity", "quant:b=2,q=inf", "topk:k=1", "randk:k=1",
+               "normsign-rescaled:q=inf,r=20")
+RUNNERS = {
+    "gt": lambda pb, W, hp, kind, **kw: run_gt(pb, W, hp, K, 3, **kw),
+    "cgt-ref": lambda pb, W, hp, kind, **kw: run_cgt_reference(pb, W, hp, kind, K, 3, **kw),
+    "cgt": lambda pb, W, hp, kind, **kw: run_cgt_efficient(pb, W, hp, kind, K, 3, **kw),
+    "efcgt-ref": lambda pb, W, hp, kind, **kw: run_efcgt_reference(pb, W, hp, kind, K, 3, **kw),
+    "efcgt": lambda pb, W, hp, kind, **kw: run_efcgt_efficient(pb, W, hp, kind, K, 3, **kw),
+}
+
+GOLDEN = {
+    "runner/gt/identity":
+        "3b51d51ef759e339628c027537410801b40f7ea2f8838a343b2e925ea9fd1ab3",
+    "runner/cgt-ref/identity":
+        "3b51d51ef759e339628c027537410801b40f7ea2f8838a343b2e925ea9fd1ab3",
+    "runner/cgt-ref/quant:b=2,q=inf":
+        "7418c047f034f417e11c0d07b4fed1db73bf6913e1b5e99f6aa2d03cd0f04614",
+    "runner/cgt-ref/topk:k=1":
+        "5b0f5e2275074c9970c9082f1f8c7a362d8ed2b6cc570d07fc7be0a117526762",
+    "runner/cgt-ref/randk:k=1":
+        "6923b0c0cef8d2f2190e5bdb1398647775b07b48695fc14d924437c7cfc0bbf9",
+    "runner/cgt-ref/normsign-rescaled:q=inf,r=20":
+        "e634cf966904dc5f92e1ec4f5d928097ff0c6c0db4582c5a89903125a6e5c385",
+    "runner/cgt/identity":
+        "04fba8350f68c95e7ff1579094df43b15ee5e6395fc22462b67e021b7fa1f076",
+    "runner/cgt/quant:b=2,q=inf":
+        "31975e33663fb916e3e1aefb0478a337336ac2a888c873995417d3f291d6a481",
+    "runner/cgt/topk:k=1":
+        "4e15e44c60e0c065f2a6df45a62b65753aaa37d02c89f8d0c7670db3201dd447",
+    "runner/cgt/randk:k=1":
+        "603f8f8c4f44cfcf97baf547b5f3f9bac5069ad6295cc1eecb83e050d6c2564a",
+    "runner/cgt/normsign-rescaled:q=inf,r=20":
+        "eb5a394e0f61723eab9f3f6ddd6770a585631328e78989d6b7dd30c4c7e56126",
+    "runner/efcgt-ref/identity":
+        "cf2c25653d738163523750e473b128680ee6cc0f3f4df7cd60c69ee5aa3f7030",
+    "runner/efcgt-ref/quant:b=2,q=inf":
+        "b0b2617e2192064caa434b70c5bfd59bb7197e710b4322e190d8c25dd6b4ece4",
+    "runner/efcgt-ref/topk:k=1":
+        "58513d2d2e4c68dd8691c760ce52e5d67b055316d412712d357ec7c95aac352f",
+    "runner/efcgt-ref/randk:k=1":
+        "c6f178da54fedf7404e008b91a6bdab8658896072bc339d33e0690e205810bcd",
+    "runner/efcgt-ref/normsign-rescaled:q=inf,r=20":
+        "2948ed8157dfad3c196915ddd963868ceed71bc12359da8d7d6a10b450daa9d5",
+    "runner/efcgt/identity":
+        "54dc6ce5e52aece1d3ee3d319686497872aa4b39122e841ca610363d75b5c217",
+    "runner/efcgt/quant:b=2,q=inf":
+        "e7c940df4be2ef2c9956855efaf7f0682535f5d0ffc9ac63cbdc1ed363bc4b48",
+    "runner/efcgt/topk:k=1":
+        "eba3c2ad07d7c1a5b70164b3f085ebab17d9a93c0aa980d3146e8606f3c010da",
+    "runner/efcgt/randk:k=1":
+        "c0e7672be09a67417fc842e739ccf6babdd070fb61cb2b7152aa4c44858fce0c",
+    "runner/efcgt/normsign-rescaled:q=inf,r=20":
+        "4084db3154fd0282b0df969aa711fa06a6800b564e5640dfd952bb1d0004cd3a",
+    "eta-per-agent":
+        "8b88a857c329ecdf80d0de315b263e538912d748819b555a0dc91354d48e3179",
+    "init-uniform":
+        "9147598255680f185245bb271deb0b0f6b0899b3969410be4ae71356268b5aca",
+    "alpha":
+        "7e237b06a0eff9063505ef7091bfa253e8148250c7b06bf5d2f2b52d98fe61fd",
+    "beta":
+        "8669bd98e140a5a083e86965d2048b8d12dd8224946c694b910a70f6c75930e1",
+    "record-states":
+        "adb59de6ae1819de2cb5678d62eb8a1e137b5e71853cf2b27a6e2060a2112442",
+    "divergence-partial":
+        "59228821fb524c4c81690aced211e206de1770978acfb2de65470b3db00cc328",
+}
+
+
+@pytest.fixture(scope="module")
+def pb():
+    return generate_ridge(N, DIM, 0.01, 5.0, seed=405)
+
+
+@pytest.fixture(scope="module")
+def W():
+    return build_weights_outdegree(build_ring(N, directed=True), 0.1)
+
+
+def _digest(res, *extra: np.ndarray) -> str:
+    h = hashlib.sha256(trace_csv(res.trace).encode())
+    for arr in (res.final.X, res.final.Y) + extra:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _case(name, pb, W):
+    """Run the named golden case and return its digest."""
+    hp = HyperParams(eta=0.004, gamma=0.5)
+    if name.startswith("runner/"):
+        _, algo, comp = name.split("/")
+        return _digest(RUNNERS[algo](pb, W, hp, parse_compressor(comp), trace_every=1))
+    quant = parse_compressor("quant:b=2,q=inf")
+    if name == "eta-per-agent":
+        hp = HyperParams(eta=np.linspace(0.002, 0.006, N), gamma=0.5)
+        return _digest(run_efcgt_efficient(pb, W, hp, quant, K, 3, trace_every=1))
+    if name == "init-uniform":
+        return _digest(run_cgt_efficient(pb, W, hp, quant, K, 3, trace_every=1, init="uniform"))
+    if name == "alpha":
+        hp = HyperParams(eta=0.004, gamma=0.5, alpha_x=0.05, alpha_y=0.05)
+        kind = parse_compressor("normsign:q=inf")
+        return _digest(run_cgt_efficient(pb, W, hp, kind, K, 3, trace_every=1))
+    if name == "beta":
+        hp = HyperParams(eta=0.004, gamma=0.5, alpha_x=0.05, alpha_y=0.05,
+                         beta_x=0.01, beta_y=0.01)
+        kind = parse_compressor("normsign:q=inf")
+        return _digest(run_efcgt_efficient(pb, W, hp, kind, K, 3, trace_every=1))
+    if name == "record-states":
+        res = run_cgt_reference(pb, W, hp, quant, K, 3, trace_every=1, record_states=True)
+        return _digest(res, res.states_x, res.states_y)
+    if name == "divergence-partial":
+        hp = HyperParams(eta=5.0, gamma=0.5)
+        with pytest.raises(DivergenceError) as exc:
+            run_cgt_efficient(pb, W, hp, parse_compressor("topk:k=1"), 4000, 3,
+                              trace_every=7, record_states=True)
+        res = exc.value.partial
+        return _digest(res, res.states_x, res.states_y)
+    raise KeyError(name)
+
+
+# run_gt ignores the compressor, so it has one case
+CASES = (["runner/gt/identity"]
+         + [f"runner/{algo}/{comp}" for algo in RUNNERS if algo != "gt" for comp in COMPRESSORS]
+         + ["eta-per-agent", "init-uniform", "alpha", "beta", "record-states",
+            "divergence-partial"])
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_engine_digest(name, pb, W):
+    assert _case(name, pb, W) == GOLDEN[name]
+

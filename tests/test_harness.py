@@ -1,6 +1,11 @@
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
 from cgtsim import cli, harness
+from cgtsim.algorithms import DivergenceError
 from cgtsim.harness import (
     ConfigError,
     compare,
@@ -53,6 +58,19 @@ def test_parse_config_round_trip():
     assert cfg.hyper.eta == 0.05 and cfg.hyper.gamma == 0.6
     again = parse_config(harness.config_text(cfg))
     assert again == cfg
+    # per-agent eta: dataclass == on an array field raises, so compare eta apart
+    eta = np.linspace(0.04, 0.06, 6)
+    vec = dataclasses.replace(cfg, hyper=dataclasses.replace(cfg.hyper, eta=eta))
+    back = parse_config(harness.config_text(vec))
+    assert np.array_equal(back.hyper.eta, eta)
+    assert dataclasses.replace(back, hyper=cfg.hyper) == cfg
+
+
+def test_config_per_agent_eta_length_checked():
+    with pytest.raises(ConfigError, match="hyper.eta"):
+        parse_config(CONFIG_TEXT.replace("eta = 0.05", "eta = 0.05 0.05"))
+    with pytest.raises(ConfigError, match="hyper.eta"):
+        parse_config(CONFIG_TEXT.replace("eta = 0.05", "eta = 0.05 x"))
 
 
 def test_config_size_mismatch_rejected():
@@ -337,3 +355,28 @@ def test_cli_compare_divergence_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "diverged" in captured.err
     assert "Traceback" not in captured.out + captured.err
+    # the merged CSV keeps both partial traces, each blank after its last recorded k
+    assert "cmp.csv" in captured.err
+    lines = (tmp_path / "cmp.csv").read_text().splitlines()
+    assert lines[0] == "k,cgt:topk:k=1,efcgt:topk:k=1"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(len(rows)))
+    assert len(rows) < 4001
+    for col in (1, 2):
+        cells = [r[col] for r in rows]
+        last = max(i for i, cell in enumerate(cells) if cell)
+        assert all(cells[: last + 1]) and not any(cells[last + 1:])
+        final = float(cells[last])
+        assert not math.isfinite(final) or final > 1e12
+
+
+def test_compare_keeps_converged_column_past_divergence(tmp_path):
+    base = parse_config(CONFIG_TEXT)
+    wild = dataclasses.replace(base, algorithm="efcgt",
+                               hyper=dataclasses.replace(base.hyper, eta=60.0))
+    with pytest.raises(DivergenceError, match="merged.csv"):
+        compare([base, wild], out_dir=tmp_path, prefix="merged")
+    rows = [line.split(",") for line in (tmp_path / "merged.csv").read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(base.K + 1))
+    assert all(r[1] for r in rows)
+    assert rows[1][2] and not rows[-1][2]
