@@ -15,11 +15,13 @@ reference mode.
 The engine state Z, the reference states H and H_w = W H and the
 error-feedback accumulator E are (2, n, p) arrays: channel 0 is the decision
 x, channel 1 the tracker y, row i belongs to agent i.  alpha and beta are
-(2, 1, 1) columns, so each update is written once for both variables.
+Python floats when the x and y values agree and (2, 1, 1) columns otherwise,
+so each update is written once for both variables.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,6 +39,7 @@ from .compression import (
     bit_cost,
     compress_rows_multi,
     compressor_label,
+    _agent_prefix,
     _key_states,
     _state_uniform,
 )
@@ -58,13 +61,14 @@ class DivergenceError(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperParams:
     """Step sizes and scaling parameters shared by all algorithm variants.
 
     ``eta`` may be a scalar or a per-agent vector (uncoordinated step sizes).
     ``beta_x``/``beta_y`` damp the error-feedback accumulators; 1 recovers the
-    plain error-feedback updates.
+    plain error-feedback updates.  Equality and hashing compare ``eta`` by
+    shape and values, so a per-agent vector works as well as a scalar.
     """
 
     eta: float | np.ndarray
@@ -84,6 +88,19 @@ class HyperParams:
             val = getattr(self, name)
             if not 0 < val <= 1:
                 raise AlgorithmError(f"{name} must be in (0, 1], got {val!r}")
+
+    def _key(self) -> tuple:
+        eta = np.asarray(self.eta, dtype=float)
+        return (eta.shape, tuple(eta.ravel().tolist()), self.gamma,
+                self.alpha_x, self.alpha_y, self.beta_x, self.beta_y)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def eta_rows(self, n: int) -> np.ndarray:
         """eta broadcast to an (n, 1) column for per-agent updates."""
@@ -144,14 +161,17 @@ class RunResult:
 
 
 def _sq(m: np.ndarray) -> float:
-    return float(np.sum(m * m))
+    # one reduce in memory order: the same pairwise sum as np.sum(m * m), without its dispatch
+    return float(np.add.reduce((m * m).ravel("K")))
 
 
 def metrics(state: NetworkState, pb: RidgeProblem, x_star: np.ndarray, *,
             k: int = 0, residual_denom: float = 1.0, bits_sent: int = 0) -> TraceRecord:
     """All trace fields for one snapshot; residual uses the supplied denominator."""
-    x_bar = state.X.mean(axis=0)
-    y_bar = state.Y.mean(axis=0)
+    n = state.X.shape[0]
+    # np.mean(axis=0) is this reduce divided by n
+    x_bar = np.add.reduce(state.X, axis=0) / n
+    y_bar = np.add.reduce(state.Y, axis=0) / n
     zero = 0.0
     return TraceRecord(
         k=k,
@@ -172,7 +192,7 @@ def default_x0(pb: RidgeProblem, seed: int, init: str = "zeros") -> np.ndarray:
     if init == "zeros":
         return np.zeros((pb.n, pb.dim))
     if init == "uniform":
-        return _state_uniform(_key_states(seed, np.arange(pb.n), 0, TAG_INIT), pb.dim)
+        return _state_uniform(_key_states(0, TAG_INIT, prefix=_agent_prefix(seed, pb.n)), pb.dim)
     raise AlgorithmError(f"unknown init {init!r} (expected 'zeros' or 'uniform')")
 
 
@@ -187,6 +207,11 @@ def _warn_alpha_range(kind: CompressorKind, p: int, hp: HyperParams) -> None:
             f"{compressor_label(kind)}; convergence is no longer guaranteed",
             stacklevel=3,
         )
+
+
+def _channels(vx: float, vy: float) -> float | np.ndarray:
+    """A per-channel coefficient: a float when x and y agree (no broadcast), else a column."""
+    return float(vx) if vx == vy else np.array([vx, vy], dtype=float)[:, None, None]
 
 
 def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: CompressorKind,
@@ -204,9 +229,9 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
     n, p = pb.n, pb.dim
     w = W.matrix
     i_minus_w = np.eye(n) - w
-    alpha = np.array([hp.alpha_x, hp.alpha_y])[:, None, None]
+    alpha = _channels(hp.alpha_x, hp.alpha_y)
     keep = 1 - alpha
-    beta = np.array([hp.beta_x, hp.beta_y])[:, None, None]
+    beta = _channels(hp.beta_x, hp.beta_y)
     eta = hp.eta_rows(n)
     tags = [TAG_X_DIFF, TAG_Y_DIFF] + ([TAG_X_EF, TAG_Y_EF] if error_feedback else [])
 
@@ -245,6 +270,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                          states_x=states_x, states_y=states_y)
 
     cs = Z.sum(axis=1)
+    nx_bar = math.sqrt(cs[0] @ cs[0]) / n
     for k in range(K):
         if not error_feedback:
             Q = compress_rows_multi(kind, Z - H, tags, seed, k)
@@ -277,24 +303,24 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         # mean-dynamics identity: the network average follows exact gradient descent
         cs_new = Z.sum(axis=1)
         diff = cs_new[0] - cs[0] + step.sum(axis=0)
-        drift = float(np.sqrt(diff @ diff)) / n
-        nx_bar = float(np.sqrt(cs[0] @ cs[0])) / n
+        drift = math.sqrt(diff @ diff) / n
         max_drift = max(max_drift, drift / (1.0 + nx_bar))
 
         grad, cs = grad_new, cs_new
+        nx_bar = math.sqrt(cs[0] @ cs[0]) / n
 
         # gradient-tracking identity: column sums of Y and of the gradients agree
         gdiff = cs[1] - grad.sum(axis=0)
-        viol = float(np.max(np.abs(gdiff)))
+        viol = float(np.abs(gdiff).max())
         g_flat = grad.ravel()
-        max_track = max(max_track, viol / (1.0 + float(np.sqrt(g_flat @ g_flat))))
+        max_track = max(max_track, viol / (1.0 + math.sqrt(g_flat @ g_flat)))
 
         if zs is not None:
             zs.append(Z)
 
         r_flat = (X - x_star[None, :]).ravel()
         residual = float(r_flat @ r_flat) / denom
-        diverged = not np.isfinite(residual) or residual > DIVERGENCE_LIMIT
+        diverged = not math.isfinite(residual) or residual > DIVERGENCE_LIMIT
         if diverged or (k + 1) % trace_every == 0 or k + 1 == K:
             trace.append(metrics(snapshot(), pb, x_star, k=k + 1,
                                  residual_denom=denom, bits_sent=(k + 1) * bits_per_iter))

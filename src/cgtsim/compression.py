@@ -3,6 +3,10 @@
 Every operator is a pure function of (kind, input vector, keyed random stream),
 so reference and communication-efficient algorithm variants can consume
 identical draws by sharing stream keys.
+
+The streams are a counter hash, so any draw can be made out of order.  The
+engine's uniforms are drawn per block of consecutive iterations in one pass,
+with the same keys and therefore the same bits as one draw per iteration.
 """
 
 from __future__ import annotations
@@ -383,9 +387,31 @@ def compress_rows_multi(kind: CompressorKind, blocks: np.ndarray | list[np.ndarr
     rows = stacked.reshape(b * n, p)
     u = None
     if isinstance(kind, _STOCHASTIC_KINDS):
-        states = _key_states(iteration, np.asarray(tags)[:, None], prefix=_agent_prefix(seed, n))
-        u = _state_uniform(states.ravel(), p)
+        c = max(1, _BLOCK_DRAWS // (b * n * p))
+        k0 = iteration - iteration % c
+        # a one-iteration block is never reused; keeping it cost ring-1000 ~1.5 MB of peak RSS
+        draw = _uniform_block if c > 1 else _draw_uniforms
+        u = draw(seed, n, p, tuple(tags), k0, c)[iteration - k0]
     return _apply_rows(kind, rows, u).reshape(b, n, p)
+
+
+# a block holds about _BLOCK_DRAWS uniforms (64 KB): c = max(1, _BLOCK_DRAWS // (b*n*p))
+# iterations, 20 of the engine's x/y stack at n=10, p=20; a stack bigger than
+# that (n=1000) still draws one iteration per call
+_BLOCK_DRAWS = 2**13
+
+
+def _draw_uniforms(seed: int, n: int, p: int, tags: tuple[int, ...], k0: int, c: int) -> np.ndarray:
+    """(c, len(tags)*n, p) uniforms of iterations k0..k0+c-1; entry j is iteration k0+j's draw."""
+    states = _key_states(np.arange(k0, k0 + c)[:, None, None], np.asarray(tags)[None, :, None],
+                         prefix=_agent_prefix(seed, n))
+    u = _state_uniform(states.ravel(), p).reshape(c, len(tags) * n, p)
+    u.setflags(write=False)
+    return u
+
+
+# one block is memoised: the engine asks for a block's iterations in turn
+_uniform_block = lru_cache(maxsize=1)(_draw_uniforms)
 
 
 # ---------------------------------------------------------------------------

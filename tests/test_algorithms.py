@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from cgtsim.algorithms import (
     AlgorithmError,
     DivergenceError,
     HyperParams,
+    NetworkState,
+    TraceRecord,
     default_x0,
     metrics,
     run_cgt_efficient,
@@ -50,6 +53,18 @@ def test_hyperparams_validation():
     for bad in (float("nan"), float("inf"), np.array([0.1, float("nan")])):
         with pytest.raises(AlgorithmError, match="finite"):
             HyperParams(eta=bad)
+
+
+def test_hyperparams_with_per_agent_eta_compare_and_hash():
+    a = HyperParams(eta=np.linspace(0.1, 0.2, 4), gamma=0.5)
+    same = HyperParams(eta=np.linspace(0.1, 0.2, 4), gamma=0.5)
+    other = HyperParams(eta=np.linspace(0.1, 0.3, 4), gamma=0.5)
+    assert a == same and hash(a) == hash(same)
+    assert a != other and isinstance(hash(other), int)
+    assert a != HyperParams(eta=np.linspace(0.1, 0.2, 5), gamma=0.5)
+    assert HyperParams(eta=0.1) != HyperParams(eta=np.full(1, 0.1))
+    assert HyperParams(eta=0.1, alpha_x=0.5) == HyperParams(eta=np.float64(0.1), alpha_x=0.5)
+    assert len({a, same, other}) == 2
 
 
 def test_single_agent_gt_is_centralized_gradient_descent():
@@ -255,7 +270,6 @@ def test_trace_length_and_cadence(pb, W_und):
 def test_metrics_fixed_points(pb):
     sol = optimal_solution(pb)
     n, p = pb.n, pb.dim
-    from cgtsim.algorithms import NetworkState
     X = np.tile(sol.x_star, (n, 1))
     state = NetworkState(X=X, Y=np.zeros((n, p)), H_x=X.copy(), H_y=np.zeros((n, p)))
     rec = metrics(state, pb, sol.x_star, k=5, residual_denom=2.0, bits_sent=7)
@@ -273,6 +287,48 @@ def test_metrics_fixed_points(pb):
                   "compress_error_x", "compress_error_y"):
         val = getattr(rec, field)
         assert np.isfinite(val) and val >= 0
+
+
+def _metrics_reference(state, pb, x_star, *, k=0, residual_denom=1.0, bits_sent=0):
+    """The np.mean / np.sum form of ``metrics``, kept as the oracle for its reductions."""
+    def sq(m):
+        return float(np.sum(m * m))
+
+    x_bar = state.X.mean(axis=0)
+    y_bar = state.Y.mean(axis=0)
+    zero = 0.0
+    return TraceRecord(
+        k=k,
+        residual=sq(state.X - x_star[None, :]) / residual_denom,
+        opt_error=sq(x_bar - x_star),
+        consensus_error=sq(state.X - x_bar[None, :]),
+        tracking_error=sq(state.Y - y_bar[None, :]),
+        compress_error_x=sq(state.X - state.H_x),
+        compress_error_y=sq(state.Y - state.H_y),
+        ef_error_x=sq(state.E_x) if state.E_x is not None else zero,
+        ef_error_y=sq(state.E_y) if state.E_y is not None else zero,
+        bits_sent=bits_sent,
+    )
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 20), (10, 1), (10, 20), (37, 5), (60, 300)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_metrics_equal_mean_and_sum_reference(pb, shape, order):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    n, p = shape
+    for trial in range(20):
+        def draw():
+            m = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-8, 8, (n, p))
+            return np.asarray(m, order=order)
+        with_ef = trial % 2 == 1
+        state = NetworkState(X=draw(), Y=draw(), H_x=draw(), H_y=draw(),
+                             E_x=draw() if with_ef else None, E_y=draw() if with_ef else None)
+        x_star = rng.standard_normal(p)
+        kw = dict(k=trial, residual_denom=float(rng.uniform(0.5, 2.0)), bits_sent=3 * trial)
+        got = metrics(state, pb, x_star, **kw)
+        want = _metrics_reference(state, pb, x_star, **kw)
+        for field in dataclasses.fields(TraceRecord):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
 def test_default_x0_modes(pb):

@@ -26,7 +26,15 @@ from cgtsim.compression import (
     estimate_variance_ratio,
     parse_compressor,
 )
-from cgtsim.compression import _INNER_REPS, _apply_rows, _test_inputs
+from cgtsim.compression import (
+    _INNER_REPS,
+    _agent_prefix,
+    _apply_rows,
+    _key_states,
+    _state_uniform,
+    _test_inputs,
+    _uniform_block,
+)
 
 
 def rng_for(agent=0, k=0, tag=0, seed=123):
@@ -159,6 +167,31 @@ def test_compress_rows_multi_matches_single_tag_calls():
     a1, a2 = compress_rows_multi(kind, [m1, m2], [1, 3], seed=6, iteration=2)
     assert np.array_equal(a1, compress_rows(kind, m1, 6, 2, 1))
     assert np.array_equal(a2, compress_rows(kind, m2, 6, 2, 3))
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+@pytest.mark.parametrize("b", [1, 2, 4])
+@pytest.mark.parametrize("kind", [UnbiasedQuantize(bits=2, q=math.inf), RandK(k=2)])
+def test_block_drawn_uniforms_equal_per_iteration_draws(kind, b, n):
+    # out of order and across block boundaries (20 iterations at n=10, b=2, p=20)
+    p, seed = 20, 11
+    tags = np.array([1, 2, 3, 4][:b])
+    rng = np.random.default_rng(b * n)
+    for k in (7, 0, 19, 20, 21, 500, 3):
+        m = rng.standard_normal((b, n, p))
+        got = compress_rows_multi(kind, m, list(tags), seed, k)
+        states = _key_states(k, tags[:, None], prefix=_agent_prefix(seed, n))
+        want = _apply_rows(kind, m.reshape(b * n, p), _state_uniform(states.ravel(), p))
+        assert np.array_equal(got, want.reshape(b, n, p))
+    c = max(1, 2**13 // (b * n * p))
+    info = _uniform_block.cache_info()
+    block = _uniform_block(seed, n, p, tuple(tags), 3 - 3 % c, c)
+    # the memo keeps the last multi-iteration block only
+    assert _uniform_block.cache_info().hits == info.hits + (c > 1)
+    assert _uniform_block.cache_info().maxsize == 1
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0, 0] = 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,11 @@ def test_parse_config_round_trip():
     assert cfg.hyper.eta == 0.05 and cfg.hyper.gamma == 0.6
     again = parse_config(harness.config_text(cfg))
     assert again == cfg
-    # per-agent eta: dataclass == on an array field raises, so compare eta apart
     eta = np.linspace(0.04, 0.06, 6)
     vec = dataclasses.replace(cfg, hyper=dataclasses.replace(cfg.hyper, eta=eta))
     back = parse_config(harness.config_text(vec))
     assert np.array_equal(back.hyper.eta, eta)
+    assert back == vec and hash(back) == hash(vec)
     assert dataclasses.replace(back, hyper=cfg.hyper) == cfg
 
 
