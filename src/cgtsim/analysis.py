@@ -6,6 +6,10 @@ recursion w^{k+1} <= M w^k with a nonnegative transition matrix M: 5x5 for
 the plain algorithm, 7x7 with error feedback.  A spectral radius below
 1 - eta*mu/2 certifies geometric convergence, and a positive test vector
 with M eps <= theta eps witnesses it componentwise.
+
+The constants of each system (:func:`cgt_constants`, :func:`efcgt_constants`)
+do not depend on the operating point (gamma, eta); :func:`build_A` and
+:func:`build_B` take it and assemble M.
 """
 
 from __future__ import annotations
@@ -29,32 +33,31 @@ class AnalysisError(ValueError):
     """Raised for violated preconditions or infeasible parameter chains."""
 
 
-def _tau_default(contraction: float) -> float:
-    """Slack parameter in (1, 1/(1-contraction)); geometric midpoint, 2 at the boundary."""
-    if contraction >= 1.0:
-        return 2.0
-    return 1.0 / math.sqrt(1.0 - contraction)
+def _slack(contr_x: float, contr_y: float, tau_x: float | None,
+           tau_y: float | None) -> list[tuple[float, float]]:
+    """Per channel (x, y): the pair (tau*(1-contr), 3 tau/(tau-1)) for a slack tau > 1.
+
+    A missing tau takes the geometric midpoint of (1, 1/(1-contr)), or 2 when
+    the contraction reaches 1.
+    """
+    pairs = []
+    for contr, tau in ((contr_x, tau_x), (contr_y, tau_y)):
+        if tau is None:
+            tau = 2.0 if contr >= 1.0 else 1.0 / math.sqrt(1.0 - contr)
+        if tau <= 1:
+            raise AnalysisError("slack parameters tau must exceed 1")
+        pairs.append((tau * (1.0 - contr), 3.0 * tau / (tau - 1.0)))
+    return pairs
 
 
 @dataclass(frozen=True)
 class CgtConstants:
-    """Inputs and derived constants of the 5x5 error system."""
+    """Constants of the 5x5 error system; none depends on (gamma, eta)."""
 
     n: int
     mu: float
     L: float
     s: float
-    norm_IminusW: float
-    C: float
-    delta: float
-    r: float
-    alpha_x: float
-    alpha_y: float
-    gamma: float
-    eta: float
-    tau_x: float
-    tau_y: float
-    # derived
     c1: float
     c2: float
     c3: float
@@ -68,42 +71,24 @@ class CgtConstants:
     t_x: float
     t_y: float
 
-    @property
-    def kappa(self) -> float:
-        return self.L / self.mu
-
-    @property
-    def rho_tilde(self) -> float:
-        return 1.0 - self.gamma * self.s
-
 
 def cgt_constants(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
-                  alpha_x: float, alpha_y: float, gamma: float, eta: float,
-                  n: int, tau_x: float | None = None, tau_y: float | None = None) -> CgtConstants:
-    """Assemble the error-system constants for given hyperparameters."""
+                  alpha_x: float, alpha_y: float, n: int,
+                  tau_x: float | None = None, tau_y: float | None = None) -> CgtConstants:
+    """Assemble the error-system constants for given mixing rates and slacks."""
     for name, alpha in (("alpha_x", alpha_x), ("alpha_y", alpha_y)):
         if not 0 < alpha <= 1.0 / profile.r + 1e-12:
             raise AnalysisError(f"{name}={alpha!r} outside (0, 1/r] for r={profile.r!r}")
-    s, niw = spec.s, spec.norm_IminusW
-    c, delta, r = profile.C, profile.delta, profile.r
-    tx_contr = alpha_x * r * delta
-    ty_contr = alpha_y * r * delta
-    tau_x = _tau_default(tx_contr) if tau_x is None else tau_x
-    tau_y = _tau_default(ty_contr) if tau_y is None else tau_y
-    if tau_x <= 1 or tau_y <= 1:
-        raise AnalysisError("slack parameters tau must exceed 1")
-    c_x = tau_x * (1.0 - tx_contr)
-    c_y = tau_y * (1.0 - ty_contr)
+    s, niw, c, r = spec.s, spec.norm_IminusW, profile.C, profile.r
+    (c_x, t_x), (c_y, t_y) = _slack(alpha_x * r * profile.delta, alpha_y * r * profile.delta,
+                                    tau_x, tau_y)
     if c_x >= 1.0 or c_y >= 1.0:
         raise AnalysisError(
             f"infeasible: c_x={c_x!r}, c_y={c_y!r} must be < 1 "
             "(compression too weak for the chosen alpha/tau)"
         )
-    t_x = 3.0 * tau_x / (tau_x - 1.0)
-    t_y = 3.0 * tau_y / (tau_y - 1.0)
     return CgtConstants(
-        n=n, mu=prob.mu, L=prob.L, s=s, norm_IminusW=niw, C=c, delta=delta, r=r,
-        alpha_x=alpha_x, alpha_y=alpha_y, gamma=gamma, eta=eta, tau_x=tau_x, tau_y=tau_y,
+        n=n, mu=prob.mu, L=prob.L, s=s,
         c1=2.0 / s,
         c2=2.0 * c / s * niw**2,
         c3=12.0 * prob.L**2 / s,
@@ -118,20 +103,13 @@ def cgt_constants(prob: ProblemConstants, spec: SpectralInfo, profile: Compresso
 
 @dataclass(frozen=True)
 class EfcgtConstants:
-    """Inputs and derived constants of the 7x7 error-feedback system."""
+    """Constants of the 7x7 error-feedback system; none depends on (gamma, eta)."""
 
     n: int
     mu: float
     L: float
     s: float
-    norm_IminusW: float
     delta: float
-    alpha_x: float
-    alpha_y: float
-    gamma: float
-    eta: float
-    tau_x: float
-    tau_y: float
     d1: float
     d2: float
     d3: float
@@ -140,14 +118,6 @@ class EfcgtConstants:
     d_y: float
     t_x: float
     t_y: float
-
-    @property
-    def kappa(self) -> float:
-        return self.L / self.mu
-
-    @property
-    def rho_tilde(self) -> float:
-        return 1.0 - self.gamma * self.s
 
 
 def contractive_delta(profile: CompressorProfile) -> float:
@@ -167,26 +137,18 @@ def contractive_delta(profile: CompressorProfile) -> float:
 
 
 def efcgt_constants(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
-                    alpha_x: float, alpha_y: float, gamma: float, eta: float,
-                    n: int, tau_x: float | None = None, tau_y: float | None = None) -> EfcgtConstants:
+                    alpha_x: float, alpha_y: float, n: int,
+                    tau_x: float | None = None, tau_y: float | None = None) -> EfcgtConstants:
     delta = contractive_delta(profile)
     for name, alpha in (("alpha_x", alpha_x), ("alpha_y", alpha_y)):
         if not 0 < alpha <= 1:
             raise AnalysisError(f"{name}={alpha!r} outside (0, 1]")
-    tau_x = _tau_default(alpha_x * delta) if tau_x is None else tau_x
-    tau_y = _tau_default(alpha_y * delta) if tau_y is None else tau_y
-    if tau_x <= 1 or tau_y <= 1:
-        raise AnalysisError("slack parameters tau must exceed 1")
-    d_x = tau_x * (1.0 - alpha_x * delta)
-    d_y = tau_y * (1.0 - alpha_y * delta)
+    (d_x, t_x), (d_y, t_y) = _slack(alpha_x * delta, alpha_y * delta, tau_x, tau_y)
     if d_x >= 1.0 or d_y >= 1.0:
         raise AnalysisError(f"infeasible: d_x={d_x!r}, d_y={d_y!r} must be < 1")
-    t_x = 3.0 * tau_x / (tau_x - 1.0)
-    t_y = 3.0 * tau_y / (tau_y - 1.0)
     s, niw = spec.s, spec.norm_IminusW
     return EfcgtConstants(
-        n=n, mu=prob.mu, L=prob.L, s=s, norm_IminusW=niw, delta=delta,
-        alpha_x=alpha_x, alpha_y=alpha_y, gamma=gamma, eta=eta, tau_x=tau_x, tau_y=tau_y,
+        n=n, mu=prob.mu, L=prob.L, s=s, delta=delta,
         d1=2.0 / s,
         d2=2.0 / s * niw**2,
         d3=t_x * niw**2,
@@ -217,15 +179,16 @@ def _check_eta_gamma(mu: float, L: float, gamma: float, eta: float) -> None:
         raise AnalysisError(f"eta={eta!r} violates eta < {which} = {bound!r}")
 
 
-def build_A(c: CgtConstants, epsilon: np.ndarray | None = None) -> ErrorSystem:
-    """5x5 transition matrix for plain compressed gradient tracking.
+def build_A(c: CgtConstants, gamma: float, eta: float,
+            epsilon: np.ndarray | None = None) -> ErrorSystem:
+    """5x5 transition matrix for plain compressed gradient tracking at (gamma, eta).
 
     Row/column order: optimization, consensus, tracking, x-compression,
     y-compression errors.
     """
-    _check_eta_gamma(c.mu, c.L, c.gamma, c.eta)
-    g, e, L, n = c.gamma, c.eta, c.L, c.n
-    rt2 = c.rho_tilde**2
+    _check_eta_gamma(c.mu, c.L, gamma, eta)
+    g, e, L, n = gamma, eta, c.L, c.n
+    rt2 = (1.0 - gamma * c.s)**2
     m = np.array([
         [1.0 - 1.5 * e * c.mu, 3.0 * e * L**2 / (c.mu * n), 0.0, 0.0, 0.0],
         [0.0, (1.0 + rt2) / 2.0, c.c1 * e**2 / g, c.c2 * g, 0.0],
@@ -240,21 +203,21 @@ def build_A(c: CgtConstants, epsilon: np.ndarray | None = None) -> ErrorSystem:
     if not np.all(np.isfinite(m)) or np.any(m < 0):
         raise AnalysisError("transition matrix has negative or non-finite entries")
     eps = np.ones(5) if epsilon is None else np.asarray(epsilon, dtype=float)
-    return ErrorSystem(M=m, epsilon=eps, theta=1.0 - 0.5 * c.eta * c.mu,
-                       gamma=c.gamma, eta=c.eta)
+    return ErrorSystem(M=m, epsilon=eps, theta=1.0 - 0.5 * eta * c.mu, gamma=gamma, eta=eta)
 
 
-def build_B(c: EfcgtConstants, epsilon: np.ndarray | None = None) -> ErrorSystem:
-    """7x7 transition matrix with error feedback.
+def build_B(c: EfcgtConstants, gamma: float, eta: float,
+            epsilon: np.ndarray | None = None) -> ErrorSystem:
+    """7x7 transition matrix with error feedback at (gamma, eta).
 
     Rows 1-5 as in :func:`build_A`; rows 6-7 are the x/y error-feedback
     accumulators with self-coupling 1 - delta/2.
     """
-    _check_eta_gamma(c.mu, c.L, c.gamma, c.eta)
+    _check_eta_gamma(c.mu, c.L, gamma, eta)
     if not 0 < c.delta <= 1:
         raise AnalysisError(f"delta must be in (0, 1], got {c.delta!r}")
-    g, e, L, n, dl = c.gamma, c.eta, c.L, c.n, c.delta
-    rt2 = c.rho_tilde**2
+    g, e, L, n, dl = gamma, eta, c.L, c.n, c.delta
+    rt2 = (1.0 - gamma * c.s)**2
     m = np.array([
         [1.0 - 1.5 * e * c.mu, 3.0 * e * L**2 / (c.mu * n), 0.0, 0.0, 0.0, 0.0, 0.0],
         [0.0, (1.0 + rt2) / 2.0, c.d1 * e**2 / g, c.d2 * g, 0.0,
@@ -273,8 +236,7 @@ def build_B(c: EfcgtConstants, epsilon: np.ndarray | None = None) -> ErrorSystem
     if not np.all(np.isfinite(m)) or np.any(m < 0):
         raise AnalysisError("transition matrix has negative or non-finite entries")
     eps = np.ones(7) if epsilon is None else np.asarray(epsilon, dtype=float)
-    return ErrorSystem(M=m, epsilon=eps, theta=1.0 - 0.5 * c.eta * c.mu,
-                       gamma=c.gamma, eta=c.eta)
+    return ErrorSystem(M=m, epsilon=eps, theta=1.0 - 0.5 * eta * c.mu, gamma=gamma, eta=eta)
 
 
 @dataclass(frozen=True)
@@ -365,6 +327,15 @@ class SufficientParams:
         return out.getvalue()
 
 
+def _certified(eps: np.ndarray, system: ErrorSystem) -> SufficientParams:
+    """Certify a chain's system; the chain must pass its own componentwise test."""
+    cert = certify(system)
+    if not cert.componentwise_ok:
+        raise AnalysisError("sufficient-parameter chain failed its own certificate")
+    return SufficientParams(epsilon=eps, test_vector=system.epsilon, gamma=system.gamma,
+                            eta=system.eta, system=system, certificate=cert)
+
+
 def sufficient_params(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
                       alpha_x: float, alpha_y: float, n: int,
                       tau_x: float | None = None, tau_y: float | None = None) -> SufficientParams:
@@ -375,76 +346,56 @@ def sufficient_params(prob: ProblemConstants, spec: SpectralInfo, profile: Compr
     mixing terms, and the optimization component from the condition number;
     each lower bound is inflated by 1% so every inequality holds strictly.
     """
-    probe = cgt_constants(prob, spec, profile, alpha_x, alpha_y,
-                          gamma=1.0, eta=min(1.0 / (3.0 * prob.mu), 2.0 / (prob.mu + prob.L)) / 2,
-                          n=n, tau_x=tau_x, tau_y=tau_y)
+    c = cgt_constants(prob, spec, profile, alpha_x, alpha_y, n=n, tau_x=tau_x, tau_y=tau_y)
     kappa = prob.kappa
-    s = probe.s
+    s = c.s
     e4 = 1.0
     e5 = 1.0
-    e2 = _SLACK * max(2.0 * probe.c1 * probe.c2 * e4, e4)
-    m2 = probe.c4 * e2 + probe.c2 * (3.0 * e4 + e5)
+    e2 = _SLACK * max(2.0 * c.c1 * c.c2 * e4, e4)
+    m2 = c.c4 * e2 + c.c2 * (3.0 * e4 + e5)
     e3 = max(_SLACK * 4.0 * m2 / s, e4)  # floor keeps the test vector positive
     e1 = _SLACK * 3.0 * kappa**2 * e2 / n
-    m1 = probe.c3 * (n * e1 + e2 + 0.5 * e3)
-    m3 = probe.t_x * (2 * n * e1 + 2 * e2 + e3) + probe.c5 * e2 + probe.c6 * e4 + e4 / (2 * kappa)
-    m4 = (3 * probe.t_y * (2 * n * e1 + 2 * e2 + e3) + 3 * probe.c8 * e2 + probe.c8 * e3
-          + 3 * probe.c7 * e4 + probe.c7 * e5 + e5 / (2 * kappa))
-    gamma = min(1.0, (1.0 - probe.c_x) / m3 * e4, (1.0 - probe.c_y) / m4 * e5)
+    m3 = c.t_x * (2 * n * e1 + 2 * e2 + e3) + c.c5 * e2 + c.c6 * e4 + e4 / (2 * kappa)
+    m4 = (3 * c.t_y * (2 * n * e1 + 2 * e2 + e3) + 3 * c.c8 * e2 + c.c8 * e3
+          + 3 * c.c7 * e4 + c.c7 * e5 + e5 / (2 * kappa))
+    gamma = min(1.0, (1.0 - c.c_x) / m3 * e4, (1.0 - c.c_y) / m4 * e5)
     eta = min(s * e2 / (4 * kappa * e3),
               s * e3 / (12 * kappa * (2 * n * e1 + 2 * e2 + e3))) * gamma / prob.L
     eta = min(eta, 0.99 * min(2.0 / (prob.mu + prob.L), 1.0 / (3.0 * prob.mu)))
-    consts = cgt_constants(prob, spec, profile, alpha_x, alpha_y, gamma, eta,
-                           n=n, tau_x=tau_x, tau_y=tau_y)
-    eps = np.array([e1, e2, e3, e4, e5])
     test_vec = np.array([e1, e2, prob.L**2 * e3, e4, prob.L**2 * e5])
-    system = build_A(consts, epsilon=test_vec)
-    cert = certify(system)
-    if not cert.componentwise_ok:
-        raise AnalysisError("sufficient-parameter chain failed its own certificate")
-    return SufficientParams(epsilon=eps, test_vector=test_vec, gamma=gamma, eta=eta,
-                            system=system, certificate=cert)
+    return _certified(np.array([e1, e2, e3, e4, e5]), build_A(c, gamma, eta, epsilon=test_vec))
 
 
 def sufficient_params_ef(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
                          alpha_x: float, alpha_y: float, n: int,
                          tau_x: float | None = None, tau_y: float | None = None) -> SufficientParams:
     """Error-feedback analogue of :func:`sufficient_params` with a 7-component chain."""
-    probe = efcgt_constants(prob, spec, profile, alpha_x, alpha_y,
-                            gamma=1.0, eta=min(1.0 / (3.0 * prob.mu), 2.0 / (prob.mu + prob.L)) / 2,
-                            n=n, tau_x=tau_x, tau_y=tau_y)
+    c = efcgt_constants(prob, spec, profile, alpha_x, alpha_y, n=n, tau_x=tau_x, tau_y=tau_y)
     kappa = prob.kappa
-    s, dl = probe.s, probe.delta
+    s, dl = c.s, c.delta
     e4 = 1.0
     e5 = 1.0
     e6 = max(_SLACK * 8.0 * (1.0 - dl) * e4 / dl**2, 1e-2 * e4)
     e7 = max(_SLACK * 8.0 * (1.0 - dl) * e5 / dl**2, 1e-2 * e5)
-    e2 = _SLACK * max(4.0 * probe.d1 * probe.d2 * e4, 24.0 * probe.d1 * probe.d2 * e6 / dl, e4)
-    m2 = (3 * probe.d2 * e2 + 3 * probe.d2 * e4 + probe.d2 * e5
-          + 18 * probe.d2 / dl * e6 + 6 * probe.d2 / dl * e7)
+    e2 = _SLACK * max(4.0 * c.d1 * c.d2 * e4, 24.0 * c.d1 * c.d2 * e6 / dl, e4)
+    m2 = (3 * c.d2 * e2 + 3 * c.d2 * e4 + c.d2 * e5
+          + 18 * c.d2 / dl * e6 + 6 * c.d2 / dl * e7)
     e3 = max(_SLACK * 4.0 * m2 / s, e4)
     e1 = _SLACK * 3.0 * kappa**2 * e2 / n
-    m3 = (2 * n * probe.t_x * e1 + 2 * probe.t_x * e2 + probe.t_x * e3
-          + probe.d3 * e2 + probe.d3 * e4 + 6 * probe.d3 / dl * e6 + e4 / (2 * kappa))
-    m4 = (6 * n * probe.t_y * e1 + 6 * probe.t_y * e2 + 3 * probe.t_y * e3
-          + 3 * probe.t_y * e2 + probe.d4 * e3 + 3 * probe.d4 * e4 + probe.d4 * e5
-          + 18 * probe.d4 / dl * e6 + 6 * probe.d4 / dl * e7 + e5 / (2 * kappa))
-    gamma = min(1.0, (1.0 - probe.d_x) / m3 * e4, (1.0 - probe.d_y) / m4 * e5)
+    m3 = (2 * n * c.t_x * e1 + 2 * c.t_x * e2 + c.t_x * e3
+          + c.d3 * e2 + c.d3 * e4 + 6 * c.d3 / dl * e6 + e4 / (2 * kappa))
+    m4 = (6 * n * c.t_y * e1 + 6 * c.t_y * e2 + 3 * c.t_y * e3
+          + 3 * c.t_y * e2 + c.d4 * e3 + 3 * c.d4 * e4 + c.d4 * e5
+          + 18 * c.d4 / dl * e6 + 6 * c.d4 / dl * e7 + e5 / (2 * kappa))
+    gamma = min(1.0, (1.0 - c.d_x) / m3 * e4, (1.0 - c.d_y) / m4 * e5)
     eta = min(s * e3 / (6 * kappa * (2 * n * e1 + 2 * e2 + e3)) * gamma / prob.L,
               s * e2 / (4 * kappa * e3) * gamma / prob.L,
               dl / (2 * prob.mu))
     eta = min(eta, 0.99 * min(2.0 / (prob.mu + prob.L), 1.0 / (3.0 * prob.mu)))
-    consts = efcgt_constants(prob, spec, profile, alpha_x, alpha_y, gamma, eta,
-                             n=n, tau_x=tau_x, tau_y=tau_y)
-    eps = np.array([e1, e2, e3, e4, e5, e6, e7])
     L2 = prob.L**2
     test_vec = np.array([e1, e2, L2 * e3, e4, L2 * e5, e6, L2 * e7])
-    system = build_B(consts, epsilon=test_vec)
-    cert = certify(system)
-    if not cert.componentwise_ok:
-        raise AnalysisError("sufficient-parameter chain failed its own certificate")
-    return SufficientParams(epsilon=eps, test_vector=test_vec, gamma=gamma, eta=eta,
-                            system=system, certificate=cert)
+    return _certified(np.array([e1, e2, e3, e4, e5, e6, e7]),
+                      build_B(c, gamma, eta, epsilon=test_vec))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +405,6 @@ def sufficient_params_ef(prob: ProblemConstants, spec: SpectralInfo, profile: Co
 class RateFit:
     rate: float
     r_squared: float
-    k_range: tuple[int, int]
 
 
 def empirical_rate(trace, burn_frac: float = 0.1) -> RateFit:
@@ -484,5 +434,4 @@ def empirical_rate(trace, burn_frac: float = 0.1) -> RateFit:
         r2 = 1.0 if ss_res <= 1e-20 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return RateFit(rate=float(np.exp(slope)), r_squared=r2,
-                   k_range=(int(ks[0]), int(ks[-1])))
+    return RateFit(rate=float(np.exp(slope)), r_squared=r2)

@@ -64,8 +64,9 @@ class UnbiasedQuantize:
     q: float  # 1, 2 or math.inf
 
     def __post_init__(self) -> None:
-        if self.bits < 1:
-            raise CompressionError(f"quantizer needs bits >= 1, got {self.bits}")
+        # a double holds every level 0..2**(bits-1) exactly only up to 53 bits
+        if not 1 <= self.bits <= 53:
+            raise CompressionError(f"quantizer needs 1 <= bits <= 53, got {self.bits}")
         if self.q not in (1, 2, math.inf):
             raise CompressionError(f"norm index must be 1, 2 or inf, got {self.q!r}")
 
@@ -235,9 +236,9 @@ def _agent_prefix(seed: int, n: int) -> np.ndarray:
     return h
 
 
-def _state_uniform(state: np.ndarray, m: int, offset: int = 0) -> np.ndarray:
+def _state_uniform(state: np.ndarray, m: int) -> np.ndarray:
     """m doubles in [0, 1) per state row."""
-    idx = np.arange(offset + 1, offset + m + 1, dtype=np.uint64) * _PHI
+    idx = np.arange(1, m + 1, dtype=np.uint64) * _PHI
     z = _mix64(state[:, None] + idx[None, :])
     return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
@@ -248,8 +249,7 @@ class RngStream:
 
     Identical keys produce identical sequences; distinct keys are
     statistically independent.  Streams are stateless: ``uniform(m)`` always
-    returns the same block for the same key, with ``offset`` selecting later
-    blocks when a caller needs more than one.
+    returns the same block for the same key.
     """
 
     seed: int
@@ -257,9 +257,9 @@ class RngStream:
     iteration: int = 0
     tag: int = 0
 
-    def uniform(self, m: int, offset: int = 0) -> np.ndarray:
+    def uniform(self, m: int) -> np.ndarray:
         state = _key_states(self.seed, self.agent, self.iteration, self.tag)
-        return _state_uniform(state, m, offset)[0]
+        return _state_uniform(state, m)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -173,41 +173,53 @@ def parse_config(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    read: set[tuple[str, str]] = set()
+
+    def get(section: str, key: str, conv, default):
+        read.add((section, parser.optionxform(key)))
+        return _get(parser, section, key, conv, default)
+
     ts = TopologySpec(
-        kind=_get(parser, "topology", "kind", str, "ring"),
-        n=_get(parser, "topology", "n", int, None),
-        directed=_get(parser, "topology", "directed", bool, True),
-        weights=_get(parser, "topology", "weights", str, "outdegree"),
-        p=_get(parser, "topology", "p", float, 0.1),
-        a=_get(parser, "topology", "a", float, 0.25),
+        kind=get("topology", "kind", str, "ring"),
+        n=get("topology", "n", int, None),
+        directed=get("topology", "directed", bool, True),
+        weights=get("topology", "weights", str, "outdegree"),
+        p=get("topology", "p", float, 0.1),
+        a=get("topology", "a", float, 0.25),
     )
     ps = ProblemSpec(
-        n=_get(parser, "problem", "n", int, None),
-        dim=_get(parser, "problem", "dim", int, None),
-        rho=_get(parser, "problem", "rho", float, 0.01),
-        noise_std=_get(parser, "problem", "noise_std", float, 5.0),
-        seed=_get(parser, "problem", "seed", int, 405),
+        n=get("problem", "n", int, None),
+        dim=get("problem", "dim", int, None),
+        rho=get("problem", "rho", float, 0.01),
+        noise_std=get("problem", "noise_std", float, 5.0),
+        seed=get("problem", "seed", int, 405),
     )
     hp = HyperParams(
-        eta=_get(parser, "hyper", "eta", floats, None),
-        gamma=_get(parser, "hyper", "gamma", float, 1.0),
-        alpha_x=_get(parser, "hyper", "alpha_x", float, 1.0),
-        alpha_y=_get(parser, "hyper", "alpha_y", float, 1.0),
-        beta_x=_get(parser, "hyper", "beta_x", float, 1.0),
-        beta_y=_get(parser, "hyper", "beta_y", float, 1.0),
+        eta=get("hyper", "eta", floats, None),
+        gamma=get("hyper", "gamma", float, 1.0),
+        alpha_x=get("hyper", "alpha_x", float, 1.0),
+        alpha_y=get("hyper", "alpha_y", float, 1.0),
+        beta_x=get("hyper", "beta_x", float, 1.0),
+        beta_y=get("hyper", "beta_y", float, 1.0),
     )
     cfg = ExperimentConfig(
         topology=ts,
         problem=ps,
-        algorithm=_get(parser, "algorithm", "method", str, None),
-        compressor=_get(parser, "algorithm", "compressor", str, "identity"),
+        algorithm=get("algorithm", "method", str, None),
+        compressor=get("algorithm", "compressor", str, "identity"),
         hyper=hp,
-        K=_get(parser, "algorithm", "K", int, 5000),
-        trace_every=_get(parser, "algorithm", "trace_every", int, 10),
-        init=_get(parser, "algorithm", "init", str, "zeros"),
-        prefix=_get(parser, "output", "prefix", str, "run"),
-        certify=_get(parser, "output", "certify", bool, False),
+        K=get("algorithm", "K", int, 5000),
+        trace_every=get("algorithm", "trace_every", int, 10),
+        init=get("algorithm", "init", str, "zeros"),
+        prefix=get("output", "prefix", str, "run"),
+        certify=get("output", "certify", bool, False),
     )
+    for section in parser.sections():
+        if section not in {sec for sec, _ in read}:
+            raise ConfigError(f"[{section}]: unknown section")
+        for key in parser[section]:
+            if (section, key) not in read:
+                raise ConfigError(f"{section}.{key}: unknown key")
     cfg.validate()
     return cfg
 

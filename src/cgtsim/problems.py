@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,11 @@ def generate_ridge(n: int, p: int, rho: float, noise_std: float, seed: int) -> R
     """
     if n < 1 or p < 1:
         raise ProblemError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+    if not 0 <= seed < 2**64:  # the keyed compressor streams reduce seeds mod 2**64
+        raise ProblemError(f"seed must be in [0, 2**64), got {seed!r}")
+    if not (math.isfinite(rho) and math.isfinite(noise_std)):
+        raise ProblemError(f"rho and noise_std must be finite, got rho={rho!r}, "
+                           f"noise_std={noise_std!r}")
     if rho <= 0:
         raise ProblemError(f"penalty rho must be positive, got {rho!r}")
     if noise_std < 0:

@@ -100,7 +100,7 @@ class WeightMatrix:
         return self.graph.n
 
 
-def check_doubly_stochastic(m: np.ndarray, tol: float = STOCHASTIC_TOL) -> tuple[bool, str]:
+def check_doubly_stochastic(m: np.ndarray) -> tuple[bool, str]:
     """Return (ok, detail); detail names the first offending row/column/entry."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -112,18 +112,18 @@ def check_doubly_stochastic(m: np.ndarray, tol: float = STOCHASTIC_TOL) -> tuple
         i, j = neg[0]
         return False, f"negative entry at ({i}, {j}): {m[i, j]!r}"
     rows = np.abs(m.sum(axis=1) - 1.0)
-    if rows.max() > tol:
+    if rows.max() > STOCHASTIC_TOL:
         i = int(rows.argmax())
-        return False, f"row {i} sums to {m[i].sum()!r} (error {rows[i]:.3e} > {tol:g})"
+        return False, f"row {i} sums to {m[i].sum()!r} (error {rows[i]:.3e} > {STOCHASTIC_TOL:g})"
     cols = np.abs(m.sum(axis=0) - 1.0)
-    if cols.max() > tol:
+    if cols.max() > STOCHASTIC_TOL:
         j = int(cols.argmax())
-        return False, f"column {j} sums to {m[:, j].sum()!r} (error {cols[j]:.3e} > {tol:g})"
+        return False, f"column {j} sums to {m[:, j].sum()!r} (error {cols[j]:.3e} > {STOCHASTIC_TOL:g})"
     return True, "ok"
 
 
-def validate_doubly_stochastic(m: np.ndarray, tol: float = STOCHASTIC_TOL) -> None:
-    ok, detail = check_doubly_stochastic(m, tol)
+def validate_doubly_stochastic(m: np.ndarray) -> None:
+    ok, detail = check_doubly_stochastic(m)
     if not ok:
         raise TopologyError(f"not doubly stochastic: {detail}")
 
@@ -181,12 +181,6 @@ class SpectralInfo:
     rho_w: float
     s: float
     norm_IminusW: float
-
-    def rho_tilde(self, gamma: float) -> float:
-        """Contraction factor of (1-gamma) I + gamma W on mean-zero matrices."""
-        if not 0 < gamma <= 1:
-            raise TopologyError(f"gamma must be in (0, 1], got {gamma!r}")
-        return 1.0 - gamma * self.s
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -99,8 +99,8 @@ def test_build_A_small_eta_limit(setup):
     pb, consts, spec = setup
     profile = analytic_profile(TopK(k=1), pb.dim)
     eta = 1e-12
-    c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, gamma=0.5, eta=eta, n=pb.n)
-    system = an.build_A(c)
+    c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
+    system = an.build_A(c, 0.5, eta)
     m = system.M
     rt2 = (1 - 0.5 * spec.s) ** 2
     # first row tends to (1, 0, 0, 0, 0); diagonals to the displayed limits
@@ -121,17 +121,16 @@ def test_build_A_nonnegative_for_valid_inputs(setup):
                                     delta=float(rng.uniform(0.01, 1.0)), r=1.0)
         gamma = float(rng.uniform(0.01, 1.0))
         eta = float(rng.uniform(1e-8, 1e-3))
-        c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, gamma=gamma, eta=eta, n=pb.n)
-        assert np.all(an.build_A(c).M >= 0)
+        c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
+        assert np.all(an.build_A(c, gamma, eta).M >= 0)
 
 
 def test_build_A_rejects_large_eta(setup):
     pb, consts, spec = setup
     profile = analytic_profile(Identity(), pb.dim)
-    c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, gamma=1.0,
-                         eta=1.0 / consts.mu, n=pb.n)
+    c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
     with pytest.raises(an.AnalysisError, match="eta"):
-        an.build_A(c)
+        an.build_A(c, 1.0, 1.0 / consts.mu)
 
 
 def test_build_A_monotone_in_compression_constant(setup):
@@ -140,9 +139,8 @@ def test_build_A_monotone_in_compression_constant(setup):
     prev = None
     for cval in [0.0, 0.5, 2.0, 10.0]:
         profile = CompressorProfile(C=cval, delta=0.5, r=1.0)
-        c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, gamma=gamma, eta=eta,
-                             n=pb.n, tau_x=1.3, tau_y=1.3)
-        m = an.build_A(c).M
+        c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n, tau_x=1.3, tau_y=1.3)
+        m = an.build_A(c, gamma, eta).M
         if prev is not None:
             assert np.all(m >= prev - 1e-15)
         prev = m
@@ -151,8 +149,8 @@ def test_build_A_monotone_in_compression_constant(setup):
 def test_build_B_delta_one_error_feedback_rows(setup):
     pb, consts, spec = setup
     profile = analytic_profile(Identity(), pb.dim)
-    c = an.efcgt_constants(consts, spec, profile, 1.0, 1.0, gamma=0.5, eta=1e-6, n=pb.n)
-    m = an.build_B(c).M
+    c = an.efcgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
+    m = an.build_B(c, 0.5, 1e-6).M
     assert np.allclose(m[5], [0, 0, 0, 0, 0, 0.5, 0])
     assert np.allclose(m[6], [0, 0, 0, 0, 0, 0, 0.5])
     assert np.all(m >= 0)
@@ -163,8 +161,7 @@ def test_efcgt_constants_monotone_in_delta(setup):
     prev_dx = prev_dy = None
     for delta in [0.1, 0.3, 0.6, 1.0]:
         profile = CompressorProfile(C=1 - delta if delta < 1 else 0.0, delta=delta, r=1.0)
-        c = an.efcgt_constants(consts, spec, profile, 1.0, 1.0, gamma=0.5, eta=1e-6,
-                               n=pb.n, tau_x=1.05, tau_y=1.05)
+        c = an.efcgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n, tau_x=1.05, tau_y=1.05)
         if prev_dx is not None:
             assert c.d_x <= prev_dx + 1e-15
             assert c.d_y <= prev_dy + 1e-15
@@ -233,8 +230,8 @@ def test_one_step_error_recursion_top1(setup):
     W = build_weights_outdegree(build_ring(10, directed=False), 0.1)
     profile = analytic_profile(TopK(k=1), pb.dim)
     sp = an.sufficient_params(consts, spec, profile, 1.0, 1.0, n=pb.n)
-    c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, gamma=sp.gamma, eta=sp.eta, n=pb.n)
-    m = an.build_A(c).M
+    c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
+    m = an.build_A(c, sp.gamma, sp.eta).M
     hp = HyperParams(eta=sp.eta, gamma=sp.gamma)
     rng = np.random.default_rng(0)
     x0 = rng.uniform(0, 1, (pb.n, pb.dim))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cgtsim.compression import (
@@ -96,6 +96,8 @@ def test_compress_rejects_bad_inputs():
         compress(Identity(), np.array([np.inf, 1.0]))
     with pytest.raises(CompressionError):
         UnbiasedQuantize(bits=0, q=2)
+    with pytest.raises(CompressionError):
+        UnbiasedQuantize(bits=54, q=2)
     with pytest.raises(CompressionError):
         compress(RandK(k=1), np.ones(3))  # stochastic kind without a stream
 
@@ -349,6 +351,10 @@ _entries = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(
 @settings(max_examples=200, deadline=None)
 def test_topk_support_invariant_under_positive_scaling(values, c):
     x = np.asarray(values)
+    # rounding c*x can close a gap of an ulp or two between the two largest
+    # magnitudes (e.g. 999999.9999999999 vs 1e6), which moves top-1 to the tie-break
+    top = np.sort(np.abs(x))[::-1]
+    assume(top.size == 1 or top[0] == top[1] or top[0] - top[1] > 2 * np.spacing(top[0]))
     a = compress(TopK(k=1), x)
     b = compress(TopK(k=1), c * x)
     assert np.array_equal(a != 0, b != 0)

@@ -1,8 +1,14 @@
+import contextlib
 import dataclasses
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgtsim import cli, harness
 from cgtsim.algorithms import DivergenceError
@@ -93,6 +99,16 @@ def test_config_missing_required_field():
     no_eta = CONFIG_TEXT.replace("eta = 0.05\n", "")
     with pytest.raises(ConfigError, match="hyper.eta"):
         parse_config(no_eta)
+
+
+def test_config_unknown_key_rejected():
+    with pytest.raises(ConfigError, match=r"hyper\.gama: unknown key"):
+        parse_config(CONFIG_TEXT.replace("gamma = 0.6", "gama = 0.6"))
+
+
+def test_config_unknown_section_rejected():
+    with pytest.raises(ConfigError, match=r"\[hyperparams\]: unknown section"):
+        parse_config(CONFIG_TEXT + "\n[hyperparams]\ngamma = 0.5\n")
 
 
 def test_run_experiment_writes_csv_and_summary(tmp_path):
@@ -333,7 +349,12 @@ def test_cli_verify_exit_0(capsys):
     ("dim = 8", "dim = 0"),
     ("dim = 8\n", "dim = 20\n"),  # with top-50 below: k exceeds the dimension
     ("p = 0.1", "p = 0.9"),
-], ids=["eta-negative", "eta-nan", "dim-zero", "topk-exceeds-dim", "weights-p-too-large"])
+    ("seed = 11", "seed = -1"),
+    ("compressor = topk:k=1", "compressor = quant:b=99999,q=inf"),
+    ("rho = 0.05", "rho = inf"),
+    ("noise_std = 1.0", "noise_std = nan"),
+], ids=["eta-negative", "eta-nan", "dim-zero", "topk-exceeds-dim", "weights-p-too-large",
+        "seed-negative", "quant-bits-overflow", "rho-inf", "noise-std-nan"])
 def test_cli_bad_config_exit_1_without_traceback(tmp_path, capsys, old, new):
     text = CONFIG_TEXT.replace(old, new)
     if new == "dim = 20\n":
@@ -344,6 +365,28 @@ def test_cli_bad_config_exit_1_without_traceback(tmp_path, capsys, old, new):
     assert rc == 1, captured.err
     assert "config error:" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+# signs, zero, non-finite, overflow, junk, empty, two numbers, bad compressor strings;
+# none parses as an int above 100, so n and dim stay at their preset sizes or fail
+_HOSTILE = ["-1", "0", "nan", "inf", "-inf", "1e308", "abc", "", "1 2",
+            "quant:b=99999,q=inf", "quant:b=0,q=2", "quant:b=2,q=3", "quant", "topk:k=0",
+            "topk:k=", "topk:k=1e308", "randk:k=-1", "normsign:q=nan", "identity:k=1"]
+
+
+@given(name=st.sampled_from(sorted(harness.PRESETS)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_cli_run_mutated_preset_exits_without_traceback(name, data):
+    lines = harness.config_text(dataclasses.replace(harness.PRESETS[name], K=20)).splitlines()
+    i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if " = " in line]))
+    lines[i] = lines[i].split(" = ")[0] + " = " + data.draw(st.sampled_from(_HOSTILE))
+    # a huge eta, rho or noise_std diverges (exit 2); its overflow warnings are expected
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["run", str(path), "--out", tmp])
+    assert rc in (0, 1, 2)
 
 
 def test_cli_compare_divergence_exit_2(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Static checks on the library sources, in place of a linter.
 
-Every module under ``src/cgtsim`` is parsed with ``ast``.  Two things fail:
-an import the module never uses, and a module-level private function that
-nothing in the library refers to.  Both are what deleting code leaves behind.
+Every module under ``src/cgtsim`` is parsed with ``ast``.  Three things fail:
+an import the module never uses, a module-level private function that
+nothing in the library refers to, and a local name a function assigns but
+never reads.  All three are what deleting code leaves behind.
 """
 
 import ast
@@ -67,3 +68,27 @@ def test_no_unreferenced_private_functions():
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
             and not node.name.startswith("__") and node.name not in referenced]
     assert dead == []
+
+
+def _dead_locals(tree: ast.Module) -> list[str]:
+    """Names assigned in a function (or its nested scopes) and never read there.
+
+    An augmented assignment reads its target, and ``_`` is the throwaway name.
+    """
+    dead = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = set(), set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                (stored if isinstance(node.ctx, ast.Store) else read).add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+        dead += [f"{func.name}: {name}" for name in sorted(stored - read - {"_"})]
+    return dead
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_locals(path):
+    assert _dead_locals(_tree(path)) == []

@@ -175,4 +175,12 @@ def test_generate_rejects_bad_parameters():
         generate_ridge(5, 5, 0.0, 1.0, seed=0)
     with pytest.raises(ProblemError):
         generate_ridge(5, 5, 0.1, -1.0, seed=0)
+    with pytest.raises(ProblemError):
+        generate_ridge(5, 5, 0.1, 1.0, seed=-1)
+    with pytest.raises(ProblemError):
+        generate_ridge(5, 5, 0.1, 1.0, seed=2**64)
+    with pytest.raises(ProblemError):
+        generate_ridge(5, 5, float("inf"), 1.0, seed=0)
+    with pytest.raises(ProblemError):
+        generate_ridge(5, 5, 0.1, float("nan"), seed=0)
 
