@@ -124,7 +124,6 @@ class NetworkState:
     H_yw: np.ndarray | None = None
     E_x: np.ndarray | None = None
     E_y: np.ndarray | None = None
-    grad: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ def _sq(m: np.ndarray) -> float:
     return float(np.add.reduce((m * m).ravel("K")))
 
 
-def metrics(state: NetworkState, pb: RidgeProblem, x_star: np.ndarray, *,
+def metrics(state: NetworkState, x_star: np.ndarray, *,
             k: int = 0, residual_denom: float = 1.0, bits_sent: int = 0) -> TraceRecord:
     """All trace fields for one snapshot; residual uses the supplied denominator."""
     n = state.X.shape[0]
@@ -254,9 +253,9 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
     def snapshot() -> NetworkState:
         H_xw, H_yw = (None, None) if H_w is None else H_w
         E_x, E_y = (None, None) if E is None else E
-        return NetworkState(*Z, *H, H_xw, H_yw, E_x, E_y, grad=grad)
+        return NetworkState(*Z, *H, H_xw, H_yw, E_x, E_y)
 
-    trace = [metrics(snapshot(), pb, x_star, k=0, residual_denom=denom, bits_sent=0)]
+    trace = [metrics(snapshot(), x_star, k=0, residual_denom=denom, bits_sent=0)]
     max_track = 0.0
     max_drift = 0.0
     zs = [Z] if record_states else None
@@ -322,7 +321,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         residual = float(r_flat @ r_flat) / denom
         diverged = not math.isfinite(residual) or residual > DIVERGENCE_LIMIT
         if diverged or (k + 1) % trace_every == 0 or k + 1 == K:
-            trace.append(metrics(snapshot(), pb, x_star, k=k + 1,
+            trace.append(metrics(snapshot(), x_star, k=k + 1,
                                  residual_denom=denom, bits_sent=(k + 1) * bits_per_iter))
         if diverged:
             raise DivergenceError(

@@ -39,6 +39,7 @@ import configparser
 import io
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -76,7 +77,16 @@ OUT_DIR_ENV = "CGTSIM_OUT_DIR"
 CSV_HEADER = ("k,residual,opt_error,consensus_error,tracking_error,"
               "compress_error_x,compress_error_y,ef_error_x,ef_error_y,bits_cumulative")
 
-ALGORITHMS = ("gt", "cgt", "cgt-ref", "efcgt", "efcgt-ref")
+# method -> runner; each lambda finds its run_* here when a run starts, so a
+# patched or traced runner is the one called
+_RUNNERS = {
+    "gt": lambda pb, W, hp, kind, K, seed, **kw: run_gt(pb, W, hp, K, seed, **kw),
+    "cgt": lambda *args, **kw: run_cgt_efficient(*args, **kw),
+    "cgt-ref": lambda *args, **kw: run_cgt_reference(*args, **kw),
+    "efcgt": lambda *args, **kw: run_efcgt_efficient(*args, **kw),
+    "efcgt-ref": lambda *args, **kw: run_efcgt_reference(*args, **kw),
+}
+ALGORITHMS = tuple(_RUNNERS)
 
 
 class ConfigError(ValueError):
@@ -142,22 +152,12 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm.compressor: {exc}") from None
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, conv, default):
-    if not parser.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"{section}.{key}: missing required field")
-        return default
-    raw = parser.get(section, key)
+def _parse_value(section: str, key: str, conv: Callable, raw: str):
     try:
         if conv is bool:
-            low = raw.strip().lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return conv(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {conv.__name__}") from None
 
 
@@ -167,59 +167,57 @@ def floats(raw: str) -> float | np.ndarray:
     return float(vals[0]) if vals.size == 1 else vals
 
 
+# The config text format: each section's keys in render order, with the parser
+# that reads a value and picks how it is written.  [topology], [problem] and
+# [hyper] hold the fields of the config's attribute of that name, [algorithm]
+# and [output] the config's own fields.  A key the text leaves out takes the
+# dataclass default.
+_FORMAT: dict[str, dict[str, Callable]] = {
+    "topology": {"kind": str, "n": int, "directed": bool, "weights": str, "p": float, "a": float},
+    "problem": {"n": int, "dim": int, "rho": float, "noise_std": float, "seed": int},
+    "algorithm": {"method": str, "compressor": str, "K": int, "trace_every": int, "init": str},
+    "hyper": {"eta": floats, "gamma": float, "alpha_x": float, "alpha_y": float,
+              "beta_x": float, "beta_y": float},
+    "output": {"prefix": str, "certify": bool},
+}
+_SPECS = {"topology": TopologySpec, "problem": ProblemSpec, "hyper": HyperParams}
+_REQUIRED = {("topology", "n"), ("problem", "n"), ("problem", "dim"), ("algorithm", "method"),
+             ("hyper", "eta")}
+_FIELD = {"method": "algorithm"}  # config key -> ExperimentConfig field, where they differ
+
+
+def _render_value(conv: Callable, value) -> str:
+    if conv is float:
+        return _fmt(value)
+    if conv is floats:
+        return " ".join(map(_fmt, np.atleast_1d(value)))
+    return str(value).lower() if conv is bool else str(value)
+
+
 def parse_config(text: str) -> ExperimentConfig:
+    """Read config text; unknown sections and keys are rejected before any value is read."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
-    read: set[tuple[str, str]] = set()
-
-    def get(section: str, key: str, conv, default):
-        read.add((section, parser.optionxform(key)))
-        return _get(parser, section, key, conv, default)
-
-    ts = TopologySpec(
-        kind=get("topology", "kind", str, "ring"),
-        n=get("topology", "n", int, None),
-        directed=get("topology", "directed", bool, True),
-        weights=get("topology", "weights", str, "outdegree"),
-        p=get("topology", "p", float, 0.1),
-        a=get("topology", "a", float, 0.25),
-    )
-    ps = ProblemSpec(
-        n=get("problem", "n", int, None),
-        dim=get("problem", "dim", int, None),
-        rho=get("problem", "rho", float, 0.01),
-        noise_std=get("problem", "noise_std", float, 5.0),
-        seed=get("problem", "seed", int, 405),
-    )
-    hp = HyperParams(
-        eta=get("hyper", "eta", floats, None),
-        gamma=get("hyper", "gamma", float, 1.0),
-        alpha_x=get("hyper", "alpha_x", float, 1.0),
-        alpha_y=get("hyper", "alpha_y", float, 1.0),
-        beta_x=get("hyper", "beta_x", float, 1.0),
-        beta_y=get("hyper", "beta_y", float, 1.0),
-    )
-    cfg = ExperimentConfig(
-        topology=ts,
-        problem=ps,
-        algorithm=get("algorithm", "method", str, None),
-        compressor=get("algorithm", "compressor", str, "identity"),
-        hyper=hp,
-        K=get("algorithm", "K", int, 5000),
-        trace_every=get("algorithm", "trace_every", int, 10),
-        init=get("algorithm", "init", str, "zeros"),
-        prefix=get("output", "prefix", str, "run"),
-        certify=get("output", "certify", bool, False),
-    )
     for section in parser.sections():
-        if section not in {sec for sec, _ in read}:
+        if section not in _FORMAT:
             raise ConfigError(f"[{section}]: unknown section")
+        known = {parser.optionxform(key) for key in _FORMAT[section]}
         for key in parser[section]:
-            if (section, key) not in read:
+            if key not in known:
                 raise ConfigError(f"{section}.{key}: unknown key")
+    fields = {section: {} for section in _FORMAT}
+    for section, keys in _FORMAT.items():
+        for key, conv in keys.items():
+            if parser.has_option(section, key):
+                raw = parser.get(section, key)
+                fields[section][_FIELD.get(key, key)] = _parse_value(section, key, conv, raw)
+            elif (section, key) in _REQUIRED:
+                raise ConfigError(f"{section}.{key}: missing required field")
+    cfg = ExperimentConfig(**{name: spec(**fields[name]) for name, spec in _SPECS.items()},
+                           **fields["algorithm"], **fields["output"])
     cfg.validate()
     return cfg
 
@@ -233,26 +231,13 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
 
 def config_text(cfg: ExperimentConfig) -> str:
     """Render a config back to the flat text format (diff-friendly echo)."""
-    eta = cfg.hyper.eta
-    eta_txt = f"{eta:.17g}" if np.isscalar(eta) else " ".join(f"{e:.17g}" for e in np.asarray(eta))
-    return (
-        "[topology]\n"
-        f"kind = {cfg.topology.kind}\nn = {cfg.topology.n}\n"
-        f"directed = {str(cfg.topology.directed).lower()}\n"
-        f"weights = {cfg.topology.weights}\np = {cfg.topology.p:.17g}\na = {cfg.topology.a:.17g}\n\n"
-        "[problem]\n"
-        f"n = {cfg.problem.n}\ndim = {cfg.problem.dim}\nrho = {cfg.problem.rho:.17g}\n"
-        f"noise_std = {cfg.problem.noise_std:.17g}\nseed = {cfg.problem.seed}\n\n"
-        "[algorithm]\n"
-        f"method = {cfg.algorithm}\ncompressor = {cfg.compressor}\nK = {cfg.K}\n"
-        f"trace_every = {cfg.trace_every}\ninit = {cfg.init}\n\n"
-        "[hyper]\n"
-        f"eta = {eta_txt}\ngamma = {cfg.hyper.gamma:.17g}\n"
-        f"alpha_x = {cfg.hyper.alpha_x:.17g}\nalpha_y = {cfg.hyper.alpha_y:.17g}\n"
-        f"beta_x = {cfg.hyper.beta_x:.17g}\nbeta_y = {cfg.hyper.beta_y:.17g}\n\n"
-        "[output]\n"
-        f"prefix = {cfg.prefix}\ncertify = {str(cfg.certify).lower()}\n"
-    )
+    blocks = []
+    for section, keys in _FORMAT.items():
+        owner = getattr(cfg, section) if section in _SPECS else cfg
+        blocks.append(f"[{section}]\n" + "".join(
+            f"{key} = {_render_value(conv, getattr(owner, _FIELD.get(key, key)))}\n"
+            for key, conv in keys.items()))
+    return "\n".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +252,6 @@ def make_topology(ts: TopologySpec) -> topology.WeightMatrix:
 
 def make_problem(ps: ProblemSpec) -> problems.RidgeProblem:
     return generate_ridge(ps.n, ps.dim, ps.rho, ps.noise_std, ps.seed)
-
-
-_RUNNERS = {
-    "gt": lambda pb, W, hp, kind, K, seed, **kw: run_gt(pb, W, hp, K, seed, **kw),
-    "cgt": run_cgt_efficient,
-    "cgt-ref": run_cgt_reference,
-    "efcgt": run_efcgt_efficient,
-    "efcgt-ref": run_efcgt_reference,
-}
 
 
 def run_from_config(cfg: ExperimentConfig, **kwargs) -> RunResult:

@@ -272,7 +272,7 @@ def test_metrics_fixed_points(pb):
     n, p = pb.n, pb.dim
     X = np.tile(sol.x_star, (n, 1))
     state = NetworkState(X=X, Y=np.zeros((n, p)), H_x=X.copy(), H_y=np.zeros((n, p)))
-    rec = metrics(state, pb, sol.x_star, k=5, residual_denom=2.0, bits_sent=7)
+    rec = metrics(state, sol.x_star, k=5, residual_denom=2.0, bits_sent=7)
     assert rec.residual == 0.0
     # the row mean of identical rows can differ from the row by an ulp
     assert rec.consensus_error <= 1e-25
@@ -282,14 +282,14 @@ def test_metrics_fixed_points(pb):
     rng = np.random.default_rng(0)
     state = NetworkState(X=rng.standard_normal((n, p)), Y=rng.standard_normal((n, p)),
                          H_x=rng.standard_normal((n, p)), H_y=rng.standard_normal((n, p)))
-    rec = metrics(state, pb, sol.x_star)
+    rec = metrics(state, sol.x_star)
     for field in ("residual", "opt_error", "consensus_error", "tracking_error",
                   "compress_error_x", "compress_error_y"):
         val = getattr(rec, field)
         assert np.isfinite(val) and val >= 0
 
 
-def _metrics_reference(state, pb, x_star, *, k=0, residual_denom=1.0, bits_sent=0):
+def _metrics_reference(state, x_star, *, k=0, residual_denom=1.0, bits_sent=0):
     """The np.mean / np.sum form of ``metrics``, kept as the oracle for its reductions."""
     def sq(m):
         return float(np.sum(m * m))
@@ -313,7 +313,7 @@ def _metrics_reference(state, pb, x_star, *, k=0, residual_denom=1.0, bits_sent=
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 20), (10, 1), (10, 20), (37, 5), (60, 300)])
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_metrics_equal_mean_and_sum_reference(pb, shape, order):
+def test_metrics_equal_mean_and_sum_reference(shape, order):
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     n, p = shape
     for trial in range(20):
@@ -325,8 +325,8 @@ def test_metrics_equal_mean_and_sum_reference(pb, shape, order):
                              E_x=draw() if with_ef else None, E_y=draw() if with_ef else None)
         x_star = rng.standard_normal(p)
         kw = dict(k=trial, residual_denom=float(rng.uniform(0.5, 2.0)), bits_sent=3 * trial)
-        got = metrics(state, pb, x_star, **kw)
-        want = _metrics_reference(state, pb, x_star, **kw)
+        got = metrics(state, x_star, **kw)
+        want = _metrics_reference(state, x_star, **kw)
         for field in dataclasses.fields(TraceRecord):
             assert getattr(got, field.name) == getattr(want, field.name), field.name
 

@@ -72,6 +72,31 @@ def test_parse_config_round_trip():
     assert dataclasses.replace(back, hyper=cfg.hyper) == cfg
 
 
+def test_config_text_round_trips_every_preset():
+    for cfg in [*harness.PRESETS.values(), harness.ExperimentConfig()]:
+        text = harness.config_text(cfg)
+        back = parse_config(text)
+        assert back == cfg
+        assert harness.config_text(back) == text
+
+
+@pytest.mark.parametrize("method", harness.ALGORITHMS)
+def test_run_from_config_looks_up_runner_at_call_time(monkeypatch, method):
+    name = {"gt": "run_gt", "cgt": "run_cgt_efficient", "cgt-ref": "run_cgt_reference",
+            "efcgt": "run_efcgt_efficient", "efcgt-ref": "run_efcgt_reference"}[method]
+    calls = []
+    original = getattr(harness, name)
+
+    def traced(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, traced)
+    cfg = dataclasses.replace(parse_config(CONFIG_TEXT), algorithm=method, K=3)
+    run_from_config(cfg)
+    assert len(calls) == 1
+
+
 def test_config_per_agent_eta_length_checked():
     with pytest.raises(ConfigError, match="hyper.eta"):
         parse_config(CONFIG_TEXT.replace("eta = 0.05", "eta = 0.05 0.05"))
@@ -102,8 +127,13 @@ def test_config_missing_required_field():
 
 
 def test_config_unknown_key_rejected():
-    with pytest.raises(ConfigError, match=r"hyper\.gama: unknown key"):
-        parse_config(CONFIG_TEXT.replace("gamma = 0.6", "gama = 0.6"))
+    # a misspelt required key is reported as unknown, not as the missing field
+    for old, new, message in [("gamma = 0.6", "gama = 0.6", r"hyper\.gama"),
+                              ("eta = 0.05", "etaa = 0.05", r"hyper\.etaa"),
+                              ("n = 6\ndim", "nn = 6\ndim", r"problem\.nn"),
+                              ("method = cgt", "methd = cgt", r"algorithm\.methd")]:
+        with pytest.raises(ConfigError, match=message + ": unknown key"):
+            parse_config(CONFIG_TEXT.replace(old, new))
 
 
 def test_config_unknown_section_rejected():

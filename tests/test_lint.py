@@ -1,9 +1,10 @@
 """Static checks on the library sources, in place of a linter.
 
-Every module under ``src/cgtsim`` is parsed with ``ast``.  Three things fail:
+Every module under ``src/cgtsim`` is parsed with ``ast``.  Four things fail:
 an import the module never uses, a module-level private function that
-nothing in the library refers to, and a local name a function assigns but
-never reads.  All three are what deleting code leaves behind.
+nothing in the library refers to, a local name a function assigns but never
+reads, and a parameter a function never reads.  All four are what deleting
+code leaves behind.
 """
 
 import ast
@@ -92,3 +93,30 @@ def _dead_locals(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_locals(path):
     assert _dead_locals(_tree(path)) == []
+
+
+def _unused_params(tree: ast.Module) -> list[str]:
+    """Parameters a function's body (nested scopes included) never reads.
+
+    ``self``, ``cls`` and ``_`` are exempt; lambdas are not checked.
+    """
+    unused = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        params = [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if arg is not None]
+        read = {"self", "cls", "_"}
+        for node in (n for stmt in func.body for n in ast.walk(stmt)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+        unused += [f"{func.name}: {name}" for name in params if name not in read]
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert _unused_params(_tree(path)) == []
