@@ -50,7 +50,14 @@ DIVERGENCE_LIMIT = 1e12
 
 
 class AlgorithmError(ValueError):
-    """Raised for invalid hyperparameters or run configuration."""
+    """Raised for invalid hyperparameters or run configuration.
+
+    ``field`` names the ``HyperParams`` field at fault, when there is one.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DivergenceError(RuntimeError):
@@ -81,13 +88,15 @@ class HyperParams:
     def __post_init__(self) -> None:
         eta = np.asarray(self.eta, dtype=float)
         if not np.all((eta > 0) & np.isfinite(eta)):
-            raise AlgorithmError(f"step-size eta must be positive and finite, got {self.eta!r}")
+            raise AlgorithmError(f"step-size eta must be positive and finite, got {self.eta!r}",
+                                 "eta")
         if not 0 < self.gamma <= 1:
-            raise AlgorithmError(f"consensus step-size gamma must be in (0, 1], got {self.gamma!r}")
+            raise AlgorithmError(f"consensus step-size gamma must be in (0, 1], got {self.gamma!r}",
+                                 "gamma")
         for name in ("alpha_x", "alpha_y", "beta_x", "beta_y"):
             val = getattr(self, name)
             if not 0 < val <= 1:
-                raise AlgorithmError(f"{name} must be in (0, 1], got {val!r}")
+                raise AlgorithmError(f"{name} must be in (0, 1], got {val!r}", name)
 
     def _key(self) -> tuple:
         eta = np.asarray(self.eta, dtype=float)

@@ -39,6 +39,7 @@ import configparser
 import io
 import math
 import os
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -91,6 +92,12 @@ ALGORITHMS = tuple(_RUNNERS)
 
 class ConfigError(ValueError):
     """Raised with a named-field diagnostic when a config does not validate."""
+
+
+# what the config text cannot hold in a value: a line break (files are read with
+# universal newlines) or an inline comment, which starts at a '#' or ';' that
+# opens the value or follows whitespace
+_NOT_IN_TEXT = re.compile(r"[\r\n]|(?:^|\s)[#;]")
 
 
 @dataclass(frozen=True)
@@ -150,6 +157,9 @@ class ExperimentConfig:
             parse_compressor(self.compressor)
         except compression.CompressionError as exc:
             raise ConfigError(f"algorithm.compressor: {exc}") from None
+        if self.prefix != self.prefix.strip() or _NOT_IN_TEXT.search(self.prefix):
+            raise ConfigError(f"output.prefix: {self.prefix!r} would not read back from config "
+                              "text (line break, comment prefix or surrounding whitespace)")
 
 
 def _parse_value(section: str, key: str, conv: Callable, raw: str):
@@ -196,7 +206,7 @@ def _render_value(conv: Callable, value) -> str:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Read config text; unknown sections and keys are rejected before any value is read."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -216,8 +226,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 fields[section][_FIELD.get(key, key)] = _parse_value(section, key, conv, raw)
             elif (section, key) in _REQUIRED:
                 raise ConfigError(f"{section}.{key}: missing required field")
-    cfg = ExperimentConfig(**{name: spec(**fields[name]) for name, spec in _SPECS.items()},
-                           **fields["algorithm"], **fields["output"])
+    try:
+        specs = {name: spec(**fields[name]) for name, spec in _SPECS.items()}
+    except AlgorithmError as exc:  # only HyperParams checks its fields on construction
+        raise ConfigError(f"hyper.{exc.field}: {exc}") from None
+    cfg = ExperimentConfig(**specs, **fields["algorithm"], **fields["output"])
     cfg.validate()
     return cfg
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,7 +188,9 @@ def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value by power iteration on M^T M.
 
     Deterministic: the start vector comes from a fixed-seed generator, so
-    repeated calls are bit-identical.
+    repeated calls are bit-identical.  Each step does one product ``b @ v``:
+    it gives the Rayleigh quotient of this step and the iterate of the next,
+    so the result is bit-identical to computing the same product twice.
     """
     m = np.asarray(m, dtype=float)
     b = m.T @ m
@@ -195,14 +198,15 @@ def spectral_norm(m: np.ndarray) -> float:
     rng = np.random.default_rng(0x5EED)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    w = b @ v
     lam = 0.0
     for _ in range(_POWER_MAX_ITER):
-        w = b @ v
-        nw = np.linalg.norm(w)
+        nw = math.sqrt(w @ w)  # np.linalg.norm's formula for a real vector
         if nw == 0.0:
             return 0.0
         v = w / nw
-        lam_new = float(v @ (b @ v))
+        w = b @ v
+        lam_new = float(v @ w)
         if abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
             lam = lam_new
             break

@@ -141,6 +141,39 @@ def test_config_unknown_section_rejected():
         parse_config(CONFIG_TEXT + "\n[hyperparams]\ngamma = 0.5\n")
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("eta = 0.05", "eta = -1", "hyper.eta: step-size eta must be positive and finite, got -1.0"),
+    ("gamma = 0.6", "gamma = 0", "hyper.gamma: consensus step-size gamma must be in (0, 1], got 0.0"),
+    ("gamma = 0.6", "gamma = 0.6\nalpha_x = 2", "hyper.alpha_x: alpha_x must be in (0, 1], got 2.0"),
+], ids=["eta", "gamma", "alpha_x"])
+def test_config_hyper_field_error_named(old, new, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(CONFIG_TEXT.replace(old, new))
+    assert str(info.value) == message
+
+
+def test_config_percent_is_literal():
+    cfg = parse_config(CONFIG_TEXT.replace("prefix = smoke", "prefix = run%1"))
+    assert cfg.prefix == "run%1"
+    assert parse_config(harness.config_text(cfg)) == cfg
+    with pytest.raises(ConfigError, match="algorithm.compressor"):
+        parse_config(CONFIG_TEXT.replace("topk:k=1", "topk:k=%(x)s"))
+
+
+@pytest.mark.parametrize("prefix", ["run #1", "run ;1", "#run", ";run", "run\n1", "run\r1",
+                                    " run", "run ", "run\t"])
+def test_config_prefix_the_text_cannot_hold_rejected(prefix):
+    cfg = dataclasses.replace(harness.ExperimentConfig(), prefix=prefix)
+    with pytest.raises(ConfigError, match=r"^output\.prefix: "):
+        cfg.validate()
+
+
+def test_config_prefix_with_inner_comment_char_round_trips():
+    cfg = dataclasses.replace(harness.ExperimentConfig(), prefix="run#1;a b")
+    cfg.validate()
+    assert parse_config(harness.config_text(cfg)) == cfg
+
+
 def test_run_experiment_writes_csv_and_summary(tmp_path):
     cfg = parse_config(CONFIG_TEXT)
     outcome = run_experiment(cfg, out_dir=tmp_path)
@@ -383,8 +416,9 @@ def test_cli_verify_exit_0(capsys):
     ("compressor = topk:k=1", "compressor = quant:b=99999,q=inf"),
     ("rho = 0.05", "rho = inf"),
     ("noise_std = 1.0", "noise_std = nan"),
+    ("compressor = topk:k=1", "compressor = topk:k=1%"),
 ], ids=["eta-negative", "eta-nan", "dim-zero", "topk-exceeds-dim", "weights-p-too-large",
-        "seed-negative", "quant-bits-overflow", "rho-inf", "noise-std-nan"])
+        "seed-negative", "quant-bits-overflow", "rho-inf", "noise-std-nan", "compressor-percent"])
 def test_cli_bad_config_exit_1_without_traceback(tmp_path, capsys, old, new):
     text = CONFIG_TEXT.replace(old, new)
     if new == "dim = 20\n":
@@ -397,9 +431,10 @@ def test_cli_bad_config_exit_1_without_traceback(tmp_path, capsys, old, new):
     assert "Traceback" not in captured.out + captured.err
 
 
-# signs, zero, non-finite, overflow, junk, empty, two numbers, bad compressor strings;
-# none parses as an int above 100, so n and dim stay at their preset sizes or fail
-_HOSTILE = ["-1", "0", "nan", "inf", "-inf", "1e308", "abc", "", "1 2",
+# signs, zero, non-finite, overflow, junk, empty, two numbers, interpolation syntax, bad
+# compressor strings; none parses as an int above 100, so n and dim stay at their preset
+# sizes or fail
+_HOSTILE = ["-1", "0", "nan", "inf", "-inf", "1e308", "abc", "", "1 2", "%1", "%(x)s",
             "quant:b=99999,q=inf", "quant:b=0,q=2", "quant:b=2,q=3", "quant", "topk:k=0",
             "topk:k=", "topk:k=1e308", "randk:k=-1", "normsign:q=nan", "identity:k=1"]
 

@@ -151,6 +151,35 @@ def test_spectral_norm_against_oracle_random_matrices():
             np.linalg.svd(m, compute_uv=False)[0], rel=1e-9)
 
 
+# float.hex of (rho_w, s, norm_IminusW) as the power iteration gave them when it
+# computed b @ v twice per step; the certificates print these, so a faster loop
+# must reproduce them bit for bit
+_SPECTRAL_GOLDEN = {
+    (10, True): ("0x1.f71f5ed75aaf1p-1", "0x1.1c142514aa1e0p-6", "0x1.9999999942017p-3"),
+    (10, False): ("0x1.ec717ebeb14f4p-1", "0x1.38e81414eb0c0p-5", "0x1.9999999991627p-2"),
+    (37, True): ("0x1.ff56355964b18p-1", "0x1.53954d369d000p-10", "0x1.993b1ea59ffa7p-3"),
+    (37, False): ("0x1.fe86ee0206281p-1", "0x1.7911fdf9d7f00p-9", "0x1.98dcb982212a2p-2"),
+    (100, True): ("0x1.ffe8b861ddc96p-1", "0x1.7479e2236a000p-13", "0x1.9999996e28fd3p-3"),
+    (100, False): ("0x1.ffcc45985a2acp-1", "0x1.9dd33d2eaa000p-12", "0x1.9999999430a1ep-2"),
+}
+
+
+@pytest.mark.parametrize("n,directed", sorted(_SPECTRAL_GOLDEN))
+def test_spectral_info_golden_outdegree_rings(n, directed):
+    info = spectral_info(build_weights_outdegree(build_ring(n, directed=directed), 0.1))
+    assert (info.rho_w.hex(), info.s.hex(), info.norm_IminusW.hex()) == _SPECTRAL_GOLDEN[n, directed]
+
+
+def test_spectral_golden_laplacian_random_and_zero():
+    info = spectral_info(build_weights_laplacian(build_ring(12, directed=False), 0.25))
+    assert (info.rho_w.hex(), info.s.hex(), info.norm_IminusW.hex()) == (
+        "0x1.ddb3d742c1945p-1", "0x1.126145e9f35d8p-4", "0x1.fffffffffd048p-1")
+    rng = np.random.default_rng(7)
+    norms = [spectral_norm(rng.standard_normal((7, 7))).hex() for _ in range(3)]
+    assert norms == ["0x1.04edcf284f429p+2", "0x1.a4b0c2c804dbdp+1", "0x1.1bbcd39607e3cp+2"]
+    assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+
 @pytest.mark.parametrize("directed", [True, False])
 def test_mixing_contraction_lemma(directed):
     W = build_weights_outdegree(build_ring(10, directed=directed), 0.1)
