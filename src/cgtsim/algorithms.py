@@ -17,12 +17,21 @@ error-feedback accumulator E are (2, n, p) arrays: channel 0 is the decision
 x, channel 1 the tracker y, row i belongs to agent i.  alpha and beta are
 Python floats when the x and y values agree and (2, 1, 1) columns otherwise,
 so each update is written once for both variables.
+
+The trace is computed in blocks.  Each trace point keeps references to that
+iteration's Z, H and E, not copies.  Once c = max(1, _TRACE_BLOCK //
+(len(tags)*n*p)) points are pending, and when the run ends or diverges, they
+are stacked and one ``metrics`` call turns the block into trace records, bit
+for bit the records of one call per point.  This rests on an invariant of the
+engine: every iteration builds fresh arrays, and an array that reached a
+trace point (or ``states_x``/``states_y``) is never updated in place.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +56,10 @@ from .problems import RidgeProblem, gradient_matrix, optimal_solution
 from .topology import WeightMatrix
 
 DIVERGENCE_LIMIT = 1e12
+
+# trace points per metrics call: c = max(1, _TRACE_BLOCK // (len(tags)*n*p)), so a stacked
+# block holds about 2**16 floats (512 KB) per array, and n = 1000 traces point by point
+_TRACE_BLOCK = 2**16
 
 
 class AlgorithmError(ValueError):
@@ -123,7 +136,12 @@ class HyperParams:
 
 @dataclass
 class NetworkState:
-    """Stacked per-agent iterates; row i belongs to agent i."""
+    """Stacked per-agent iterates; row i belongs to agent i.
+
+    ``metrics`` reads a block of c snapshots: each array then carries a
+    leading block axis, shape (c, n, p).  The engine stacks the arrays of its
+    trace points into such a block; it never updates a traced array in place.
+    """
 
     X: np.ndarray
     Y: np.ndarray
@@ -168,31 +186,41 @@ class RunResult:
     states_y: np.ndarray | None = None
 
 
-def _sq(m: np.ndarray) -> float:
-    # one reduce in memory order: the same pairwise sum as np.sum(m * m), without its dispatch
-    return float(np.add.reduce((m * m).ravel("K")))
+def _sum_sq(m: np.ndarray) -> np.ndarray:
+    # one reduce per (n, p) slice in its memory order: the same pairwise sum as np.sum(m * m)
+    # over that slice, without its dispatch
+    return np.add.reduce(m * m, axis=(-2, -1))
 
 
-def metrics(state: NetworkState, x_star: np.ndarray, *,
-            k: int = 0, residual_denom: float = 1.0, bits_sent: int = 0) -> TraceRecord:
-    """All trace fields for one snapshot; residual uses the supplied denominator."""
-    n = state.X.shape[0]
-    # np.mean(axis=0) is this reduce divided by n
-    x_bar = np.add.reduce(state.X, axis=0) / n
-    y_bar = np.add.reduce(state.Y, axis=0) / n
-    zero = 0.0
-    return TraceRecord(
-        k=k,
-        residual=_sq(state.X - x_star[None, :]) / residual_denom,
-        opt_error=_sq(x_bar - x_star),
-        consensus_error=_sq(state.X - x_bar[None, :]),
-        tracking_error=_sq(state.Y - y_bar[None, :]),
-        compress_error_x=_sq(state.X - state.H_x),
-        compress_error_y=_sq(state.Y - state.H_y),
-        ef_error_x=_sq(state.E_x) if state.E_x is not None else zero,
-        ef_error_y=_sq(state.E_y) if state.E_y is not None else zero,
-        bits_sent=bits_sent,
-    )
+def metrics(state: NetworkState, x_star: np.ndarray, *, k: Sequence[int],
+            residual_denom: float = 1.0, bits_sent: Sequence[int]) -> list[TraceRecord]:
+    """All trace fields for a block of c snapshots; residual uses the supplied denominator.
+
+    Each array of ``state`` has shape (c, n, p); ``k`` and ``bits_sent`` hold
+    one value per snapshot.  A single snapshot is a block of one: pass
+    ``a[None]`` views.  When each (n, p) slice is C- or F-contiguous, every
+    record is bit for bit the one its snapshot gives alone: each sum runs over
+    its slice in memory order.
+    """
+    n = state.X.shape[-2]
+    # np.mean(axis=-2) is this reduce divided by n
+    x_bar = np.add.reduce(state.X, axis=-2) / n
+    y_bar = np.add.reduce(state.Y, axis=-2) / n
+    opt = x_bar - x_star
+    zeros = [0.0] * len(k)
+    return list(map(
+        TraceRecord,
+        k,
+        (_sum_sq(state.X - x_star) / residual_denom).tolist(),
+        np.add.reduce(opt * opt, axis=-1).tolist(),
+        _sum_sq(state.X - x_bar[:, None, :]).tolist(),
+        _sum_sq(state.Y - y_bar[:, None, :]).tolist(),
+        _sum_sq(state.X - state.H_x).tolist(),
+        _sum_sq(state.Y - state.H_y).tolist(),
+        _sum_sq(state.E_x).tolist() if state.E_x is not None else zeros,
+        _sum_sq(state.E_y).tolist() if state.E_y is not None else zeros,
+        bits_sent,
+    ))
 
 
 def default_x0(pb: RidgeProblem, seed: int, init: str = "zeros") -> np.ndarray:
@@ -236,7 +264,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
 
     n, p = pb.n, pb.dim
     w = W.matrix
-    i_minus_w = np.eye(n) - w
+    i_minus_w = None if efficient else np.eye(n) - w
     alpha = _channels(hp.alpha_x, hp.alpha_y)
     keep = 1 - alpha
     beta = _channels(hp.beta_x, hp.beta_y)
@@ -249,11 +277,12 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
     grad = gradient_matrix(pb, X)
     Z = np.stack([X, grad])
     H = np.zeros((2, n, p))
-    H_w = w @ H if efficient else None
+    # H is zero, so H_w = W H is exactly +0
+    H_w = np.zeros((2, n, p)) if efficient else None
     E = np.zeros((2, n, p)) if error_feedback else None
 
     x_star = optimal_solution(pb).x_star
-    denom = _sq(X - x_star[None, :])
+    denom = float(_sum_sq(X - x_star))
     if denom == 0.0:
         denom = 1.0
 
@@ -264,12 +293,32 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         E_x, E_y = (None, None) if E is None else E
         return NetworkState(*Z, *H, H_xw, H_yw, E_x, E_y)
 
-    trace = [metrics(snapshot(), x_star, k=0, residual_denom=denom, bits_sent=0)]
+    trace: list[TraceRecord] = []
+    pending = []  # (k, Z, H, E) of the trace points not yet in trace
+    block = max(1, _TRACE_BLOCK // (len(tags) * n * p))
+
+    def trace_point(k: int) -> None:
+        pending.append((k, Z, H, E))
+        if len(pending) >= block:
+            flush()
+
+    def flush() -> None:
+        if not pending:
+            return
+        ks, Zs, Hs, Es = zip(*pending)
+        E_x, E_y = np.stack(Es, axis=1) if error_feedback else (None, None)
+        state = NetworkState(*np.stack(Zs, axis=1), *np.stack(Hs, axis=1), E_x=E_x, E_y=E_y)
+        trace.extend(metrics(state, x_star, k=ks, residual_denom=denom,
+                             bits_sent=[i * bits_per_iter for i in ks]))
+        pending.clear()
+
+    trace_point(0)
     max_track = 0.0
     max_drift = 0.0
     zs = [Z] if record_states else None
 
     def result() -> RunResult:
+        flush()
         states_x, states_y = (None, None) if zs is None else np.stack(zs, axis=1)
         return RunResult(trace=trace, final=snapshot(), hyper=hp,
                          compressor=compressor_label(kind), seed=seed,
@@ -330,8 +379,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         residual = float(r_flat @ r_flat) / denom
         diverged = not math.isfinite(residual) or residual > DIVERGENCE_LIMIT
         if diverged or (k + 1) % trace_every == 0 or k + 1 == K:
-            trace.append(metrics(snapshot(), x_star, k=k + 1,
-                                 residual_denom=denom, bits_sent=(k + 1) * bits_per_iter))
+            trace_point(k + 1)
         if diverged:
             raise DivergenceError(
                 f"{algorithm} diverged at iteration {k + 1}: residual {residual:.3e} "

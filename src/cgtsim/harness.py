@@ -153,6 +153,9 @@ class ExperimentConfig:
             raise ConfigError(f"hyper.eta: {exc}") from None
         if self.init not in ("zeros", "uniform"):
             raise ConfigError(f"algorithm.init: {self.init!r} not in ('zeros', 'uniform')")
+        if self.compressor != self.compressor.strip():
+            raise ConfigError(f"algorithm.compressor: {self.compressor!r} would not read back "
+                              "from config text (surrounding whitespace)")
         try:
             parse_compressor(self.compressor)
         except compression.CompressionError as exc:

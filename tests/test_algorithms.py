@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cgtsim import algorithms
 from cgtsim.algorithms import (
     AlgorithmError,
     DivergenceError,
@@ -248,6 +249,73 @@ def test_divergence_guard_raises_with_partial_trace(pb, W_dir):
     assert len(partial.trace) >= 2
 
 
+BLOCK_RUNNERS = {
+    "gt": lambda pb, W, hp, kind, K, **kw: run_gt(pb, W, hp, K, SEED, **kw),
+    "cgt-ref": lambda pb, W, hp, kind, K, **kw: run_cgt_reference(pb, W, hp, kind, K, SEED, **kw),
+    "cgt": lambda pb, W, hp, kind, K, **kw: run_cgt_efficient(pb, W, hp, kind, K, SEED, **kw),
+    "efcgt-ref": lambda pb, W, hp, kind, K, **kw: run_efcgt_reference(pb, W, hp, kind, K, SEED,
+                                                                       **kw),
+    "efcgt": lambda pb, W, hp, kind, K, **kw: run_efcgt_efficient(pb, W, hp, kind, K, SEED, **kw),
+}
+
+
+def _fingerprint(res):
+    """Everything a run returns, as exact text and bytes (repr keeps -0.0 and nan)."""
+    arrays = [a for a in vars(res.final).values() if a is not None]
+    if res.states_x is not None:
+        arrays += [res.states_x, res.states_y]
+    return (repr(res.trace), [a.tobytes() for a in arrays],
+            repr((res.max_tracking_violation, res.max_mean_drift)))
+
+
+def _run_or_partial(run):
+    """(diverged, fingerprint) of one run, from the partial result if it diverged."""
+    try:
+        return False, _fingerprint(run())
+    except DivergenceError as exc:
+        return True, _fingerprint(exc.partial)
+
+
+@pytest.mark.parametrize("name", list(BLOCK_RUNNERS))
+@pytest.mark.parametrize("trace_every", [1, 7])
+def test_trace_blocks_do_not_change_results(pb, W_und, W_dir, monkeypatch, name, trace_every):
+    # K = 47 is a multiple of no c * trace_every below; at the default block size
+    # (c >= 81 at n = 10) each 47-iteration run is one block
+    runner = BLOCK_RUNNERS[name]
+    ntags = 4 if name.startswith("efcgt") else 2
+    cases = [
+        lambda: runner(pb, W_und, HyperParams(eta=0.05, gamma=0.6), RandK(k=2), 47,
+                       trace_every=trace_every),
+        lambda: runner(pb, W_und, HyperParams(eta=0.09), QUANT, 47, trace_every=trace_every,
+                       record_states=True),
+        # diverges: the partial result flushes a part-filled block
+        lambda: runner(pb, W_dir, HyperParams(eta=5.0, gamma=0.5), TopK(k=1), 5000,
+                       trace_every=trace_every),
+    ]
+    sizes = []
+    block_metrics = algorithms.metrics
+
+    def counted(state, x_star, **kw):
+        sizes.append(len(kw["k"]))
+        return block_metrics(state, x_star, **kw)
+
+    def run_in_blocks(run, c):
+        # every metrics call but the last takes a full block of c trace points
+        sizes.clear()
+        out = _run_or_partial(run)
+        assert sizes[:-1] == [c] * (len(sizes) - 1) and 1 <= sizes[-1] <= c
+        return out
+
+    monkeypatch.setattr(algorithms, "metrics", counted)
+    default_c = algorithms._TRACE_BLOCK // (ntags * pb.n * pb.dim)
+    want = [run_in_blocks(run, default_c) for run in cases]
+    assert [diverged for diverged, _ in want] == [False, False, True]
+    for c in (1, 2, 3):
+        monkeypatch.setattr(algorithms, "_TRACE_BLOCK", c * ntags * pb.n * pb.dim)
+        for run, expected in zip(cases, want):
+            assert run_in_blocks(run, c) == expected, c
+
+
 def test_uncoordinated_step_sizes_run(pb, W_und):
     eta = np.linspace(0.01, 0.03, 10)
     res = run_gt(pb, W_und, HyperParams(eta=eta), 200, seed=SEED)
@@ -267,12 +335,17 @@ def test_trace_length_and_cadence(pb, W_und):
     assert all(k % 7 == 0 for k in ks[:-1])
 
 
+def _one(state):
+    """``state`` as a block of one: ``a[None]`` views of its arrays."""
+    return NetworkState(*(None if a is None else a[None] for a in vars(state).values()))
+
+
 def test_metrics_fixed_points(pb):
     sol = optimal_solution(pb)
     n, p = pb.n, pb.dim
     X = np.tile(sol.x_star, (n, 1))
     state = NetworkState(X=X, Y=np.zeros((n, p)), H_x=X.copy(), H_y=np.zeros((n, p)))
-    rec = metrics(state, sol.x_star, k=5, residual_denom=2.0, bits_sent=7)
+    rec = metrics(_one(state), sol.x_star, k=[5], residual_denom=2.0, bits_sent=[7])[0]
     assert rec.residual == 0.0
     # the row mean of identical rows can differ from the row by an ulp
     assert rec.consensus_error <= 1e-25
@@ -282,7 +355,7 @@ def test_metrics_fixed_points(pb):
     rng = np.random.default_rng(0)
     state = NetworkState(X=rng.standard_normal((n, p)), Y=rng.standard_normal((n, p)),
                          H_x=rng.standard_normal((n, p)), H_y=rng.standard_normal((n, p)))
-    rec = metrics(state, sol.x_star)
+    rec = metrics(_one(state), sol.x_star, k=[0], bits_sent=[0])[0]
     for field in ("residual", "opt_error", "consensus_error", "tracking_error",
                   "compress_error_x", "compress_error_y"):
         val = getattr(rec, field)
@@ -325,10 +398,36 @@ def test_metrics_equal_mean_and_sum_reference(shape, order):
                              E_x=draw() if with_ef else None, E_y=draw() if with_ef else None)
         x_star = rng.standard_normal(p)
         kw = dict(k=trial, residual_denom=float(rng.uniform(0.5, 2.0)), bits_sent=3 * trial)
-        got = metrics(state, x_star, **kw)
+        got = metrics(_one(state), x_star, k=[kw["k"]], residual_denom=kw["residual_denom"],
+                      bits_sent=[kw["bits_sent"]])[0]
         want = _metrics_reference(state, x_star, **kw)
         for field in dataclasses.fields(TraceRecord):
             assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 20), (10, 20), (37, 5), (60, 300), (1000, 20)])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("with_ef", [False, True])
+def test_metrics_block_equals_blocks_of_one(shape, order, with_ef):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    n, p = shape
+    c = 3
+
+    def draw():
+        # c snapshots stacked on the block axis, each (n, p) slice contiguous in `order`
+        block = np.empty((c, n, p)) if order == "C" else np.empty((c, p, n)).transpose(0, 2, 1)
+        block[...] = rng.standard_normal((c, n, p)) * 10.0 ** rng.uniform(-8, 8, (c, n, p))
+        return block
+
+    state = NetworkState(X=draw(), Y=draw(), H_x=draw(), H_y=draw(),
+                         E_x=draw() if with_ef else None, E_y=draw() if with_ef else None)
+    x_star = rng.standard_normal(p)
+    ks, bits = [0, 7, 9], [0, 70, 90]
+    got = metrics(state, x_star, k=ks, residual_denom=1.5, bits_sent=bits)
+    for i in range(c):
+        snap = NetworkState(*(None if a is None else a[i] for a in vars(state).values()))
+        one = metrics(_one(snap), x_star, k=[ks[i]], residual_denom=1.5, bits_sent=[bits[i]])
+        assert repr(one) == repr(got[i:i + 1]), i
 
 
 def test_default_x0_modes(pb):

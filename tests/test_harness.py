@@ -118,6 +118,11 @@ def test_config_unknown_algorithm_rejected():
 def test_config_bad_compressor_named():
     with pytest.raises(ConfigError, match="compressor"):
         parse_config(CONFIG_TEXT.replace("topk:k=1", "gzip"))
+    # the text strips surrounding whitespace, so such a value would not round-trip
+    for comp in (" topk:k=1", "topk:k=1 ", "topk:k=1\t"):
+        cfg = dataclasses.replace(harness.ExperimentConfig(), compressor=comp)
+        with pytest.raises(ConfigError, match=r"^algorithm\.compressor: "):
+            cfg.validate()
 
 
 def test_config_missing_required_field():
