@@ -241,7 +241,7 @@ def _warn_alpha_range(kind: CompressorKind, p: int, hp: HyperParams) -> None:
         warnings.warn(
             f"alpha exceeds the theoretical range (0, 1/r] = (0, {limit:g}] for "
             f"{compressor_label(kind)}; convergence is no longer guaranteed",
-            stacklevel=3,
+            stacklevel=4,  # past _simulate and the run_* runner, to the runner's caller
         )
 
 

@@ -33,17 +33,16 @@ class AnalysisError(ValueError):
     """Raised for violated preconditions or infeasible parameter chains."""
 
 
-def _slack(contr_x: float, contr_y: float, tau_x: float | None,
-           tau_y: float | None) -> list[tuple[float, float]]:
+def _slack(contr_x: float, contr_y: float) -> list[tuple[float, float]]:
     """Per channel (x, y): the pair (tau*(1-contr), 3 tau/(tau-1)) for a slack tau > 1.
 
-    A missing tau takes the geometric midpoint of (1, 1/(1-contr)), or 2 when
-    the contraction reaches 1.
+    tau is the geometric midpoint of (1, 1/(1-contr)), or 2 when the
+    contraction reaches 1.
     """
     pairs = []
-    for contr, tau in ((contr_x, tau_x), (contr_y, tau_y)):
-        if tau is None:
-            tau = 2.0 if contr >= 1.0 else 1.0 / math.sqrt(1.0 - contr)
+    for contr in (contr_x, contr_y):
+        tau = 2.0 if contr >= 1.0 else 1.0 / math.sqrt(1.0 - contr)
+        # 1 - contr rounds to 1 for a contraction below machine epsilon
         if tau <= 1:
             raise AnalysisError("slack parameters tau must exceed 1")
         pairs.append((tau * (1.0 - contr), 3.0 * tau / (tau - 1.0)))
@@ -73,19 +72,17 @@ class CgtConstants:
 
 
 def cgt_constants(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
-                  alpha_x: float, alpha_y: float, n: int,
-                  tau_x: float | None = None, tau_y: float | None = None) -> CgtConstants:
-    """Assemble the error-system constants for given mixing rates and slacks."""
+                  alpha_x: float, alpha_y: float, n: int) -> CgtConstants:
+    """Assemble the error-system constants for given mixing rates."""
     for name, alpha in (("alpha_x", alpha_x), ("alpha_y", alpha_y)):
         if not 0 < alpha <= 1.0 / profile.r + 1e-12:
             raise AnalysisError(f"{name}={alpha!r} outside (0, 1/r] for r={profile.r!r}")
     s, niw, c, r = spec.s, spec.norm_IminusW, profile.C, profile.r
-    (c_x, t_x), (c_y, t_y) = _slack(alpha_x * r * profile.delta, alpha_y * r * profile.delta,
-                                    tau_x, tau_y)
+    (c_x, t_x), (c_y, t_y) = _slack(alpha_x * r * profile.delta, alpha_y * r * profile.delta)
     if c_x >= 1.0 or c_y >= 1.0:
         raise AnalysisError(
             f"infeasible: c_x={c_x!r}, c_y={c_y!r} must be < 1 "
-            "(compression too weak for the chosen alpha/tau)"
+            "(compression too weak for the chosen alpha)"
         )
     return CgtConstants(
         n=n, mu=prob.mu, L=prob.L, s=s,
@@ -137,13 +134,12 @@ def contractive_delta(profile: CompressorProfile) -> float:
 
 
 def efcgt_constants(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
-                    alpha_x: float, alpha_y: float, n: int,
-                    tau_x: float | None = None, tau_y: float | None = None) -> EfcgtConstants:
+                    alpha_x: float, alpha_y: float, n: int) -> EfcgtConstants:
     delta = contractive_delta(profile)
     for name, alpha in (("alpha_x", alpha_x), ("alpha_y", alpha_y)):
         if not 0 < alpha <= 1:
             raise AnalysisError(f"{name}={alpha!r} outside (0, 1]")
-    (d_x, t_x), (d_y, t_y) = _slack(alpha_x * delta, alpha_y * delta, tau_x, tau_y)
+    (d_x, t_x), (d_y, t_y) = _slack(alpha_x * delta, alpha_y * delta)
     if d_x >= 1.0 or d_y >= 1.0:
         raise AnalysisError(f"infeasible: d_x={d_x!r}, d_y={d_y!r} must be < 1")
     s, niw = spec.s, spec.norm_IminusW
@@ -337,8 +333,7 @@ def _certified(eps: np.ndarray, system: ErrorSystem) -> SufficientParams:
 
 
 def sufficient_params(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
-                      alpha_x: float, alpha_y: float, n: int,
-                      tau_x: float | None = None, tau_y: float | None = None) -> SufficientParams:
+                      alpha_x: float, alpha_y: float, n: int) -> SufficientParams:
     """Forward-substitute a positive test vector, then gamma and eta, and certify.
 
     The chain fixes the two compression components to 1, bounds the consensus
@@ -346,7 +341,7 @@ def sufficient_params(prob: ProblemConstants, spec: SpectralInfo, profile: Compr
     mixing terms, and the optimization component from the condition number;
     each lower bound is inflated by 1% so every inequality holds strictly.
     """
-    c = cgt_constants(prob, spec, profile, alpha_x, alpha_y, n=n, tau_x=tau_x, tau_y=tau_y)
+    c = cgt_constants(prob, spec, profile, alpha_x, alpha_y, n=n)
     kappa = prob.kappa
     s = c.s
     e4 = 1.0
@@ -367,10 +362,9 @@ def sufficient_params(prob: ProblemConstants, spec: SpectralInfo, profile: Compr
 
 
 def sufficient_params_ef(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
-                         alpha_x: float, alpha_y: float, n: int,
-                         tau_x: float | None = None, tau_y: float | None = None) -> SufficientParams:
+                         alpha_x: float, alpha_y: float, n: int) -> SufficientParams:
     """Error-feedback analogue of :func:`sufficient_params` with a 7-component chain."""
-    c = efcgt_constants(prob, spec, profile, alpha_x, alpha_y, n=n, tau_x=tau_x, tau_y=tau_y)
+    c = efcgt_constants(prob, spec, profile, alpha_x, alpha_y, n=n)
     kappa = prob.kappa
     s, dl = c.s, c.delta
     e4 = 1.0

@@ -12,7 +12,7 @@ with the same keys and therefore the same bits as one draw per iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -56,6 +56,11 @@ class Identity:
     pass
 
 
+def _check_q(q: float) -> None:
+    if q not in (1, 2, math.inf):
+        raise CompressionError(f"norm index must be 1, 2 or inf, got {q!r}")
+
+
 @dataclass(frozen=True)
 class UnbiasedQuantize:
     """Unbiased b-bit q-norm quantizer with uniform dithering."""
@@ -67,8 +72,7 @@ class UnbiasedQuantize:
         # a double holds every level 0..2**(bits-1) exactly only up to 53 bits
         if not 1 <= self.bits <= 53:
             raise CompressionError(f"quantizer needs 1 <= bits <= 53, got {self.bits}")
-        if self.q not in (1, 2, math.inf):
-            raise CompressionError(f"norm index must be 1, 2 or inf, got {self.q!r}")
+        _check_q(self.q)
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,7 @@ class NormSign:
     q: float
 
     def __post_init__(self) -> None:
-        if self.q not in (1, 2, math.inf):
-            raise CompressionError(f"norm index must be 1, 2 or inf, got {self.q!r}")
+        _check_q(self.q)
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,7 @@ class RescaledNormSign:
     r: float
 
     def __post_init__(self) -> None:
-        if self.q not in (1, 2, math.inf):
-            raise CompressionError(f"norm index must be 1, 2 or inf, got {self.q!r}")
+        _check_q(self.q)
         if not 0 < self.r < math.inf:
             raise CompressionError(f"scale r must be positive and finite, got {self.r!r}")
 
@@ -123,68 +125,66 @@ CompressorKind = Identity | UnbiasedQuantize | TopK | RandK | NormSign | Rescale
 _STOCHASTIC_KINDS = (UnbiasedQuantize, RandK)
 
 
+# ---------------------------------------------------------------------------
+# the text form "kind:key=value,...": a kind's arguments are its dataclass
+# fields in declaration order, so a new kind is its class plus a row in _KINDS
+
 def _parse_q(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "infty", "infinity"):
-        return math.inf
-    q = float(t)
-    if q not in (1.0, 2.0):
-        raise CompressionError(f"norm index must be 1, 2 or inf, got {text!r}")
-    return q
+    return math.inf if text.lower() in ("inf", "infty", "infinity") else float(text)
+
+
+_KINDS = {"identity": Identity, "quant": UnbiasedQuantize, "topk": TopK, "randk": RandK,
+          "normsign": NormSign, "normsign-rescaled": RescaledNormSign}
+
+# field -> (text key, parser, renderer); .17g writes a float that reads back exactly
+_FIELD_TEXT = {
+    "bits": ("b", int, str),
+    "k": ("k", int, str),
+    "q": ("q", _parse_q, lambda q: "inf" if q == math.inf else str(int(q))),
+    "r": ("r", float, lambda r: f"{r:.17g}"),
+}
+
+# class -> (name, [(field, key, parser, renderer), ...]), resolved once
+_FORMS = {cls: (name, [(f.name, *_FIELD_TEXT[f.name]) for f in fields(cls)])
+          for name, cls in _KINDS.items()}
 
 
 def parse_compressor(text: str) -> CompressorKind:
-    """Parse a config string such as "topk:k=1" or "quant:b=2,q=inf"."""
+    """Parse a config string such as "topk:k=1" or "quant:b=2,q=inf".
+
+    Every argument of the kind is required; an unknown or repeated one is an error.
+    """
     head, _, rest = text.strip().partition(":")
-    head = head.strip().lower()
+    cls = _KINDS.get(head.strip().lower())
+    if cls is None:
+        raise CompressionError(f"unknown compressor kind {head.strip()!r}")
     args: dict[str, str] = {}
-    if rest:
-        for part in rest.split(","):
-            key, eq, val = part.partition("=")
-            if not eq:
-                raise CompressionError(f"malformed compressor argument {part!r} in {text!r}")
-            args[key.strip().lower()] = val.strip()
+    for part in rest.split(",") if rest else ():
+        key, eq, val = part.partition("=")
+        key = key.strip().lower()
+        if not eq:
+            raise CompressionError(f"malformed compressor argument {part!r} in {text!r}")
+        if key in args:
+            raise CompressionError(f"compressor {text!r} repeats argument {key!r}")
+        args[key] = val.strip()
     try:
-        if head == "identity":
-            return Identity()
-        if head == "quant":
-            return UnbiasedQuantize(bits=int(args["b"]), q=_parse_q(args["q"]))
-        if head == "topk":
-            return TopK(k=int(args["k"]))
-        if head == "randk":
-            return RandK(k=int(args["k"]))
-        if head == "normsign":
-            return NormSign(q=_parse_q(args["q"]))
-        if head == "normsign-rescaled":
-            return RescaledNormSign(q=_parse_q(args["q"]), r=float(args["r"]))
+        values = {field: parse(args.pop(key)) for field, key, parse, _ in _FORMS[cls][1]}
     except KeyError as exc:
         raise CompressionError(f"compressor {text!r} is missing argument {exc}") from None
-    except CompressionError:
-        raise
     except ValueError as exc:
         raise CompressionError(f"compressor {text!r} has a malformed argument: {exc}") from None
-    raise CompressionError(f"unknown compressor kind {head!r}")
-
-
-def _q_text(q: float) -> str:
-    return "inf" if q == math.inf else str(int(q))
+    if args:
+        raise CompressionError(f"compressor {text!r} has unknown argument {next(iter(args))!r}")
+    return cls(**values)
 
 
 def compressor_label(kind: CompressorKind) -> str:
     """Inverse of parse_compressor, used in CSV column labels and reports."""
-    if isinstance(kind, Identity):
-        return "identity"
-    if isinstance(kind, UnbiasedQuantize):
-        return f"quant:b={kind.bits},q={_q_text(kind.q)}"
-    if isinstance(kind, TopK):
-        return f"topk:k={kind.k}"
-    if isinstance(kind, RandK):
-        return f"randk:k={kind.k}"
-    if isinstance(kind, NormSign):
-        return f"normsign:q={_q_text(kind.q)}"
-    if isinstance(kind, RescaledNormSign):
-        return f"normsign-rescaled:q={_q_text(kind.q)},r={kind.r:g}"
-    raise CompressionError(f"unknown kind {kind!r}")
+    if type(kind) not in _FORMS:
+        raise CompressionError(f"unknown kind {kind!r}")
+    name, rows = _FORMS[type(kind)]
+    args = ",".join(f"{key}={render(getattr(kind, field))}" for field, key, _, render in rows)
+    return f"{name}:{args}" if args else name
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +329,16 @@ def _randk_rows(m: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
 
 
 def _apply_rows(kind: CompressorKind, m: np.ndarray, u: np.ndarray | None) -> np.ndarray:
-    p = m.shape[1]
+    if isinstance(kind, (TopK, RandK)) and kind.k > m.shape[1]:
+        raise CompressionError(f"{compressor_label(kind)} exceeds dimension p={m.shape[1]}")
     if isinstance(kind, Identity):
         return m.copy()
     if isinstance(kind, UnbiasedQuantize):
         assert u is not None
         return _quantize_rows(m, kind, u)
     if isinstance(kind, TopK):
-        if kind.k > p:
-            raise CompressionError(f"top-k with k={kind.k} exceeds dimension p={p}")
         return _topk_rows(m, kind.k)
     if isinstance(kind, RandK):
-        if kind.k > p:
-            raise CompressionError(f"random-k with k={kind.k} exceeds dimension p={p}")
         assert u is not None
         return _randk_rows(m, kind.k, u)
     if isinstance(kind, NormSign):

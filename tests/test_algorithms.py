@@ -442,9 +442,11 @@ def test_default_x0_modes(pb):
 
 
 def test_alpha_above_theory_warns(pb, W_dir):
-    with pytest.warns(UserWarning, match="alpha exceeds"):
+    with pytest.warns(UserWarning, match="alpha exceeds") as caught:
         run_cgt_reference(pb, W_dir, HyperParams(eta=0.001, alpha_x=1.0),
                           NormSign(q=math.inf), 5, seed=SEED)
+    # the warning names the runner's caller, so each call site is reported once
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_topology_problem_size_mismatch(pb):

@@ -139,7 +139,7 @@ def test_build_A_monotone_in_compression_constant(setup):
     prev = None
     for cval in [0.0, 0.5, 2.0, 10.0]:
         profile = CompressorProfile(C=cval, delta=0.5, r=1.0)
-        c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n, tau_x=1.3, tau_y=1.3)
+        c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
         m = an.build_A(c, gamma, eta).M
         if prev is not None:
             assert np.all(m >= prev - 1e-15)
@@ -161,7 +161,7 @@ def test_efcgt_constants_monotone_in_delta(setup):
     prev_dx = prev_dy = None
     for delta in [0.1, 0.3, 0.6, 1.0]:
         profile = CompressorProfile(C=1 - delta if delta < 1 else 0.0, delta=delta, r=1.0)
-        c = an.efcgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n, tau_x=1.05, tau_y=1.05)
+        c = an.efcgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
         if prev_dx is not None:
             assert c.d_x <= prev_dx + 1e-15
             assert c.d_y <= prev_dy + 1e-15
@@ -196,15 +196,14 @@ def test_sufficient_params_ef_certifies(setup, kind):
     assert sp.certificate.rho_M <= sp.certificate.theta + 1e-10
 
 
-def test_sufficient_params_infeasible_small_delta_fixed_tau(setup):
+def test_sufficient_params_infeasible_tiny_delta(setup):
     pb, consts, spec = setup
-    profile = CompressorProfile(C=1.0, delta=1e-6, r=1.0)
-    with pytest.raises(an.AnalysisError, match="infeasible"):
-        an.sufficient_params(consts, spec, profile, 1.0, 1.0, n=pb.n,
-                             tau_x=2.0, tau_y=2.0)
-    with pytest.raises(an.AnalysisError, match="infeasible"):
-        an.sufficient_params_ef(consts, spec, profile, 1.0, 1.0, n=pb.n,
-                                tau_x=2.0, tau_y=2.0)
+    # 1 - delta rounds to 1, so no slack tau > 1 exists
+    profile = CompressorProfile(C=1.0, delta=1e-17, r=1.0)
+    with pytest.raises(an.AnalysisError, match="tau must exceed 1"):
+        an.sufficient_params(consts, spec, profile, 1.0, 1.0, n=pb.n)
+    with pytest.raises(an.AnalysisError, match="tau must exceed 1"):
+        an.sufficient_params_ef(consts, spec, profile, 1.0, 1.0, n=pb.n)
 
 
 def test_sufficient_params_rejects_alpha_outside_theory(setup):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cgtsim.compression import (
@@ -334,6 +334,24 @@ def test_parse_compressor_errors():
                  "normsign-rescaled:q=inf,r=zz", "normsign-rescaled:q=inf,r=nan"):
         with pytest.raises(CompressionError, match="compressor|scale"):
             parse_compressor(text)
+
+
+_norm_index = st.sampled_from([1, 2, math.inf])
+
+
+@given(st.one_of(
+    st.just(Identity()),
+    st.builds(UnbiasedQuantize, bits=st.integers(1, 53), q=_norm_index),
+    st.builds(TopK, k=st.integers(min_value=1)),
+    st.builds(RandK, k=st.integers(min_value=1)),
+    st.builds(NormSign, q=_norm_index),
+    st.builds(RescaledNormSign, q=_norm_index,
+              r=st.floats(min_value=0, exclude_min=True, allow_infinity=False)),
+))
+@example(RescaledNormSign(q=math.inf, r=1234567.0))  # 1.23457e+06 at 6 digits
+@settings(max_examples=300, deadline=None)
+def test_compressor_label_round_trips(kind):
+    assert parse_compressor(compressor_label(kind)) == kind
 
 
 # ---------------------------------------------------------------------------

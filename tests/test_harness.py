@@ -436,6 +436,19 @@ def test_cli_bad_config_exit_1_without_traceback(tmp_path, capsys, old, new):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("compressor", [
+    "normsign:q=inf,r=3", "topk:k=1,kk=2", "identity:k=3", "topk:k=1,k=2",
+])
+def test_cli_run_stray_compressor_argument_exit_1(tmp_path, capsys, compressor):
+    cfgfile = write_cfg(tmp_path, CONFIG_TEXT.replace("topk:k=1", compressor))
+    rc = cli.main(["run", str(cfgfile), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1, captured.err
+    assert captured.err.startswith("config error: algorithm.compressor:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.out + captured.err
+
+
 # signs, zero, non-finite, overflow, junk, empty, two numbers, interpolation syntax, bad
 # compressor strings; none parses as an int above 100, so n and dim stay at their preset
 # sizes or fail
