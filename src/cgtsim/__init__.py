@@ -24,8 +24,7 @@ from .algorithms import (
 from .analysis import (
     AnalysisError,
     Certificate,
-    CgtConstants,
-    EfcgtConstants,
+    ErrorConstants,
     ErrorSystem,
     RateFit,
     SufficientParams,

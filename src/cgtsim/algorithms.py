@@ -44,6 +44,7 @@ from .compression import (
     TAG_Y_EF,
     CompressorKind,
     Identity,
+    alpha_in_range,
     analytic_profile,
     bit_cost,
     compress_rows_multi,
@@ -236,10 +237,9 @@ def _warn_alpha_range(kind: CompressorKind, p: int, hp: HyperParams) -> None:
     prof = analytic_profile(kind, p)
     if prof is None or prof.r <= 1:
         return
-    limit = 1.0 / prof.r
-    if hp.alpha_x > limit * (1 + 1e-12) or hp.alpha_y > limit * (1 + 1e-12):
+    if not (alpha_in_range(hp.alpha_x, prof.r) and alpha_in_range(hp.alpha_y, prof.r)):
         warnings.warn(
-            f"alpha exceeds the theoretical range (0, 1/r] = (0, {limit:g}] for "
+            f"alpha exceeds the theoretical range (0, 1/r] = (0, {1.0 / prof.r:g}] for "
             f"{compressor_label(kind)}; convergence is no longer guaranteed",
             stacklevel=4,  # past _simulate and the run_* runner, to the runner's caller
         )

@@ -7,9 +7,11 @@ the plain algorithm, 7x7 with error feedback.  A spectral radius below
 1 - eta*mu/2 certifies geometric convergence, and a positive test vector
 with M eps <= theta eps witnesses it componentwise.
 
-The constants of each system (:func:`cgt_constants`, :func:`efcgt_constants`)
-do not depend on the operating point (gamma, eta); :func:`build_A` and
-:func:`build_B` take it and assemble M.
+Both systems read one :class:`ErrorConstants` record, free of (gamma, eta):
+:func:`cgt_constants` builds it from the profile's (C, delta, r) and
+:func:`efcgt_constants` at C = 1, r = 1 with :func:`contractive_delta`, where
+the paper's d1, d2, d3, d4, d_x, d_y are c1, c2, c5, c8, c_x, c_y.
+:func:`build_A` and :func:`build_B` take (gamma, eta) and assemble M.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CompressorProfile
+from .compression import CompressorProfile, alpha_in_range
 from .problems import ProblemConstants
 from .topology import SpectralInfo
 
@@ -50,13 +52,14 @@ def _slack(contr_x: float, contr_y: float) -> list[tuple[float, float]]:
 
 
 @dataclass(frozen=True)
-class CgtConstants:
-    """Constants of the 5x5 error system; none depends on (gamma, eta)."""
+class ErrorConstants:
+    """Constants of the 5x5 and 7x7 error systems; none depends on (gamma, eta)."""
 
     n: int
     mu: float
     L: float
     s: float
+    delta: float
     c1: float
     c2: float
     c3: float
@@ -71,50 +74,38 @@ class CgtConstants:
     t_y: float
 
 
-def cgt_constants(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
-                  alpha_x: float, alpha_y: float, n: int) -> CgtConstants:
-    """Assemble the error-system constants for given mixing rates."""
+def _constants(prob: ProblemConstants, spec: SpectralInfo, alpha_x: float, alpha_y: float,
+               n: int, C: float, delta: float, r: float, span: str) -> ErrorConstants:
+    """Constants for variance bound C, contraction delta, scale r; ``span`` names alpha's range."""
     for name, alpha in (("alpha_x", alpha_x), ("alpha_y", alpha_y)):
-        if not 0 < alpha <= 1.0 / profile.r + 1e-12:
-            raise AnalysisError(f"{name}={alpha!r} outside (0, 1/r] for r={profile.r!r}")
-    s, niw, c, r = spec.s, spec.norm_IminusW, profile.C, profile.r
-    (c_x, t_x), (c_y, t_y) = _slack(alpha_x * r * profile.delta, alpha_y * r * profile.delta)
+        if not alpha_in_range(alpha, r):
+            raise AnalysisError(f"{name}={alpha!r} outside {span}")
+    s, niw = spec.s, spec.norm_IminusW
+    (c_x, t_x), (c_y, t_y) = _slack(alpha_x * r * delta, alpha_y * r * delta)
     if c_x >= 1.0 or c_y >= 1.0:
         raise AnalysisError(
             f"infeasible: c_x={c_x!r}, c_y={c_y!r} must be < 1 "
             "(compression too weak for the chosen alpha)"
         )
-    return CgtConstants(
-        n=n, mu=prob.mu, L=prob.L, s=s,
+    return ErrorConstants(
+        n=n, mu=prob.mu, L=prob.L, s=s, delta=delta,
         c1=2.0 / s,
-        c2=2.0 * c / s * niw**2,
+        c2=2.0 * C / s * niw**2,
         c3=12.0 * prob.L**2 / s,
         c4=6.0 * niw**2 / s,
         c5=t_x * niw**2,
-        c6=t_x * c * niw**2,
-        c7=t_y * c * niw**2,
+        c6=t_x * C * niw**2,
+        c7=t_y * C * niw**2,
         c8=t_y * niw**2,
         c_x=c_x, c_y=c_y, t_x=t_x, t_y=t_y,
     )
 
 
-@dataclass(frozen=True)
-class EfcgtConstants:
-    """Constants of the 7x7 error-feedback system; none depends on (gamma, eta)."""
-
-    n: int
-    mu: float
-    L: float
-    s: float
-    delta: float
-    d1: float
-    d2: float
-    d3: float
-    d4: float
-    d_x: float
-    d_y: float
-    t_x: float
-    t_y: float
+def cgt_constants(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
+                  alpha_x: float, alpha_y: float, n: int) -> ErrorConstants:
+    """Assemble the error-system constants for given mixing rates."""
+    return _constants(prob, spec, alpha_x, alpha_y, n, profile.C, profile.delta, profile.r,
+                      f"(0, 1/r] for r={profile.r!r}")
 
 
 def contractive_delta(profile: CompressorProfile) -> float:
@@ -134,23 +125,10 @@ def contractive_delta(profile: CompressorProfile) -> float:
 
 
 def efcgt_constants(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
-                    alpha_x: float, alpha_y: float, n: int) -> EfcgtConstants:
-    delta = contractive_delta(profile)
-    for name, alpha in (("alpha_x", alpha_x), ("alpha_y", alpha_y)):
-        if not 0 < alpha <= 1:
-            raise AnalysisError(f"{name}={alpha!r} outside (0, 1]")
-    (d_x, t_x), (d_y, t_y) = _slack(alpha_x * delta, alpha_y * delta)
-    if d_x >= 1.0 or d_y >= 1.0:
-        raise AnalysisError(f"infeasible: d_x={d_x!r}, d_y={d_y!r} must be < 1")
-    s, niw = spec.s, spec.norm_IminusW
-    return EfcgtConstants(
-        n=n, mu=prob.mu, L=prob.L, s=s, delta=delta,
-        d1=2.0 / s,
-        d2=2.0 / s * niw**2,
-        d3=t_x * niw**2,
-        d4=t_y * niw**2,
-        d_x=d_x, d_y=d_y, t_x=t_x, t_y=t_y,
-    )
+                    alpha_x: float, alpha_y: float, n: int) -> ErrorConstants:
+    """The error-feedback constants: the plain ones at C = 1, r = 1 and the contractive delta."""
+    return _constants(prob, spec, alpha_x, alpha_y, n, 1.0, contractive_delta(profile), 1.0,
+                      "(0, 1]")
 
 
 @dataclass(frozen=True)
@@ -164,18 +142,33 @@ class ErrorSystem:
     eta: float
 
 
+def _step_bound(mu: float, L: float) -> tuple[float, str]:
+    """The step-size bound min(2/(mu+L), 1/(3 mu)) and the term that attains it."""
+    a, b = 2.0 / (mu + L), 1.0 / (3.0 * mu)
+    return (a, "2/(mu+L)") if a <= b else (b, "1/(3 mu)")
+
+
 def _check_eta_gamma(mu: float, L: float, gamma: float, eta: float) -> None:
     if not 0 < gamma <= 1:
         raise AnalysisError(f"gamma must be in (0, 1], got {gamma!r}")
     if eta <= 0:
         raise AnalysisError(f"eta must be positive, got {eta!r}")
-    bound = min(2.0 / (mu + L), 1.0 / (3.0 * mu))
+    bound, which = _step_bound(mu, L)
     if eta >= bound:
-        which = "2/(mu+L)" if 2.0 / (mu + L) <= 1.0 / (3.0 * mu) else "1/(3 mu)"
         raise AnalysisError(f"eta={eta!r} violates eta < {which} = {bound!r}")
 
 
-def build_A(c: CgtConstants, gamma: float, eta: float,
+def _system(rows: list[list[float]], c: ErrorConstants, gamma: float, eta: float,
+            epsilon: np.ndarray | None) -> ErrorSystem:
+    """Check the rows of M and pair them with the test vector (ones by default) and theta."""
+    m = np.array(rows)
+    if not np.all(np.isfinite(m)) or np.any(m < 0):
+        raise AnalysisError("transition matrix has negative or non-finite entries")
+    eps = np.ones(len(m)) if epsilon is None else np.asarray(epsilon, dtype=float)
+    return ErrorSystem(M=m, epsilon=eps, theta=1.0 - 0.5 * eta * c.mu, gamma=gamma, eta=eta)
+
+
+def build_A(c: ErrorConstants, gamma: float, eta: float,
             epsilon: np.ndarray | None = None) -> ErrorSystem:
     """5x5 transition matrix for plain compressed gradient tracking at (gamma, eta).
 
@@ -185,7 +178,7 @@ def build_A(c: CgtConstants, gamma: float, eta: float,
     _check_eta_gamma(c.mu, c.L, gamma, eta)
     g, e, L, n = gamma, eta, c.L, c.n
     rt2 = (1.0 - gamma * c.s)**2
-    m = np.array([
+    return _system([
         [1.0 - 1.5 * e * c.mu, 3.0 * e * L**2 / (c.mu * n), 0.0, 0.0, 0.0],
         [0.0, (1.0 + rt2) / 2.0, c.c1 * e**2 / g, c.c2 * g, 0.0],
         [n * c.c3 * L**2 * e**2 / g, c.c3 * L**2 * e**2 / g + c.c4 * L**2 * g,
@@ -195,44 +188,38 @@ def build_A(c: CgtConstants, gamma: float, eta: float,
         [6.0 * n * c.t_y * L**4 * e**2, 3.0 * c.c8 * L**2 * g**2 + 6.0 * c.t_y * L**4 * e**2,
          3.0 * c.t_y * L**2 * e**2 + c.c8 * g**2, 3.0 * c.c7 * L**2 * g**2,
          c.c_y + c.c7 * g**2],
-    ])
-    if not np.all(np.isfinite(m)) or np.any(m < 0):
-        raise AnalysisError("transition matrix has negative or non-finite entries")
-    eps = np.ones(5) if epsilon is None else np.asarray(epsilon, dtype=float)
-    return ErrorSystem(M=m, epsilon=eps, theta=1.0 - 0.5 * eta * c.mu, gamma=gamma, eta=eta)
+    ], c, gamma, eta, epsilon)
 
 
-def build_B(c: EfcgtConstants, gamma: float, eta: float,
+def build_B(c: ErrorConstants, gamma: float, eta: float,
             epsilon: np.ndarray | None = None) -> ErrorSystem:
     """7x7 transition matrix with error feedback at (gamma, eta).
 
     Rows 1-5 as in :func:`build_A`; rows 6-7 are the x/y error-feedback
-    accumulators with self-coupling 1 - delta/2.
+    accumulators with self-coupling 1 - delta/2.  ``c`` comes from
+    :func:`efcgt_constants`.
     """
     _check_eta_gamma(c.mu, c.L, gamma, eta)
     if not 0 < c.delta <= 1:
         raise AnalysisError(f"delta must be in (0, 1], got {c.delta!r}")
     g, e, L, n, dl = gamma, eta, c.L, c.n, c.delta
+    d1, d2, d3, d4 = c.c1, c.c2, c.c5, c.c8
     rt2 = (1.0 - gamma * c.s)**2
-    m = np.array([
+    return _system([
         [1.0 - 1.5 * e * c.mu, 3.0 * e * L**2 / (c.mu * n), 0.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, (1.0 + rt2) / 2.0, c.d1 * e**2 / g, c.d2 * g, 0.0,
-         6.0 * c.d2 / dl * g, 0.0],
-        [6.0 * n * c.d1 * L**4 * e**2 / g, 3.0 * c.d2 * L**2 * g + 6.0 * c.d1 * L**4 * e**2 / g,
-         (1.0 + rt2) / 2.0 + 3.0 * c.d1 * L**2 * e**2 / g, 3.0 * c.d2 * L**2 * g, c.d2 * g,
-         18.0 * c.d2 / dl * L**2 * g, 6.0 * c.d2 / dl * g],
-        [2.0 * n * c.t_x * L**2 * e**2, c.d3 * g**2 + 2.0 * c.t_x * L**2 * e**2,
-         c.t_x * e**2, c.d_x + c.d3 * g**2, 0.0, 6.0 * c.d3 / dl * g**2, 0.0],
+        [0.0, (1.0 + rt2) / 2.0, d1 * e**2 / g, d2 * g, 0.0,
+         6.0 * d2 / dl * g, 0.0],
+        [6.0 * n * d1 * L**4 * e**2 / g, 3.0 * d2 * L**2 * g + 6.0 * d1 * L**4 * e**2 / g,
+         (1.0 + rt2) / 2.0 + 3.0 * d1 * L**2 * e**2 / g, 3.0 * d2 * L**2 * g, d2 * g,
+         18.0 * d2 / dl * L**2 * g, 6.0 * d2 / dl * g],
+        [2.0 * n * c.t_x * L**2 * e**2, d3 * g**2 + 2.0 * c.t_x * L**2 * e**2,
+         c.t_x * e**2, c.c_x + d3 * g**2, 0.0, 6.0 * d3 / dl * g**2, 0.0],
         [6.0 * n * c.t_y * L**4 * e**2, 3.0 * c.t_y * L**2 * g**2 + 6.0 * c.t_y * L**4 * e**2,
-         3.0 * c.t_y * L**2 * e**2 + c.d4 * g**2, 3.0 * c.d4 * L**2 * g**2,
-         c.d_y + c.d4 * g**2, 18.0 * c.d4 / dl * L**2 * g**2, 6.0 * c.d4 / dl * g**2],
+         3.0 * c.t_y * L**2 * e**2 + d4 * g**2, 3.0 * d4 * L**2 * g**2,
+         c.c_y + d4 * g**2, 18.0 * d4 / dl * L**2 * g**2, 6.0 * d4 / dl * g**2],
         [0.0, 0.0, 0.0, 2.0 * (1.0 - dl) / dl, 0.0, 1.0 - dl / 2.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 2.0 * (1.0 - dl) / dl, 0.0, 1.0 - dl / 2.0],
-    ])
-    if not np.all(np.isfinite(m)) or np.any(m < 0):
-        raise AnalysisError("transition matrix has negative or non-finite entries")
-    eps = np.ones(7) if epsilon is None else np.asarray(epsilon, dtype=float)
-    return ErrorSystem(M=m, epsilon=eps, theta=1.0 - 0.5 * eta * c.mu, gamma=gamma, eta=eta)
+    ], c, gamma, eta, epsilon)
 
 
 @dataclass(frozen=True)
@@ -309,8 +296,7 @@ _SLACK = 1.01
 class SufficientParams:
     """Certified (epsilon, gamma, eta) triple plus the system they certify."""
 
-    epsilon: np.ndarray       # raw chain values
-    test_vector: np.ndarray   # epsilon with the L^2 weights used by the certificate
+    epsilon: np.ndarray  # raw chain values; system.epsilon adds the L^2 weights
     gamma: float
     eta: float
     system: ErrorSystem
@@ -328,8 +314,8 @@ def _certified(eps: np.ndarray, system: ErrorSystem) -> SufficientParams:
     cert = certify(system)
     if not cert.componentwise_ok:
         raise AnalysisError("sufficient-parameter chain failed its own certificate")
-    return SufficientParams(epsilon=eps, test_vector=system.epsilon, gamma=system.gamma,
-                            eta=system.eta, system=system, certificate=cert)
+    return SufficientParams(epsilon=eps, gamma=system.gamma, eta=system.eta, system=system,
+                            certificate=cert)
 
 
 def sufficient_params(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
@@ -356,7 +342,7 @@ def sufficient_params(prob: ProblemConstants, spec: SpectralInfo, profile: Compr
     gamma = min(1.0, (1.0 - c.c_x) / m3 * e4, (1.0 - c.c_y) / m4 * e5)
     eta = min(s * e2 / (4 * kappa * e3),
               s * e3 / (12 * kappa * (2 * n * e1 + 2 * e2 + e3))) * gamma / prob.L
-    eta = min(eta, 0.99 * min(2.0 / (prob.mu + prob.L), 1.0 / (3.0 * prob.mu)))
+    eta = min(eta, 0.99 * _step_bound(prob.mu, prob.L)[0])
     test_vec = np.array([e1, e2, prob.L**2 * e3, e4, prob.L**2 * e5])
     return _certified(np.array([e1, e2, e3, e4, e5]), build_A(c, gamma, eta, epsilon=test_vec))
 
@@ -367,25 +353,26 @@ def sufficient_params_ef(prob: ProblemConstants, spec: SpectralInfo, profile: Co
     c = efcgt_constants(prob, spec, profile, alpha_x, alpha_y, n=n)
     kappa = prob.kappa
     s, dl = c.s, c.delta
+    d1, d2, d3, d4 = c.c1, c.c2, c.c5, c.c8
     e4 = 1.0
     e5 = 1.0
     e6 = max(_SLACK * 8.0 * (1.0 - dl) * e4 / dl**2, 1e-2 * e4)
     e7 = max(_SLACK * 8.0 * (1.0 - dl) * e5 / dl**2, 1e-2 * e5)
-    e2 = _SLACK * max(4.0 * c.d1 * c.d2 * e4, 24.0 * c.d1 * c.d2 * e6 / dl, e4)
-    m2 = (3 * c.d2 * e2 + 3 * c.d2 * e4 + c.d2 * e5
-          + 18 * c.d2 / dl * e6 + 6 * c.d2 / dl * e7)
+    e2 = _SLACK * max(4.0 * d1 * d2 * e4, 24.0 * d1 * d2 * e6 / dl, e4)
+    m2 = (3 * d2 * e2 + 3 * d2 * e4 + d2 * e5
+          + 18 * d2 / dl * e6 + 6 * d2 / dl * e7)
     e3 = max(_SLACK * 4.0 * m2 / s, e4)
     e1 = _SLACK * 3.0 * kappa**2 * e2 / n
     m3 = (2 * n * c.t_x * e1 + 2 * c.t_x * e2 + c.t_x * e3
-          + c.d3 * e2 + c.d3 * e4 + 6 * c.d3 / dl * e6 + e4 / (2 * kappa))
+          + d3 * e2 + d3 * e4 + 6 * d3 / dl * e6 + e4 / (2 * kappa))
     m4 = (6 * n * c.t_y * e1 + 6 * c.t_y * e2 + 3 * c.t_y * e3
-          + 3 * c.t_y * e2 + c.d4 * e3 + 3 * c.d4 * e4 + c.d4 * e5
-          + 18 * c.d4 / dl * e6 + 6 * c.d4 / dl * e7 + e5 / (2 * kappa))
-    gamma = min(1.0, (1.0 - c.d_x) / m3 * e4, (1.0 - c.d_y) / m4 * e5)
+          + 3 * c.t_y * e2 + d4 * e3 + 3 * d4 * e4 + d4 * e5
+          + 18 * d4 / dl * e6 + 6 * d4 / dl * e7 + e5 / (2 * kappa))
+    gamma = min(1.0, (1.0 - c.c_x) / m3 * e4, (1.0 - c.c_y) / m4 * e5)
     eta = min(s * e3 / (6 * kappa * (2 * n * e1 + 2 * e2 + e3)) * gamma / prob.L,
               s * e2 / (4 * kappa * e3) * gamma / prob.L,
               dl / (2 * prob.mu))
-    eta = min(eta, 0.99 * min(2.0 / (prob.mu + prob.L), 1.0 / (3.0 * prob.mu)))
+    eta = min(eta, 0.99 * _step_bound(prob.mu, prob.L)[0])
     L2 = prob.L**2
     test_vec = np.array([e1, e2, L2 * e3, e4, L2 * e5, e6, L2 * e7])
     return _certified(np.array([e1, e2, e3, e4, e5, e6, e7]),

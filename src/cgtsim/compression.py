@@ -37,6 +37,7 @@ __all__ = [
     "compress",
     "compress_rows",
     "bit_cost",
+    "alpha_in_range",
     "analytic_profile",
     "empirical_profile",
     "estimate_variance_ratio",
@@ -453,6 +454,11 @@ class CompressorProfile:
             raise CompressionError(f"r must be positive, got {self.r!r}")
         if self.C < 0:
             raise CompressionError(f"C must be nonnegative, got {self.C!r}")
+
+
+def alpha_in_range(alpha: float, r: float) -> bool:
+    """Whether a mixing rate lies in the theory's range (0, 1/r], up to 1e-12 relative."""
+    return 0 < alpha <= 1.0 / r * (1 + 1e-12)
 
 
 def analytic_profile(kind: CompressorKind, p: int) -> CompressorProfile | None:

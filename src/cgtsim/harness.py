@@ -321,8 +321,9 @@ def certificate_report(cfg: ExperimentConfig) -> str:
     W = make_topology(cfg.topology)
     spec = spectral_info(W)
     consts = problem_constants(pb)
-    kind = parse_compressor(cfg.compressor)
-    profile = profile_for(kind, pb.dim)
+    # run_gt executes the identity operator whatever compressor the config names
+    comp = "identity" if cfg.algorithm == "gt" else cfg.compressor
+    profile = profile_for(parse_compressor(comp), pb.dim)
     try:
         if cfg.algorithm in ("efcgt", "efcgt-ref"):
             params = analysis.sufficient_params_ef(
@@ -336,7 +337,7 @@ def certificate_report(cfg: ExperimentConfig) -> str:
         raise ConfigError(f"certification infeasible: {exc}") from None
     out = io.StringIO()
     out.write(f"system = {system_name}\n")
-    out.write(f"compressor = {cfg.compressor}\n")
+    out.write(f"compressor = {comp}\n")
     out.write(f"profile: C = {profile.C:.17g}, delta = {profile.delta:.17g}, "
               f"r = {profile.r:.17g} ({profile.provenance})\n")
     out.write(f"mu = {consts.mu:.17g}\nL = {consts.L:.17g}\nkappa = {consts.kappa:.17g}\n")

@@ -163,9 +163,9 @@ def test_efcgt_constants_monotone_in_delta(setup):
         profile = CompressorProfile(C=1 - delta if delta < 1 else 0.0, delta=delta, r=1.0)
         c = an.efcgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
         if prev_dx is not None:
-            assert c.d_x <= prev_dx + 1e-15
-            assert c.d_y <= prev_dy + 1e-15
-        prev_dx, prev_dy = c.d_x, c.d_y
+            assert c.c_x <= prev_dx + 1e-15
+            assert c.c_y <= prev_dy + 1e-15
+        prev_dx, prev_dy = c.c_x, c.c_y
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,43 @@ def test_cli_certify(tmp_path, capsys):
     assert (tmp_path / "smoke.cert.txt").exists()
 
 
+def _alpha_config(alpha):
+    return harness.config_text(dataclasses.replace(
+        harness.PRESETS["fig5-cgt-normsign"],
+        hyper=dataclasses.replace(harness.PRESETS["fig5-cgt-normsign"].hyper,
+                                  alpha_x=alpha, alpha_y=alpha)))
+
+
+def test_cli_certify_refuses_alpha_the_run_warns_about(tmp_path, capsys):
+    # normsign at p = 20 has r = 20: the certificate and the run share one range (0, 1/r]
+    def certify(alpha):
+        return cli.main(["certify", str(write_cfg(tmp_path, _alpha_config(alpha))),
+                         "--out", str(tmp_path)])
+
+    rc = certify(0.05)
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "verdict = certified\n" in captured.out
+    alpha = 0.05 + 1e-13
+    rc = certify(alpha)
+    captured = capsys.readouterr()
+    assert rc == 1, captured.out
+    assert captured.err.startswith(
+        f"config error: certification infeasible: alpha_x={alpha!r} outside (0, 1/r]")
+    assert "Traceback" not in captured.out + captured.err
+    with pytest.warns(UserWarning, match=r"alpha exceeds the theoretical range \(0, 1/r\]"):
+        run_from_config(dataclasses.replace(parse_config(_alpha_config(alpha)), K=2))
+
+
+def test_gt_certificate_describes_the_identity_operator_it_runs():
+    cfgs = {comp: parse_config(CONFIG_TEXT.replace("method = cgt", "method = gt")
+                               .replace("compressor = topk:k=1", f"compressor = {comp}"))
+            for comp in ("quant:b=2,q=inf", "identity")}
+    report = harness.certificate_report(cfgs["quant:b=2,q=inf"])
+    assert report == harness.certificate_report(cfgs["identity"])
+    assert f"compressor = {run_from_config(cfgs['quant:b=2,q=inf']).compressor}\n" in report
+
+
 def test_cli_out_dir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(harness.OUT_DIR_ENV, str(tmp_path / "envout"))
     cfgfile = write_cfg(tmp_path)
