@@ -14,9 +14,10 @@ reference mode.
 
 The engine state Z, the reference states H and H_w = W H and the
 error-feedback accumulator E are (2, n, p) arrays: channel 0 is the decision
-x, channel 1 the tracker y, row i belongs to agent i.  alpha and beta are
+x, channel 1 the tracker y, row i belongs to agent i.  ``NetworkState`` holds
+them in this layout from the update loop to the trace.  alpha and beta are
 Python floats when the x and y values agree and (2, 1, 1) columns otherwise,
-so each update is written once for both variables.
+so each update, and each ``metrics`` reduction, is written once for both.
 
 The trace is computed in blocks.  Each trace point keeps references to that
 iteration's Z, H and E, not copies.  Once c = max(1, _TRACE_BLOCK //
@@ -44,11 +45,13 @@ from .compression import (
     TAG_Y_EF,
     CompressorKind,
     Identity,
+    UnbiasedQuantize,
     alpha_in_range,
     analytic_profile,
     bit_cost,
     compress_rows_multi,
     compressor_label,
+    profile_for,
     _agent_prefix,
     _key_states,
     _state_uniform,
@@ -137,21 +140,26 @@ class HyperParams:
 
 @dataclass
 class NetworkState:
-    """Stacked per-agent iterates; row i belongs to agent i.
+    """The engine's arrays in the channel layout of the module docstring.
 
-    ``metrics`` reads a block of c snapshots: each array then carries a
-    leading block axis, shape (c, n, p).  The engine stacks the arrays of its
-    trace points into such a block; it never updates a traced array in place.
+    ``H_w`` is set in the communication-efficient forms only and ``E`` with
+    error feedback only.  A run's ``final`` state is (2, n, p); a block of c
+    snapshots, as ``metrics`` reads it, carries a leading block axis,
+    (c, 2, n, p).  ``X`` and ``Y`` are views of the two channels of ``Z``.
     """
 
-    X: np.ndarray
-    Y: np.ndarray
-    H_x: np.ndarray
-    H_y: np.ndarray
-    H_xw: np.ndarray | None = None
-    H_yw: np.ndarray | None = None
-    E_x: np.ndarray | None = None
-    E_y: np.ndarray | None = None
+    Z: np.ndarray
+    H: np.ndarray
+    H_w: np.ndarray | None = None
+    E: np.ndarray | None = None
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.Z[..., 0, :, :]
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self.Z[..., 1, :, :]
 
 
 @dataclass(frozen=True)
@@ -197,31 +205,24 @@ def metrics(state: NetworkState, x_star: np.ndarray, *, k: Sequence[int],
             residual_denom: float = 1.0, bits_sent: Sequence[int]) -> list[TraceRecord]:
     """All trace fields for a block of c snapshots; residual uses the supplied denominator.
 
-    Each array of ``state`` has shape (c, n, p); ``k`` and ``bits_sent`` hold
-    one value per snapshot.  A single snapshot is a block of one: pass
+    Each array of ``state`` has shape (c, 2, n, p); ``k`` and ``bits_sent``
+    hold one value per snapshot.  A single snapshot is a block of one: pass
     ``a[None]`` views.  When each (n, p) slice is C- or F-contiguous, every
     record is bit for bit the one its snapshot gives alone: each sum runs over
     its slice in memory order.
     """
-    n = state.X.shape[-2]
+    Z = state.Z
     # np.mean(axis=-2) is this reduce divided by n
-    x_bar = np.add.reduce(state.X, axis=-2) / n
-    y_bar = np.add.reduce(state.Y, axis=-2) / n
-    opt = x_bar - x_star
-    zeros = [0.0] * len(k)
-    return list(map(
-        TraceRecord,
-        k,
-        (_sum_sq(state.X - x_star) / residual_denom).tolist(),
-        np.add.reduce(opt * opt, axis=-1).tolist(),
-        _sum_sq(state.X - x_bar[:, None, :]).tolist(),
-        _sum_sq(state.Y - y_bar[:, None, :]).tolist(),
-        _sum_sq(state.X - state.H_x).tolist(),
-        _sum_sq(state.Y - state.H_y).tolist(),
-        _sum_sq(state.E_x).tolist() if state.E_x is not None else zeros,
-        _sum_sq(state.E_y).tolist() if state.E_y is not None else zeros,
-        bits_sent,
-    ))
+    z_bar = np.add.reduce(Z, axis=-2) / Z.shape[-2]
+    opt = z_bar[:, 0] - x_star
+    residual = (_sum_sq(state.X - x_star) / residual_denom).tolist()
+    opt_error = np.add.reduce(opt * opt, axis=-1).tolist()
+    # each an (x, y) pair of per-snapshot lists: consensus and tracking, compression,
+    # error feedback
+    spread = _sum_sq(Z - z_bar[:, :, None, :]).T.tolist()
+    comp = _sum_sq(Z - state.H).T.tolist()
+    ef = _sum_sq(state.E).T.tolist() if state.E is not None else [[0.0] * len(k)] * 2
+    return list(map(TraceRecord, k, residual, opt_error, *spread, *comp, *ef, bits_sent))
 
 
 def default_x0(pb: RidgeProblem, seed: int, init: str = "zeros") -> np.ndarray:
@@ -235,6 +236,9 @@ def default_x0(pb: RidgeProblem, seed: int, init: str = "zeros") -> np.ndarray:
 
 def _warn_alpha_range(kind: CompressorKind, p: int, hp: HyperParams) -> None:
     prof = analytic_profile(kind, p)
+    if prof is None and isinstance(kind, UnbiasedQuantize):
+        # the quantizer's r is estimated, once per (kind, p), as certify estimates it
+        prof = profile_for(kind, p)
     if prof is None or prof.r <= 1:
         return
     if not (alpha_in_range(hp.alpha_x, prof.r) and alpha_in_range(hp.alpha_y, prof.r)):
@@ -288,11 +292,6 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
 
     bits_per_iter = n * len(tags) * bit_cost(kind, p)
 
-    def snapshot() -> NetworkState:
-        H_xw, H_yw = (None, None) if H_w is None else H_w
-        E_x, E_y = (None, None) if E is None else E
-        return NetworkState(*Z, *H, H_xw, H_yw, E_x, E_y)
-
     trace: list[TraceRecord] = []
     pending = []  # (k, Z, H, E) of the trace points not yet in trace
     block = max(1, _TRACE_BLOCK // (len(tags) * n * p))
@@ -306,8 +305,8 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         if not pending:
             return
         ks, Zs, Hs, Es = zip(*pending)
-        E_x, E_y = np.stack(Es, axis=1) if error_feedback else (None, None)
-        state = NetworkState(*np.stack(Zs, axis=1), *np.stack(Hs, axis=1), E_x=E_x, E_y=E_y)
+        E_block = np.stack(Es) if error_feedback else None
+        state = NetworkState(np.stack(Zs), np.stack(Hs), E=E_block)
         trace.extend(metrics(state, x_star, k=ks, residual_denom=denom,
                              bits_sent=[i * bits_per_iter for i in ks]))
         pending.clear()
@@ -320,7 +319,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
     def result() -> RunResult:
         flush()
         states_x, states_y = (None, None) if zs is None else np.stack(zs, axis=1)
-        return RunResult(trace=trace, final=snapshot(), hyper=hp,
+        return RunResult(trace=trace, final=NetworkState(Z, H, H_w, E), hyper=hp,
                          compressor=compressor_label(kind), seed=seed,
                          algorithm=algorithm, max_tracking_violation=max_track,
                          max_mean_drift=max_drift, x_star=x_star,
@@ -413,8 +412,8 @@ def run_cgt_efficient(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams,
                       kind: CompressorKind, K: int, seed: int = 0, **kwargs) -> RunResult:
     """Compressed gradient tracking, communication-efficient form.
 
-    Maintains the neighbor-mixed reference states H_xw = W H_x and
-    H_yw = W H_y so only compressed payloads ever cross the network.
+    Maintains the neighbor-mixed reference states H_w = W H so only
+    compressed payloads ever cross the network.
     """
     return _simulate(pb, W, hp, kind, K, seed, efficient=True,
                      error_feedback=False, algorithm="cgt", **kwargs)

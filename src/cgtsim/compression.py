@@ -576,8 +576,9 @@ def empirical_profile(kind: CompressorKind, p: int, trials: int = 10_000,
                              provenance="empirical")
 
 
+@lru_cache(maxsize=None)
 def profile_for(kind: CompressorKind, p: int) -> CompressorProfile:
-    """Analytic profile when known, empirical otherwise."""
+    """Analytic profile when known, empirical otherwise; memoised, since both are pure."""
     prof = analytic_profile(kind, p)
     if prof is not None:
         return prof

@@ -235,6 +235,16 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"hyper.{exc.field}: {exc}") from None
     cfg = ExperimentConfig(**specs, **fields["algorithm"], **fields["output"])
     cfg.validate()
+    # build the weights and the problem once, so a value only their constructors check
+    # fails here and not when the run starts
+    try:
+        make_topology(cfg.topology)
+    except topology.TopologyError as exc:
+        raise ConfigError(f"topology: {exc}") from None
+    try:
+        make_problem(cfg.problem)
+    except problems.ProblemError as exc:
+        raise ConfigError(f"problem: {exc}") from None
     return cfg
 
 
@@ -364,9 +374,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         cert_path = out / f"{cfg.prefix}.cert.txt"
         cert_path.write_text(certificate_report(cfg))
     final = result.trace[-1]
+    invariants = (f"max_tracking_violation={result.max_tracking_violation:.3e} "
+                  f"max_mean_drift={result.max_mean_drift:.3e}")
     if diverged:
         summary = (f"{cfg.prefix}: DIVERGED at k={final.k} residual={final.residual:.3e} "
-                   f"bits={final.bits_sent}")
+                   f"bits={final.bits_sent} {invariants}")
     else:
         try:
             fit = analysis.empirical_rate(result.trace)
@@ -374,7 +386,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         except analysis.AnalysisError:
             rate_txt = "rate=n/a"
         summary = (f"{cfg.prefix}: final_residual={final.residual:.6e} {rate_txt} "
-                   f"bits={final.bits_sent}")
+                   f"bits={final.bits_sent} {invariants}")
     return ExperimentOutcome(config=cfg, result=result, csv_path=csv_path,
                              cert_path=cert_path, summary=summary, diverged=diverged)
 

@@ -146,7 +146,8 @@ def build_weights_outdegree(g: Graph, p: float | np.ndarray) -> WeightMatrix:
     if bad.size:
         i = bad[0]
         raise TopologyError(
-            f"agent {i}: 1 - Deg_out*p = {diag[i]!r} <= 0 (Deg_out={deg[i]}, p={p_vec[i]!r})"
+            f"agent {i}: 1 - Deg_out*p = {float(diag[i])!r} <= 0 "
+            f"(Deg_out={deg[i]}, p={float(p_vec[i])!r})"
         )
     w = np.diag(diag)
     w[src, dst] = p_vec[src]
@@ -166,7 +167,7 @@ def build_weights_laplacian(g: Graph, a: float) -> WeightMatrix:
     lap = np.diag(degs) - adj
     w = np.eye(g.n) - a * lap
     if np.any(np.diag(w) < 0):
-        a_max = 1.0 / degs.max()
+        a_max = float(1.0 / degs.max())
         raise TopologyError(f"a={a!r} makes a diagonal entry negative; need a <= {a_max!r}")
     return WeightMatrix(graph=g, matrix=w)
 

@@ -175,13 +175,12 @@ def test_quantizer_equivalence_is_floor_limited(pb, W_und):
 
 def test_efficient_maintains_mixed_reference_states(pb, W_und):
     hp = HyperParams(eta=0.05, gamma=0.6, alpha_x=0.8, alpha_y=0.8)
-    res = run_cgt_efficient(pb, W_und, hp, QUANT, 300, seed=SEED)
     w = W_und.matrix
-    assert np.linalg.norm(res.final.H_xw - w @ res.final.H_x) <= 1e-9
-    assert np.linalg.norm(res.final.H_yw - w @ res.final.H_y) <= 1e-9
-    res = run_efcgt_efficient(pb, W_und, hp, TopK(k=1), 300, seed=SEED)
-    assert np.linalg.norm(res.final.H_xw - w @ res.final.H_x) <= 1e-9
-    assert np.linalg.norm(res.final.H_yw - w @ res.final.H_y) <= 1e-9
+    for res in (run_cgt_efficient(pb, W_und, hp, QUANT, 300, seed=SEED),
+                run_efcgt_efficient(pb, W_und, hp, TopK(k=1), 300, seed=SEED)):
+        assert res.final.H_w.shape == res.final.H.shape == (2, pb.n, pb.dim)
+        for c in (0, 1):  # x, then y
+            assert np.linalg.norm(res.final.H_w[c] - w @ res.final.H[c]) <= 1e-9
 
 
 def test_error_feedback_identity_stays_zero(pb, W_und):
@@ -316,6 +315,21 @@ def test_trace_blocks_do_not_change_results(pb, W_und, W_dir, monkeypatch, name,
             assert run_in_blocks(run, c) == expected, c
 
 
+@pytest.mark.parametrize("name", list(BLOCK_RUNNERS))
+def test_final_state_is_the_engine_stack(pb, W_und, name):
+    res = BLOCK_RUNNERS[name](pb, W_und, HyperParams(eta=0.05, gamma=0.6), TopK(k=2), 20,
+                              record_states=True)
+    final = res.final
+    assert final.Z.shape == final.H.shape == (2, pb.n, pb.dim)
+    # X and Y are views of the engine's Z, not copies
+    assert final.X.base is final.Z and final.Y.base is final.Z
+    assert np.array_equal(final.X, res.states_x[-1]) and np.array_equal(final.Y, res.states_y[-1])
+    assert (final.H_w is not None) == (name in ("cgt", "efcgt"))
+    assert (final.E is not None) == name.startswith("efcgt")
+    if final.E is not None:
+        assert final.E.shape == (2, pb.n, pb.dim)
+
+
 def test_uncoordinated_step_sizes_run(pb, W_und):
     eta = np.linspace(0.01, 0.03, 10)
     res = run_gt(pb, W_und, HyperParams(eta=eta), 200, seed=SEED)
@@ -344,7 +358,7 @@ def test_metrics_fixed_points(pb):
     sol = optimal_solution(pb)
     n, p = pb.n, pb.dim
     X = np.tile(sol.x_star, (n, 1))
-    state = NetworkState(X=X, Y=np.zeros((n, p)), H_x=X.copy(), H_y=np.zeros((n, p)))
+    state = NetworkState(Z=np.stack([X, np.zeros((n, p))]), H=np.stack([X, np.zeros((n, p))]))
     rec = metrics(_one(state), sol.x_star, k=[5], residual_denom=2.0, bits_sent=[7])[0]
     assert rec.residual == 0.0
     # the row mean of identical rows can differ from the row by an ulp
@@ -353,8 +367,7 @@ def test_metrics_fixed_points(pb):
     assert rec.opt_error <= 1e-25
     assert rec.compress_error_x == 0.0
     rng = np.random.default_rng(0)
-    state = NetworkState(X=rng.standard_normal((n, p)), Y=rng.standard_normal((n, p)),
-                         H_x=rng.standard_normal((n, p)), H_y=rng.standard_normal((n, p)))
+    state = NetworkState(Z=rng.standard_normal((2, n, p)), H=rng.standard_normal((2, n, p)))
     rec = metrics(_one(state), sol.x_star, k=[0], bits_sent=[0])[0]
     for field in ("residual", "opt_error", "consensus_error", "tracking_error",
                   "compress_error_x", "compress_error_y"):
@@ -376,10 +389,10 @@ def _metrics_reference(state, x_star, *, k=0, residual_denom=1.0, bits_sent=0):
         opt_error=sq(x_bar - x_star),
         consensus_error=sq(state.X - x_bar[None, :]),
         tracking_error=sq(state.Y - y_bar[None, :]),
-        compress_error_x=sq(state.X - state.H_x),
-        compress_error_y=sq(state.Y - state.H_y),
-        ef_error_x=sq(state.E_x) if state.E_x is not None else zero,
-        ef_error_y=sq(state.E_y) if state.E_y is not None else zero,
+        compress_error_x=sq(state.X - state.H[0]),
+        compress_error_y=sq(state.Y - state.H[1]),
+        ef_error_x=sq(state.E[0]) if state.E is not None else zero,
+        ef_error_y=sq(state.E[1]) if state.E is not None else zero,
         bits_sent=bits_sent,
     )
 
@@ -391,11 +404,12 @@ def test_metrics_equal_mean_and_sum_reference(shape, order):
     n, p = shape
     for trial in range(20):
         def draw():
-            m = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-8, 8, (n, p))
-            return np.asarray(m, order=order)
+            # the x and y channels, each (n, p) slice contiguous in `order`
+            m = np.empty((2, n, p)) if order == "C" else np.empty((2, p, n)).transpose(0, 2, 1)
+            m[...] = rng.standard_normal((2, n, p)) * 10.0 ** rng.uniform(-8, 8, (2, n, p))
+            return m
         with_ef = trial % 2 == 1
-        state = NetworkState(X=draw(), Y=draw(), H_x=draw(), H_y=draw(),
-                             E_x=draw() if with_ef else None, E_y=draw() if with_ef else None)
+        state = NetworkState(Z=draw(), H=draw(), E=draw() if with_ef else None)
         x_star = rng.standard_normal(p)
         kw = dict(k=trial, residual_denom=float(rng.uniform(0.5, 2.0)), bits_sent=3 * trial)
         got = metrics(_one(state), x_star, k=[kw["k"]], residual_denom=kw["residual_denom"],
@@ -414,13 +428,13 @@ def test_metrics_block_equals_blocks_of_one(shape, order, with_ef):
     c = 3
 
     def draw():
-        # c snapshots stacked on the block axis, each (n, p) slice contiguous in `order`
-        block = np.empty((c, n, p)) if order == "C" else np.empty((c, p, n)).transpose(0, 2, 1)
-        block[...] = rng.standard_normal((c, n, p)) * 10.0 ** rng.uniform(-8, 8, (c, n, p))
+        # c snapshots of both channels, each (n, p) slice contiguous in `order`
+        block = (np.empty((c, 2, n, p)) if order == "C"
+                 else np.empty((c, 2, p, n)).transpose(0, 1, 3, 2))
+        block[...] = rng.standard_normal((c, 2, n, p)) * 10.0 ** rng.uniform(-8, 8, (c, 2, n, p))
         return block
 
-    state = NetworkState(X=draw(), Y=draw(), H_x=draw(), H_y=draw(),
-                         E_x=draw() if with_ef else None, E_y=draw() if with_ef else None)
+    state = NetworkState(Z=draw(), H=draw(), E=draw() if with_ef else None)
     x_star = rng.standard_normal(p)
     ks, bits = [0, 7, 9], [0, 70, 90]
     got = metrics(state, x_star, k=ks, residual_denom=1.5, bits_sent=bits)

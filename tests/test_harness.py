@@ -2,7 +2,9 @@ import contextlib
 import dataclasses
 import io
 import math
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgtsim import cli, harness
+from cgtsim import cli, compression, harness
 from cgtsim.algorithms import DivergenceError
 from cgtsim.harness import (
     ConfigError,
@@ -188,6 +190,10 @@ def test_run_experiment_writes_csv_and_summary(tmp_path):
     assert len(lines) == cfg.K + 2  # header + K+1 rows at trace_every=1
     assert "final_residual=" in outcome.summary
     assert "bits=" in outcome.summary
+    res = outcome.result
+    assert outcome.summary.endswith(
+        f" max_tracking_violation={res.max_tracking_violation:.3e}"
+        f" max_mean_drift={res.max_mean_drift:.3e}")
 
 
 def test_csv_byte_identical_across_runs(tmp_path):
@@ -222,6 +228,10 @@ def test_divergence_keeps_partial_trace(tmp_path):
     outcome = run_experiment(cfg, out_dir=tmp_path)
     assert outcome.diverged
     assert "DIVERGED" in outcome.summary
+    res = outcome.result
+    assert outcome.summary.endswith(
+        f" max_tracking_violation={res.max_tracking_violation:.3e}"
+        f" max_mean_drift={res.max_mean_drift:.3e}")
     assert outcome.csv_path.exists()
     assert len(outcome.csv_path.read_text().splitlines()) >= 3
 
@@ -416,6 +426,60 @@ def test_cli_certify_refuses_alpha_the_run_warns_about(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
     with pytest.warns(UserWarning, match=r"alpha exceeds the theoretical range \(0, 1/r\]"):
         run_from_config(dataclasses.replace(parse_config(_alpha_config(alpha)), K=2))
+
+
+def test_quantizer_run_warns_about_the_alpha_certify_refuses(tmp_path):
+    # the quantizer has no analytic profile: the run reads r from the empirical one, as
+    # certify does, and the estimate is made once per (kind, p)
+    one_bit = dataclasses.replace(preset("fig1-cgt"), compressor="quant:b=1,q=inf", K=2)
+    message = ("alpha exceeds the theoretical range (0, 1/r] = (0, 0.38693] "
+               "for quant:b=1,q=inf")
+    with pytest.warns(UserWarning, match=re.escape(message)):
+        run_from_config(one_bit)
+    with pytest.raises(ConfigError, match=r"alpha_x=1\.0 outside \(0, 1/r\] for r=2\.58"):
+        harness.certificate_report(one_bit)
+    kind = compression.parse_compressor(one_bit.compressor)
+    assert compression.profile_for(kind, 20) is compression.profile_for(kind, 20)
+    # fig1-cgt itself (two bits: C = 0.499, r = 1) and a diverging one-bit run at table K
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_from_config(dataclasses.replace(preset("fig1-cgt"), K=2))
+    with pytest.warns(UserWarning, match=re.escape(message)):
+        rc = cli.main(["run", str(write_cfg(tmp_path, harness.config_text(
+            dataclasses.replace(one_bit, K=5000)))), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_DIVERGED
+
+
+def _set_line(text, key, value):
+    """``text`` with the value of the one ``key = ...`` line replaced."""
+    out, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1, key
+    return out
+
+
+@pytest.mark.parametrize("key,value,section", [
+    ("p", "0.6", "topology"),
+    ("rho", "-1", "problem"),
+    ("seed", "-3", "problem"),
+    ("dim", "0", "problem"),
+])
+def test_parse_config_builds_topology_and_problem(key, value, section):
+    text = harness.config_text(preset("fig1-cgt"))
+    assert "directed = false" in text  # p = 0.6 leaves 1 - 2 p < 0 on the undirected ring
+    with pytest.raises(ConfigError, match=f"^{section}: "):
+        parse_config(_set_line(text, key, value))
+
+
+def test_topology_errors_print_plain_floats():
+    text = _set_line(harness.config_text(preset("fig1-cgt")), "p", "0.6")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == ("topology: agent 0: 1 - Deg_out*p = -0.19999999999999996 <= 0 "
+                              "(Deg_out=2, p=0.6)")
+    laplacian = _set_line(_set_line(text, "weights", "laplacian"), "a", "0.75")
+    with pytest.raises(ConfigError, match=re.escape("topology: a=0.75 makes a diagonal entry "
+                                                    "negative; need a <= 0.5")):
+        parse_config(laplacian)
 
 
 def test_gt_certificate_describes_the_identity_operator_it_runs():
