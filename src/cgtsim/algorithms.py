@@ -21,9 +21,10 @@ so each update, and each ``metrics`` reduction, is written once for both.
 
 The trace is computed in blocks.  Each trace point keeps references to that
 iteration's Z, H and E, not copies.  Once c = max(1, _TRACE_BLOCK //
-(len(tags)*n*p)) points are pending, and when the run ends or diverges, they
-are stacked and one ``metrics`` call turns the block into trace records, bit
-for bit the records of one call per point.  This rests on an invariant of the
+(len(tags)*n*p)) points are pending, the next one first has them stacked and
+turned into trace records by one ``metrics`` call; the rest go through the one
+flush after the loop, which a diverged run also reaches.  Every record is bit
+for bit that of one call per point.  This rests on an invariant of the
 engine: every iteration builds fresh arrays, and an array that reached a
 trace point (or ``states_x``/``states_y``) is never updated in place.
 """
@@ -293,17 +294,10 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
     bits_per_iter = n * len(tags) * bit_cost(kind, p)
 
     trace: list[TraceRecord] = []
-    pending = []  # (k, Z, H, E) of the trace points not yet in trace
+    pending = [(0, Z, H, E)]  # (k, Z, H, E) of the trace points not yet in trace
     block = max(1, _TRACE_BLOCK // (len(tags) * n * p))
 
-    def trace_point(k: int) -> None:
-        pending.append((k, Z, H, E))
-        if len(pending) >= block:
-            flush()
-
     def flush() -> None:
-        if not pending:
-            return
         ks, Zs, Hs, Es = zip(*pending)
         E_block = np.stack(Es) if error_feedback else None
         state = NetworkState(np.stack(Zs), np.stack(Hs), E=E_block)
@@ -311,22 +305,11 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                              bits_sent=[i * bits_per_iter for i in ks]))
         pending.clear()
 
-    trace_point(0)
     max_track = 0.0
     max_drift = 0.0
     zs = [Z] if record_states else None
-
-    def result() -> RunResult:
-        flush()
-        states_x, states_y = (None, None) if zs is None else np.stack(zs, axis=1)
-        return RunResult(trace=trace, final=NetworkState(Z, H, H_w, E), hyper=hp,
-                         compressor=compressor_label(kind), seed=seed,
-                         algorithm=algorithm, max_tracking_violation=max_track,
-                         max_mean_drift=max_drift, x_star=x_star,
-                         states_x=states_x, states_y=states_y)
-
     cs = Z.sum(axis=1)
-    nx_bar = math.sqrt(cs[0] @ cs[0]) / n
+    diverged = False
     for k in range(K):
         if not error_feedback:
             Q = compress_rows_multi(kind, Z - H, tags, seed, k)
@@ -360,10 +343,9 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         cs_new = Z.sum(axis=1)
         diff = cs_new[0] - cs[0] + step.sum(axis=0)
         drift = math.sqrt(diff @ diff) / n
-        max_drift = max(max_drift, drift / (1.0 + nx_bar))
+        max_drift = max(max_drift, drift / (1.0 + math.sqrt(cs[0] @ cs[0]) / n))
 
         grad, cs = grad_new, cs_new
-        nx_bar = math.sqrt(cs[0] @ cs[0]) / n
 
         # gradient-tracking identity: column sums of Y and of the gradients agree
         gdiff = cs[1] - grad.sum(axis=0)
@@ -378,15 +360,25 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         residual = float(r_flat @ r_flat) / denom
         diverged = not math.isfinite(residual) or residual > DIVERGENCE_LIMIT
         if diverged or (k + 1) % trace_every == 0 or k + 1 == K:
-            trace_point(k + 1)
+            if len(pending) == block:
+                flush()
+            pending.append((k + 1, Z, H, E))
         if diverged:
-            raise DivergenceError(
-                f"{algorithm} diverged at iteration {k + 1}: residual {residual:.3e} "
-                f"exceeds {DIVERGENCE_LIMIT:.0e}",
-                partial=result(),
-            )
+            break
 
-    return result()
+    flush()
+    states_x, states_y = (None, None) if zs is None else np.stack(zs, axis=1)
+    res = RunResult(trace=trace, final=NetworkState(Z, H, H_w, E), hyper=hp,
+                    compressor=compressor_label(kind), seed=seed, algorithm=algorithm,
+                    max_tracking_violation=max_track, max_mean_drift=max_drift,
+                    x_star=x_star, states_x=states_x, states_y=states_y)
+    if diverged:
+        raise DivergenceError(
+            f"{algorithm} diverged at iteration {k + 1}: residual {residual:.3e} "
+            f"exceeds {DIVERGENCE_LIMIT:.0e}",
+            partial=res,
+        )
+    return res
 
 
 def run_gt(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, K: int, seed: int = 0,

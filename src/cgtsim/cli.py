@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import harness
 from .algorithms import AlgorithmError, DivergenceError
@@ -58,26 +59,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_) -> str:
+    # a warning is about the user's config, so it names no library file or line
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _warning_line
     try:
-        if args.verb == "run":
-            cfg = harness.parse_config_file(args.config)
+        if args.verb == "preset" and (args.list or args.name is None):
+            print(harness.preset_listing())
+            return EXIT_OK
+
+        if args.verb in ("run", "preset"):
+            cfg = (harness.parse_config_file(args.config) if args.verb == "run"
+                   else harness.preset(args.name, K=args.k, seed=args.seed))
             outcome = harness.run_experiment(cfg, out_dir=args.out)
             print(outcome.summary)
             print(f"trace: {outcome.csv_path}")
             if outcome.cert_path is not None:
                 print(f"certificate: {outcome.cert_path}")
-            return EXIT_DIVERGED if outcome.diverged else EXIT_OK
-
-        if args.verb == "preset":
-            if args.list or args.name is None:
-                print(harness.preset_listing())
-                return EXIT_OK
-            cfg = harness.preset(args.name, K=args.k, seed=args.seed)
-            outcome = harness.run_experiment(cfg, out_dir=args.out)
-            print(outcome.summary)
-            print(f"trace: {outcome.csv_path}")
             return EXIT_DIVERGED if outcome.diverged else EXIT_OK
 
         if args.verb == "compare":
@@ -108,6 +111,8 @@ def main(argv: list[str] | None = None) -> int:
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        warnings.formatwarning = formatwarning
     raise AssertionError(f"unhandled verb {args.verb!r}")
 
 

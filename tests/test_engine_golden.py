@@ -5,7 +5,7 @@ final X and Y (and, for ``record_states``, of ``states_x``/``states_y``).  The
 values were recorded before the engine moved to one channel-stacked state, so
 any change to the order or the values of the floating-point updates shows up
 here, where the other engine tests compare with tolerances or with the engine
-itself.
+itself.  ``MAXIMA`` pins the run's invariant maxima the same way, as float hex.
 """
 
 import hashlib
@@ -96,6 +96,65 @@ GOLDEN = {
 }
 
 
+# (max_tracking_violation.hex(), max_mean_drift.hex()) of each case: the invariant
+# maxima the engine reports, which neither the trace nor the final state shows
+MAXIMA = {
+    "runner/gt/identity":
+        ("0x1.34062b80beb85p-51", "0x1.379fc348d4f2ep-53"),
+    "runner/cgt-ref/identity":
+        ("0x1.34062b80beb85p-51", "0x1.379fc348d4f2ep-53"),
+    "runner/cgt-ref/quant:b=2,q=inf":
+        ("0x1.3d8187cb144ecp-51", "0x1.67b6d34a043bdp-53"),
+    "runner/cgt-ref/topk:k=1":
+        ("0x1.545c09eefd403p-51", "0x1.4bb621d61387bp-53"),
+    "runner/cgt-ref/randk:k=1":
+        ("0x1.5eb50db4a5b84p-51", "0x1.41dad5986e81ap-53"),
+    "runner/cgt-ref/normsign-rescaled:q=inf,r=20":
+        ("0x1.3f388586d623dp-51", "0x1.772c5726bc94ap-53"),
+    "runner/cgt/identity":
+        ("0x1.56989b22096d6p-49", "0x1.23849c3df5316p-53"),
+    "runner/cgt/quant:b=2,q=inf":
+        ("0x1.29c6761148f8cp-49", "0x1.4297d8eec44e9p-53"),
+    "runner/cgt/topk:k=1":
+        ("0x1.187094f4dfa85p-50", "0x1.19e6f3794c402p-53"),
+    "runner/cgt/randk:k=1":
+        ("0x1.0f033e1a0b906p-50", "0x1.a8b196bbafe62p-53"),
+    "runner/cgt/normsign-rescaled:q=inf,r=20":
+        ("0x1.028d3f4053f87p-49", "0x1.39babb5ba18e0p-53"),
+    "runner/efcgt-ref/identity":
+        ("0x1.34062b80beb85p-51", "0x1.379fc348d4f2ep-53"),
+    "runner/efcgt-ref/quant:b=2,q=inf":
+        ("0x1.42106b7632be8p-51", "0x1.0fa59cdf57663p-53"),
+    "runner/efcgt-ref/topk:k=1":
+        ("0x1.3589eec08d12dp-51", "0x1.2f5ea1a134009p-53"),
+    "runner/efcgt-ref/randk:k=1":
+        ("0x1.5d08cab529f26p-51", "0x1.1cb48875e8745p-53"),
+    "runner/efcgt-ref/normsign-rescaled:q=inf,r=20":
+        ("0x1.a367f52591bcdp-52", "0x1.178f9d5c90c9dp-53"),
+    "runner/efcgt/identity":
+        ("0x1.56989b22096d6p-49", "0x1.23849c3df5316p-53"),
+    "runner/efcgt/quant:b=2,q=inf":
+        ("0x1.7a3974e5aea46p-49", "0x1.2f5ac76a40ba3p-53"),
+    "runner/efcgt/topk:k=1":
+        ("0x1.8a4fb107b6a15p-50", "0x1.827444c42cc02p-53"),
+    "runner/efcgt/randk:k=1":
+        ("0x1.1c1876bc793b0p-50", "0x1.509ad44802856p-53"),
+    "runner/efcgt/normsign-rescaled:q=inf,r=20":
+        ("0x1.0b5f12ae59b53p-50", "0x1.4f213cefc58fdp-53"),
+    "eta-per-agent":
+        ("0x1.b1841520b91e6p-49", "0x1.62aac21a5de42p-53"),
+    "init-uniform":
+        ("0x1.fb1b0ff0f5c40p-49", "0x1.3ccf676371179p-53"),
+    "alpha":
+        ("0x1.639687491c621p-49", "0x1.9e5e6d623e5c9p-53"),
+    "beta":
+        ("0x1.17dead592d3d1p-49", "0x1.2c8938f200ecap-53"),
+    "record-states":
+        ("0x1.3d8187cb144ecp-51", "0x1.67b6d34a043bdp-53"),
+    "divergence-partial":
+        ("0x1.01c5fcb775b5dp-54", "0x1.092c14f026dc7p-46"),
+}
+
 @pytest.fixture(scope="module")
 def pb():
     return generate_ridge(N, DIM, 0.01, 5.0, seed=405)
@@ -114,36 +173,36 @@ def _digest(res, *extra: np.ndarray) -> str:
 
 
 def _case(name, pb, W):
-    """Run the named golden case and return its digest."""
+    """Run the named golden case: its result and the extra arrays its digest covers."""
     hp = HyperParams(eta=0.004, gamma=0.5)
     if name.startswith("runner/"):
         _, algo, comp = name.split("/")
-        return _digest(RUNNERS[algo](pb, W, hp, parse_compressor(comp), trace_every=1))
+        return RUNNERS[algo](pb, W, hp, parse_compressor(comp), trace_every=1), ()
     quant = parse_compressor("quant:b=2,q=inf")
     if name == "eta-per-agent":
         hp = HyperParams(eta=np.linspace(0.002, 0.006, N), gamma=0.5)
-        return _digest(run_efcgt_efficient(pb, W, hp, quant, K, 3, trace_every=1))
+        return run_efcgt_efficient(pb, W, hp, quant, K, 3, trace_every=1), ()
     if name == "init-uniform":
-        return _digest(run_cgt_efficient(pb, W, hp, quant, K, 3, trace_every=1, init="uniform"))
+        return run_cgt_efficient(pb, W, hp, quant, K, 3, trace_every=1, init="uniform"), ()
     if name == "alpha":
         hp = HyperParams(eta=0.004, gamma=0.5, alpha_x=0.05, alpha_y=0.05)
         kind = parse_compressor("normsign:q=inf")
-        return _digest(run_cgt_efficient(pb, W, hp, kind, K, 3, trace_every=1))
+        return run_cgt_efficient(pb, W, hp, kind, K, 3, trace_every=1), ()
     if name == "beta":
         hp = HyperParams(eta=0.004, gamma=0.5, alpha_x=0.05, alpha_y=0.05,
                          beta_x=0.01, beta_y=0.01)
         kind = parse_compressor("normsign:q=inf")
-        return _digest(run_efcgt_efficient(pb, W, hp, kind, K, 3, trace_every=1))
+        return run_efcgt_efficient(pb, W, hp, kind, K, 3, trace_every=1), ()
     if name == "record-states":
         res = run_cgt_reference(pb, W, hp, quant, K, 3, trace_every=1, record_states=True)
-        return _digest(res, res.states_x, res.states_y)
+        return res, (res.states_x, res.states_y)
     if name == "divergence-partial":
         hp = HyperParams(eta=5.0, gamma=0.5)
         with pytest.raises(DivergenceError) as exc:
             run_cgt_efficient(pb, W, hp, parse_compressor("topk:k=1"), 4000, 3,
                               trace_every=7, record_states=True)
         res = exc.value.partial
-        return _digest(res, res.states_x, res.states_y)
+        return res, (res.states_x, res.states_y)
     raise KeyError(name)
 
 
@@ -156,5 +215,12 @@ CASES = (["runner/gt/identity"]
 
 @pytest.mark.parametrize("name", CASES)
 def test_engine_digest(name, pb, W):
-    assert _case(name, pb, W) == GOLDEN[name]
+    res, extra = _case(name, pb, W)
+    assert _digest(res, *extra) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_engine_invariant_maxima(name, pb, W):
+    res, _ = _case(name, pb, W)
+    assert (res.max_tracking_violation.hex(), res.max_mean_drift.hex()) == MAXIMA[name]
 

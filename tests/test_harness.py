@@ -2,7 +2,10 @@ import contextlib
 import dataclasses
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -448,6 +451,30 @@ def test_quantizer_run_warns_about_the_alpha_certify_refuses(tmp_path):
         rc = cli.main(["run", str(write_cfg(tmp_path, harness.config_text(
             dataclasses.replace(one_bit, K=5000)))), "--out", str(tmp_path)])
     assert rc == cli.EXIT_DIVERGED
+
+
+def test_cli_prints_a_warning_as_one_line(tmp_path):
+    # as the console script runs it: the warning reaches stderr as one "warning:" line,
+    # with no library file, line number or source line
+    one_bit = dataclasses.replace(preset("fig1-cgt"), compressor="quant:b=1,q=inf")
+    cfg = write_cfg(tmp_path, harness.config_text(one_bit))
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from cgtsim.cli import main; sys.exit(main())",
+         "run", str(cfg), "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert proc.returncode == cli.EXIT_DIVERGED, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "warning: alpha exceeds the theoretical range (0, 1/r] = (0, 0.38693] for "
+        "quant:b=1,q=inf; convergence is no longer guaranteed"]
+    # in process the caller still receives the warning, and main restores the formatter
+    formatwarning = warnings.formatwarning
+    with pytest.warns(UserWarning, match="alpha exceeds"):
+        rc = cli.main(["run", str(write_cfg(tmp_path, harness.config_text(
+            dataclasses.replace(one_bit, K=2)))), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    assert warnings.formatwarning is formatwarning
 
 
 def _set_line(text, key, value):
