@@ -61,7 +61,6 @@ from .compression import (
     profile_for,
 )
 from .problems import (
-    OptimalSolution,
     ProblemConstants,
     ProblemError,
     RidgeProblem,

@@ -86,17 +86,17 @@ class DivergenceError(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HyperParams:
     """Step sizes and scaling parameters shared by all algorithm variants.
 
-    ``eta`` may be a scalar or a per-agent vector (uncoordinated step sizes).
-    ``beta_x``/``beta_y`` damp the error-feedback accumulators; 1 recovers the
-    plain error-feedback updates.  Equality and hashing compare ``eta`` by
-    shape and values, so a per-agent vector works as well as a scalar.
+    ``eta`` is a scalar or a per-agent vector (uncoordinated step sizes), stored
+    as a float or a tuple of floats, so the generated equality and hash compare
+    it by value.  ``beta_x``/``beta_y`` damp the error-feedback accumulators; 1
+    recovers the plain error-feedback updates.
     """
 
-    eta: float | np.ndarray
+    eta: float | tuple[float, ...]
     gamma: float = 1.0
     alpha_x: float = 1.0
     alpha_y: float = 1.0
@@ -105,9 +105,13 @@ class HyperParams:
 
     def __post_init__(self) -> None:
         eta = np.asarray(self.eta, dtype=float)
+        if eta.ndim > 1:
+            raise AlgorithmError(f"step-size eta must be a scalar or a vector, got shape "
+                                 f"{eta.shape}", "eta")
         if not np.all((eta > 0) & np.isfinite(eta)):
             raise AlgorithmError(f"step-size eta must be positive and finite, got {self.eta!r}",
                                  "eta")
+        object.__setattr__(self, "eta", float(eta) if eta.ndim == 0 else tuple(eta.tolist()))
         if not 0 < self.gamma <= 1:
             raise AlgorithmError(f"consensus step-size gamma must be in (0, 1], got {self.gamma!r}",
                                  "gamma")
@@ -116,27 +120,13 @@ class HyperParams:
             if not 0 < val <= 1:
                 raise AlgorithmError(f"{name} must be in (0, 1], got {val!r}", name)
 
-    def _key(self) -> tuple:
-        eta = np.asarray(self.eta, dtype=float)
-        return (eta.shape, tuple(eta.ravel().tolist()), self.gamma,
-                self.alpha_x, self.alpha_y, self.beta_x, self.beta_y)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def eta_rows(self, n: int) -> np.ndarray:
         """eta broadcast to an (n, 1) column for per-agent updates."""
-        eta = np.asarray(self.eta, dtype=float)
-        if eta.ndim == 0:
-            return np.full((n, 1), float(eta))
-        if eta.shape != (n,):
-            raise AlgorithmError(f"per-agent eta must have shape ({n},), got {eta.shape}")
-        return eta[:, None].copy()
+        if isinstance(self.eta, float):
+            return np.full((n, 1), self.eta)
+        if len(self.eta) != n:
+            raise AlgorithmError(f"per-agent eta must have shape ({n},), got ({len(self.eta)},)")
+        return np.array(self.eta)[:, None]
 
 
 @dataclass
@@ -191,7 +181,6 @@ class RunResult:
     algorithm: str
     max_tracking_violation: float = 0.0
     max_mean_drift: float = 0.0
-    x_star: np.ndarray | None = None
     states_x: np.ndarray | None = None  # (K+1, n, p) when recorded
     states_y: np.ndarray | None = None
 
@@ -286,7 +275,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
     H_w = np.zeros((2, n, p)) if efficient else None
     E = np.zeros((2, n, p)) if error_feedback else None
 
-    x_star = optimal_solution(pb).x_star
+    x_star = optimal_solution(pb)
     denom = float(_sum_sq(X - x_star))
     if denom == 0.0:
         denom = 1.0
@@ -371,7 +360,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
     res = RunResult(trace=trace, final=NetworkState(Z, H, H_w, E), hyper=hp,
                     compressor=compressor_label(kind), seed=seed, algorithm=algorithm,
                     max_tracking_violation=max_track, max_mean_drift=max_drift,
-                    x_star=x_star, states_x=states_x, states_y=states_y)
+                    states_x=states_x, states_y=states_y)
     if diverged:
         raise DivergenceError(
             f"{algorithm} diverged at iteration {k + 1}: residual {residual:.3e} "

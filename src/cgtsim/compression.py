@@ -329,9 +329,16 @@ def _randk_rows(m: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_dimension(kind: CompressorKind, p: int) -> None:
+    """Refuse a dimension the kind cannot compress: p < 1, or a sparsifier's k > p."""
+    if p < 1:
+        raise CompressionError(f"dimension must be positive, got {p}")
+    if isinstance(kind, (TopK, RandK)) and kind.k > p:
+        raise CompressionError(f"{compressor_label(kind)} exceeds dimension p={p}")
+
+
 def _apply_rows(kind: CompressorKind, m: np.ndarray, u: np.ndarray | None) -> np.ndarray:
-    if isinstance(kind, (TopK, RandK)) and kind.k > m.shape[1]:
-        raise CompressionError(f"{compressor_label(kind)} exceeds dimension p={m.shape[1]}")
+    _check_dimension(kind, m.shape[1])
     if isinstance(kind, Identity):
         return m.copy()
     if isinstance(kind, UnbiasedQuantize):
@@ -422,8 +429,7 @@ def bit_cost(kind: CompressorKind, p: int) -> int:
     send the norm plus a sign bit per entry; the quantizer sends the norm,
     signs and b-bit integers.
     """
-    if p < 1:
-        raise CompressionError(f"dimension must be positive, got {p}")
+    _check_dimension(kind, p)
     if isinstance(kind, Identity):
         return 64 * p
     if isinstance(kind, UnbiasedQuantize):
@@ -465,14 +471,14 @@ def analytic_profile(kind: CompressorKind, p: int) -> CompressorProfile | None:
     """Known (C, delta, r) values; None when no analytic constant is available.
 
     The b-bit quantizer has no closed-form C here, so callers fall back to
-    :func:`empirical_profile` for it.
+    :func:`empirical_profile` for it.  A top-k or random-k with k > p is
+    refused, as the kernels refuse it; k = p is the identity's exact profile.
     """
-    if p < 1:
-        raise CompressionError(f"dimension must be positive, got {p}")
+    _check_dimension(kind, p)
     if isinstance(kind, Identity):
         return CompressorProfile(C=0.0, delta=1.0, r=1.0)
     if isinstance(kind, (TopK, RandK)):
-        if kind.k >= p:
+        if kind.k == p:
             return CompressorProfile(C=0.0, delta=1.0, r=1.0)
         delta = kind.k / p
         return CompressorProfile(C=1.0 - delta, delta=delta, r=1.0)

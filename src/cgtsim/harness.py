@@ -100,6 +100,13 @@ class ConfigError(ValueError):
 _NOT_IN_TEXT = re.compile(r"[\r\n]|(?:^|\s)[#;]")
 
 
+def _check_file_name(where: str, name: str) -> None:
+    """Refuse an output name that is not a plain file name inside the output directory."""
+    if any(c in name for c in "/\\\0") or name in ("", ".", ".."):
+        raise ConfigError(f"{where}: {name!r} is not a plain file name "
+                          "(no '/', '\\' or NUL, not empty, '.' or '..')")
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     kind: str = "ring"
@@ -163,6 +170,7 @@ class ExperimentConfig:
         if self.prefix != self.prefix.strip() or _NOT_IN_TEXT.search(self.prefix):
             raise ConfigError(f"output.prefix: {self.prefix!r} would not read back from config "
                               "text (line break, comment prefix or surrounding whitespace)")
+        _check_file_name("output.prefix", self.prefix)
 
 
 def _parse_value(section: str, key: str, conv: Callable, raw: str):
@@ -317,7 +325,6 @@ def default_out_dir(override: str | Path | None = None) -> Path:
 
 @dataclass
 class ExperimentOutcome:
-    config: ExperimentConfig
     result: RunResult
     csv_path: Path
     cert_path: Path | None
@@ -387,8 +394,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             rate_txt = "rate=n/a"
         summary = (f"{cfg.prefix}: final_residual={final.residual:.6e} {rate_txt} "
                    f"bits={final.bits_sent} {invariants}")
-    return ExperimentOutcome(config=cfg, result=result, csv_path=csv_path,
-                             cert_path=cert_path, summary=summary, diverged=diverged)
+    return ExperimentOutcome(result=result, csv_path=csv_path, cert_path=cert_path,
+                             summary=summary, diverged=diverged)
 
 
 def compare(cfgs: list[ExperimentConfig], out_dir: str | Path | None = None,
@@ -398,6 +405,7 @@ def compare(cfgs: list[ExperimentConfig], out_dir: str | Path | None = None,
     A diverged run's column is blank after its last recorded k; the CSV is
     written before the first divergence is raised.
     """
+    _check_file_name("compare prefix", prefix)
     if not cfgs:
         raise ConfigError("compare needs at least one config")
     base = cfgs[0]

@@ -23,7 +23,6 @@ class RidgeProblem:
     U: np.ndarray  # (n, p) features, one row per agent
     v: np.ndarray  # (n,) observations
     rho: float
-    x_tilde: np.ndarray | None = None  # generating parameters, kept for tests
 
     def __post_init__(self) -> None:
         u = np.asarray(self.U, dtype=float)
@@ -45,27 +44,15 @@ class RidgeProblem:
     def dim(self) -> int:
         return self.U.shape[1]
 
-    def objective(self, x: np.ndarray) -> float:
-        """f(x) = (1/n) sum_i f_i(x)."""
-        res = self.U @ x - self.v
-        return float(np.mean(res**2) + self.rho * float(x @ x))
-
 
 @dataclass(frozen=True)
 class ProblemConstants:
     mu: float
-    L_i: np.ndarray
     L: float
 
     @property
     def kappa(self) -> float:
         return self.L / self.mu
-
-
-@dataclass(frozen=True)
-class OptimalSolution:
-    x_star: np.ndarray
-    f_star: float
 
 
 def generate_ridge(n: int, p: int, rho: float, noise_std: float, seed: int) -> RidgeProblem:
@@ -90,7 +77,7 @@ def generate_ridge(n: int, p: int, rho: float, noise_std: float, seed: int) -> R
     levels = np.full(n, 0.5) if n == 1 else np.arange(n) / (n - 1)
     x_tilde = np.repeat(levels[:, None], p, axis=1)
     v = np.einsum("ij,ij->i", u, x_tilde) + noise_std * rng.standard_normal(n)
-    return RidgeProblem(U=u, v=v, rho=rho, x_tilde=x_tilde)
+    return RidgeProblem(U=u, v=v, rho=rho)
 
 
 def local_gradient(pb: RidgeProblem, i: int, x: np.ndarray) -> np.ndarray:
@@ -107,16 +94,15 @@ def gradient_matrix(pb: RidgeProblem, X: np.ndarray) -> np.ndarray:
     return (2.0 * res)[:, None] * pb.U + (2.0 * pb.rho) * X
 
 
-def optimal_solution(pb: RidgeProblem) -> OptimalSolution:
-    """Closed-form minimizer (sum u_i u_i^T + n rho I)^-1 sum u_i v_i."""
+def optimal_solution(pb: RidgeProblem) -> np.ndarray:
+    """The minimizer x* = (sum u_i u_i^T + n rho I)^-1 sum u_i v_i, in closed form."""
     a = pb.U.T @ pb.U + pb.n * pb.rho * np.eye(pb.dim)
-    x_star = np.linalg.solve(a, pb.U.T @ pb.v)
-    return OptimalSolution(x_star=x_star, f_star=pb.objective(x_star))
+    return np.linalg.solve(a, pb.U.T @ pb.v)
 
 
 def constants(pb: RidgeProblem) -> ProblemConstants:
-    """Strong convexity of the average objective and per-agent smoothness."""
+    """Strong convexity mu of the average objective and the largest per-agent smoothness L."""
     hess = (2.0 / pb.n) * (pb.U.T @ pb.U) + 2.0 * pb.rho * np.eye(pb.dim)
     mu = float(np.linalg.eigvalsh(hess)[0])
     l_i = 2.0 * np.einsum("ij,ij->i", pb.U, pb.U) + 2.0 * pb.rho
-    return ProblemConstants(mu=mu, L_i=l_i, L=float(l_i.max()))
+    return ProblemConstants(mu=mu, L=float(l_i.max()))

@@ -68,6 +68,15 @@ def test_hyperparams_with_per_agent_eta_compare_and_hash():
     assert len({a, same, other}) == 2
 
 
+def test_hyperparams_refuse_two_dimensional_eta():
+    with pytest.raises(AlgorithmError, match=r"a scalar or a vector, got shape \(2, 3\)") as info:
+        HyperParams(eta=np.full((2, 3), 0.1))
+    assert info.value.field == "eta"
+    # what is accepted is stored as a float or a tuple of floats
+    assert type(HyperParams(eta=np.float64(0.1)).eta) is float
+    assert HyperParams(eta=np.array([0.1, 0.2])).eta == (0.1, 0.2)
+
+
 def test_single_agent_gt_is_centralized_gradient_descent():
     pb1 = RidgeProblem(U=np.array([[0.5, -1.0, 0.25]]), v=np.array([1.5]), rho=0.05)
     from cgtsim.topology import Graph, WeightMatrix
@@ -82,23 +91,23 @@ def test_single_agent_gt_is_centralized_gradient_descent():
 
 
 def test_consensus_start_at_optimum_is_mean_fixed_point(pb, W_und):
-    sol = optimal_solution(pb)
-    x0 = np.tile(sol.x_star, (pb.n, 1))
+    x_star = optimal_solution(pb)
+    x0 = np.tile(x_star, (pb.n, 1))
     res = run_gt(pb, W_und, HyperParams(eta=0.05), 1500, seed=0, x0=x0,
                  record_states=True)
     # tracker columns start at the local gradients, whose average vanishes at
     # the optimum, so the first mean update is exactly zero
     y0 = res.states_y[0]
     assert np.allclose(y0, gradient_matrix(pb, x0), atol=1e-14)
-    assert np.linalg.norm(y0.mean(axis=0)) <= 1e-12 * (1 + np.linalg.norm(sol.x_star))
+    assert np.linalg.norm(y0.mean(axis=0)) <= 1e-12 * (1 + np.linalg.norm(x_star))
     x_bar_1 = res.states_x[1].mean(axis=0)
-    assert np.linalg.norm(x_bar_1 - sol.x_star) <= 1e-12 * (1 + np.linalg.norm(sol.x_star))
+    assert np.linalg.norm(x_bar_1 - x_star) <= 1e-12 * (1 + np.linalg.norm(x_star))
     # later iterates wander transiently (the stacked state is not the fixed
     # point) but the run returns toward the optimum
-    excursion = max(np.linalg.norm(res.states_x[k].mean(axis=0) - sol.x_star)
+    excursion = max(np.linalg.norm(res.states_x[k].mean(axis=0) - x_star)
                     for k in range(2, 50))
     final_bar = res.states_x[-1].mean(axis=0)
-    assert np.linalg.norm(final_bar - sol.x_star) <= max(0.05 * excursion, 1e-6)
+    assert np.linalg.norm(final_bar - x_star) <= max(0.05 * excursion, 1e-6)
 
 
 def test_gt_paper_setup_converges_log_linearly(pb, W_und):
@@ -355,11 +364,11 @@ def _one(state):
 
 
 def test_metrics_fixed_points(pb):
-    sol = optimal_solution(pb)
+    x_star = optimal_solution(pb)
     n, p = pb.n, pb.dim
-    X = np.tile(sol.x_star, (n, 1))
+    X = np.tile(x_star, (n, 1))
     state = NetworkState(Z=np.stack([X, np.zeros((n, p))]), H=np.stack([X, np.zeros((n, p))]))
-    rec = metrics(_one(state), sol.x_star, k=[5], residual_denom=2.0, bits_sent=[7])[0]
+    rec = metrics(_one(state), x_star, k=[5], residual_denom=2.0, bits_sent=[7])[0]
     assert rec.residual == 0.0
     # the row mean of identical rows can differ from the row by an ulp
     assert rec.consensus_error <= 1e-25
@@ -368,7 +377,7 @@ def test_metrics_fixed_points(pb):
     assert rec.compress_error_x == 0.0
     rng = np.random.default_rng(0)
     state = NetworkState(Z=rng.standard_normal((2, n, p)), H=rng.standard_normal((2, n, p)))
-    rec = metrics(_one(state), sol.x_star, k=[0], bits_sent=[0])[0]
+    rec = metrics(_one(state), x_star, k=[0], bits_sent=[0])[0]
     for field in ("residual", "opt_error", "consensus_error", "tracking_error",
                   "compress_error_x", "compress_error_y"):
         val = getattr(rec, field)

@@ -403,6 +403,39 @@ def test_cli_certify(tmp_path, capsys):
     assert (tmp_path / "smoke.cert.txt").exists()
 
 
+@pytest.mark.parametrize("prefix", ["sub/run", "sub\\run", "../escaped", ".", "..", "nul\0run", ""])
+def test_prefix_must_be_a_plain_file_name(tmp_path, capsys, prefix):
+    cfgfile = write_cfg(tmp_path, CONFIG_TEXT.replace("prefix = smoke", f"prefix = {prefix}"))
+    out = tmp_path / "out"
+    for verb in ("run", "certify"):
+        rc = cli.main([verb, str(cfgfile), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("config error: output.prefix: ") and err.count("\n") == 1
+    rc = cli.main(["compare", str(write_cfg(tmp_path, CONFIG_TEXT, "a.cfg")), "--out", str(out),
+                   "--prefix", prefix])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("config error: compare prefix: ") and err.count("\n") == 1
+    # nothing is written, inside --out or outside it
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["a.cfg", "exp.cfg"]
+
+
+@pytest.mark.parametrize("kind", ["topk", "randk"])
+def test_k_above_dimension_refused_by_run_certify_and_bit_cost(tmp_path, capsys, kind):
+    cfgfile = write_cfg(tmp_path, CONFIG_TEXT.replace("topk:k=1", f"{kind}:k=9"))  # dim = 8
+    for verb in ("run", "certify"):
+        rc = cli.main([verb, str(cfgfile), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (1, f"config error: {kind}:k=9 exceeds dimension p=8\n")
+        assert "verdict" not in captured.out
+    over = compression.parse_compressor(f"{kind}:k=9")
+    for price in (compression.bit_cost, compression.analytic_profile):
+        with pytest.raises(compression.CompressionError, match="exceeds dimension p=8"):
+            price(over, 8)
+    # k == p keeps every entry: the exact profile
+    assert compression.analytic_profile(compression.parse_compressor(f"{kind}:k=8"), 8) == \
+        compression.CompressorProfile(C=0.0, delta=1.0, r=1.0)
+
+
 def _alpha_config(alpha):
     return harness.config_text(dataclasses.replace(
         harness.PRESETS["fig5-cgt-normsign"],

@@ -31,15 +31,16 @@ def test_generate_deterministic():
 
 
 def test_generate_levels_evenly_spaced():
+    # noiseless draws: agent i observes u_i^T x~_i with x~_i the constant vector at level i/4
     pb = generate_ridge(5, 3, 0.1, 0.0, seed=0)
-    levels = pb.x_tilde[:, 0]
-    assert np.allclose(levels, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert np.allclose(pb.x_tilde, levels[:, None])
+    levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(pb.v, levels * pb.U.sum(axis=1), rtol=1e-14, atol=1e-15)
 
 
 def test_noiseless_single_agent_observation_exact():
+    # a single agent's generating vector is the constant 0.5
     pb = generate_ridge(1, 6, 0.5, 0.0, seed=3)
-    assert pb.v[0] == pytest.approx(float(pb.U[0] @ pb.x_tilde[0]), abs=1e-15)
+    assert pb.v[0] == pytest.approx(0.5 * float(pb.U[0].sum()), abs=1e-15)
 
 
 def test_local_gradient_hand_example():
@@ -91,33 +92,36 @@ def test_gradient_matrix_rows_equal_local_gradients(paper_instance):
 
 def test_optimal_solution_hand_example():
     pb = RidgeProblem(U=np.array([[1.0, 0.0]]), v=np.array([2.0]), rho=1.0)
-    sol = optimal_solution(pb)
-    assert np.allclose(sol.x_star, [1.0, 0.0])
+    assert np.allclose(optimal_solution(pb), [1.0, 0.0])
 
 
 def test_optimal_solution_large_penalty_shrinks_to_zero():
     pb = RidgeProblem(U=np.array([[1.0, -0.5], [0.2, 0.9]]), v=np.array([3.0, -1.0]), rho=1e9)
-    sol = optimal_solution(pb)
+    x_star = optimal_solution(pb)
     bound = np.linalg.norm(pb.U.T @ pb.v) / (pb.n * pb.rho)
-    assert np.linalg.norm(sol.x_star) <= bound + 1e-15
-    assert np.all(np.abs(sol.x_star) < 1e-8)
+    assert np.linalg.norm(x_star) <= bound + 1e-15
+    assert np.all(np.abs(x_star) < 1e-8)
 
 
 def test_optimal_solution_stationarity(paper_instance):
     pb = paper_instance
-    sol = optimal_solution(pb)
-    g = gradient_matrix(pb, np.tile(sol.x_star, (pb.n, 1))).mean(axis=0)
-    assert np.linalg.norm(g) <= 1e-10 * (1 + np.linalg.norm(sol.x_star))
+    x_star = optimal_solution(pb)
+    g = gradient_matrix(pb, np.tile(x_star, (pb.n, 1))).mean(axis=0)
+    assert np.linalg.norm(g) <= 1e-10 * (1 + np.linalg.norm(x_star))
 
 
 def test_optimal_solution_is_a_minimum(paper_instance):
     pb = paper_instance
-    sol = optimal_solution(pb)
+    x_star = optimal_solution(pb)
+
+    def f(x):  # the network objective (1/n) sum_i f_i(x)
+        return float(np.mean((pb.U @ x - pb.v) ** 2) + pb.rho * x @ x)
+
     rng = np.random.default_rng(9)
     for _ in range(100):
         h = rng.standard_normal(pb.dim)
         h *= 1e-3 / np.linalg.norm(h)
-        assert pb.objective(sol.x_star + h) >= sol.f_star
+        assert f(x_star + h) >= f(x_star)
 
 
 def test_constants_hand_example():
@@ -160,12 +164,15 @@ def test_strong_convexity_witnessed(paper_instance):
 def test_smoothness_witnessed(paper_instance):
     pb = paper_instance
     c = constants(pb)
+    # f_i's Hessian is 2 u_i u_i^T + 2 rho I, whose norm is 2 ||u_i||^2 + 2 rho
+    l_i = 2 * np.sum(pb.U**2, axis=1) + 2 * pb.rho
+    assert c.L == pytest.approx(l_i.max(), rel=1e-15)
     rng = np.random.default_rng(22)
     for _ in range(100):
         i = int(rng.integers(pb.n))
         x, y = rng.standard_normal((2, pb.dim))
         lhs = np.linalg.norm(local_gradient(pb, i, x) - local_gradient(pb, i, y))
-        assert lhs <= c.L_i[i] * np.linalg.norm(x - y) + 1e-9
+        assert lhs <= l_i[i] * np.linalg.norm(x - y) + 1e-9
 
 
 def test_generate_rejects_bad_parameters():
