@@ -53,9 +53,7 @@ from .compression import (
     compress_rows_multi,
     compressor_label,
     profile_for,
-    _agent_prefix,
-    _key_states,
-    _state_uniform,
+    _uniforms,
 )
 from .problems import RidgeProblem, gradient_matrix, optimal_solution
 from .topology import WeightMatrix
@@ -220,7 +218,7 @@ def default_x0(pb: RidgeProblem, seed: int, init: str = "zeros") -> np.ndarray:
     if init == "zeros":
         return np.zeros((pb.n, pb.dim))
     if init == "uniform":
-        return _state_uniform(_key_states(0, TAG_INIT, prefix=_agent_prefix(seed, pb.n)), pb.dim)
+        return _uniforms(pb.dim, seed, np.arange(pb.n), 0, TAG_INIT)
     raise AlgorithmError(f"unknown init {init!r} (expected 'zeros' or 'uniform')")
 
 
@@ -256,106 +254,109 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         raise AlgorithmError(f"trace_every must be >= 1, got {trace_every}")
     _warn_alpha_range(kind, pb.dim, hp)
 
-    n, p = pb.n, pb.dim
-    w = W.matrix
-    i_minus_w = None if efficient else np.eye(n) - w
-    alpha = _channels(hp.alpha_x, hp.alpha_y)
-    keep = 1 - alpha
-    beta = _channels(hp.beta_x, hp.beta_y)
-    eta = hp.eta_rows(n)
-    tags = [TAG_X_DIFF, TAG_Y_DIFF] + ([TAG_X_EF, TAG_Y_EF] if error_feedback else [])
+    # a diverging run overflows before the guard sees it; the guard reports that, so
+    # numpy does not warn about it as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        n, p = pb.n, pb.dim
+        w = W.matrix
+        i_minus_w = None if efficient else np.eye(n) - w
+        alpha = _channels(hp.alpha_x, hp.alpha_y)
+        keep = 1 - alpha
+        beta = _channels(hp.beta_x, hp.beta_y)
+        eta = hp.eta_rows(n)
+        tags = [TAG_X_DIFF, TAG_Y_DIFF] + ([TAG_X_EF, TAG_Y_EF] if error_feedback else [])
 
-    X = default_x0(pb, seed, init) if x0 is None else np.array(x0, dtype=float)
-    if X.shape != (n, p):
-        raise AlgorithmError(f"x0 must have shape ({n}, {p}), got {X.shape}")
-    grad = gradient_matrix(pb, X)
-    Z = np.stack([X, grad])
-    H = np.zeros((2, n, p))
-    # H is zero, so H_w = W H is exactly +0
-    H_w = np.zeros((2, n, p)) if efficient else None
-    E = np.zeros((2, n, p)) if error_feedback else None
+        X = default_x0(pb, seed, init) if x0 is None else np.array(x0, dtype=float)
+        if X.shape != (n, p):
+            raise AlgorithmError(f"x0 must have shape ({n}, {p}), got {X.shape}")
+        grad = gradient_matrix(pb, X)
+        Z = np.stack([X, grad])
+        H = np.zeros((2, n, p))
+        # H is zero, so H_w = W H is exactly +0
+        H_w = np.zeros((2, n, p)) if efficient else None
+        E = np.zeros((2, n, p)) if error_feedback else None
 
-    x_star = optimal_solution(pb)
-    denom = float(_sum_sq(X - x_star))
-    if denom == 0.0:
-        denom = 1.0
+        x_star = optimal_solution(pb)
+        denom = float(_sum_sq(X - x_star))
+        if denom == 0.0:
+            denom = 1.0
 
-    bits_per_iter = n * len(tags) * bit_cost(kind, p)
+        bits_per_iter = n * len(tags) * bit_cost(kind, p)
 
-    trace: list[TraceRecord] = []
-    pending = [(0, Z, H, E)]  # (k, Z, H, E) of the trace points not yet in trace
-    block = max(1, _TRACE_BLOCK // (len(tags) * n * p))
+        trace: list[TraceRecord] = []
+        pending = [(0, Z, H, E)]  # (k, Z, H, E) of the trace points not yet in trace
+        block = max(1, _TRACE_BLOCK // (len(tags) * n * p))
 
-    def flush() -> None:
-        ks, Zs, Hs, Es = zip(*pending)
-        E_block = np.stack(Es) if error_feedback else None
-        state = NetworkState(np.stack(Zs), np.stack(Hs), E=E_block)
-        trace.extend(metrics(state, x_star, k=ks, residual_denom=denom,
-                             bits_sent=[i * bits_per_iter for i in ks]))
-        pending.clear()
+        def flush() -> None:
+            ks, Zs, Hs, Es = zip(*pending)
+            E_block = np.stack(Es) if error_feedback else None
+            state = NetworkState(np.stack(Zs), np.stack(Hs), E=E_block)
+            trace.extend(metrics(state, x_star, k=ks, residual_denom=denom,
+                                 bits_sent=[i * bits_per_iter for i in ks]))
+            pending.clear()
 
-    max_track = 0.0
-    max_drift = 0.0
-    zs = [Z] if record_states else None
-    cs = Z.sum(axis=1)
-    diverged = False
-    for k in range(K):
-        if not error_feedback:
-            Q = compress_rows_multi(kind, Z - H, tags, seed, k)
-            Z_hat = H + Q
-            H = keep * H + alpha * Z_hat
-            if efficient:
-                Z_hat_w = H_w + w @ Q
-                H_w = keep * H_w + alpha * Z_hat_w
-        else:
-            D = Z - H
-            DE = beta * E + D
-            out = compress_rows_multi(kind, np.concatenate([D, DE]), tags, seed, k)
-            Q, Qh = out.reshape(2, 2, n, p)
-            E = DE - Qh
-            Z_hat = H + Qh
-            H = H + alpha * Q
-            if efficient:
-                Z_hat_w = H_w + w @ Qh
-                H_w = H_w + alpha * (w @ Q)
+        max_track = 0.0
+        max_drift = 0.0
+        zs = [Z] if record_states else None
+        cs = Z.sum(axis=1)
+        diverged = False
+        for k in range(K):
+            if not error_feedback:
+                Q = compress_rows_multi(kind, Z - H, tags, seed, k)
+                Z_hat = H + Q
+                H = keep * H + alpha * Z_hat
+                if efficient:
+                    Z_hat_w = H_w + w @ Q
+                    H_w = keep * H_w + alpha * Z_hat_w
+            else:
+                D = Z - H
+                DE = beta * E + D
+                out = compress_rows_multi(kind, np.concatenate([D, DE]), tags, seed, k)
+                Q, Qh = out.reshape(2, 2, n, p)
+                E = DE - Qh
+                Z_hat = H + Qh
+                H = H + alpha * Q
+                if efficient:
+                    Z_hat_w = H_w + w @ Qh
+                    H_w = H_w + alpha * (w @ Q)
 
-        mix = Z_hat - Z_hat_w if efficient else i_minus_w @ Z_hat
-        step = eta * Z[1]
-        Z = Z - hp.gamma * mix
-        X, Y = Z
-        X -= step
-        grad_new = gradient_matrix(pb, X)
-        Y += grad_new
-        Y -= grad
+            mix = Z_hat - Z_hat_w if efficient else i_minus_w @ Z_hat
+            step = eta * Z[1]
+            Z = Z - hp.gamma * mix
+            X, Y = Z
+            X -= step
+            grad_new = gradient_matrix(pb, X)
+            Y += grad_new
+            Y -= grad
 
-        # mean-dynamics identity: the network average follows exact gradient descent
-        cs_new = Z.sum(axis=1)
-        diff = cs_new[0] - cs[0] + step.sum(axis=0)
-        drift = math.sqrt(diff @ diff) / n
-        max_drift = max(max_drift, drift / (1.0 + math.sqrt(cs[0] @ cs[0]) / n))
+            # mean-dynamics identity: the network average follows exact gradient descent
+            cs_new = Z.sum(axis=1)
+            diff = cs_new[0] - cs[0] + step.sum(axis=0)
+            drift = math.sqrt(diff @ diff) / n
+            max_drift = max(max_drift, drift / (1.0 + math.sqrt(cs[0] @ cs[0]) / n))
 
-        grad, cs = grad_new, cs_new
+            grad, cs = grad_new, cs_new
 
-        # gradient-tracking identity: column sums of Y and of the gradients agree
-        gdiff = cs[1] - grad.sum(axis=0)
-        viol = float(np.abs(gdiff).max())
-        g_flat = grad.ravel()
-        max_track = max(max_track, viol / (1.0 + math.sqrt(g_flat @ g_flat)))
+            # gradient-tracking identity: column sums of Y and of the gradients agree
+            gdiff = cs[1] - grad.sum(axis=0)
+            viol = float(np.abs(gdiff).max())
+            g_flat = grad.ravel()
+            max_track = max(max_track, viol / (1.0 + math.sqrt(g_flat @ g_flat)))
 
-        if zs is not None:
-            zs.append(Z)
+            if zs is not None:
+                zs.append(Z)
 
-        r_flat = (X - x_star[None, :]).ravel()
-        residual = float(r_flat @ r_flat) / denom
-        diverged = not math.isfinite(residual) or residual > DIVERGENCE_LIMIT
-        if diverged or (k + 1) % trace_every == 0 or k + 1 == K:
-            if len(pending) == block:
-                flush()
-            pending.append((k + 1, Z, H, E))
-        if diverged:
-            break
+            r_flat = (X - x_star[None, :]).ravel()
+            residual = float(r_flat @ r_flat) / denom
+            diverged = not math.isfinite(residual) or residual > DIVERGENCE_LIMIT
+            if diverged or (k + 1) % trace_every == 0 or k + 1 == K:
+                if len(pending) == block:
+                    flush()
+                pending.append((k + 1, Z, H, E))
+            if diverged:
+                break
 
-    flush()
+        flush()
     states_x, states_y = (None, None) if zs is None else np.stack(zs, axis=1)
     res = RunResult(trace=trace, final=NetworkState(Z, H, H_w, E), hyper=hp,
                     compressor=compressor_label(kind), seed=seed, algorithm=algorithm,

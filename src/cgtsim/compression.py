@@ -4,9 +4,10 @@ Every operator is a pure function of (kind, input vector, keyed random stream),
 so reference and communication-efficient algorithm variants can consume
 identical draws by sharing stream keys.
 
-The streams are a counter hash, so any draw can be made out of order.  The
-engine's uniforms are drawn per block of consecutive iterations in one pass,
-with the same keys and therefore the same bits as one draw per iteration.
+The streams are a counter hash that one function, ``_uniforms``, folds, so any
+draw can be made out of order.  The engine's uniforms are drawn per block of
+consecutive iterations in one pass, with the same keys and therefore the same
+bits as one draw per iteration.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "compressor_label",
     "compress",
     "compress_rows",
+    "check_dimension",
     "bit_cost",
     "alpha_in_range",
     "analytic_profile",
@@ -216,31 +218,18 @@ def _u64(x: int | np.ndarray) -> np.ndarray:
     return np.asarray([x & _MASK], dtype=np.uint64)
 
 
-def _key_states(*words: int | np.ndarray, prefix: np.ndarray | None = None) -> np.ndarray:
-    """splitmix64 chain over the key words (seed, agent, iteration, tag).
+def _uniforms(m: int, *words: int | np.ndarray) -> np.ndarray:
+    """m doubles in [0, 1) per key, shaped (*keys, m) in C order.
 
-    Each word is folded in as ``h = mix64(h ^ (word + phi))`` from ``h = 0``;
-    array words broadcast against each other.  ``prefix`` resumes a chain that
-    was already folded over the leading words.
+    The key is a splitmix64 chain over the words (seed, agent, iteration,
+    tag): each is folded in as ``h = mix64(h ^ (word + phi))`` from ``h = 0``,
+    and array words broadcast against each other.  Double j of a key is the
+    top 53 bits of ``mix64(h + (j + 1) phi)``.
     """
-    h = np.zeros(1, dtype=np.uint64) if prefix is None else prefix
+    h = np.zeros(1, dtype=np.uint64)
     for word in words:
         h = _mix64(h ^ (_u64(word) + _PHI))
-    return h
-
-
-@lru_cache(maxsize=128)
-def _agent_prefix(seed: int, n: int) -> np.ndarray:
-    """The (seed, agent) part of the key for agents 0..n-1, shared by all iterations."""
-    h = _key_states(seed, np.arange(n))
-    h.setflags(write=False)
-    return h
-
-
-def _state_uniform(state: np.ndarray, m: int) -> np.ndarray:
-    """m doubles in [0, 1) per state row."""
-    idx = np.arange(1, m + 1, dtype=np.uint64) * _PHI
-    z = _mix64(state[:, None] + idx[None, :])
+    z = _mix64(h[..., None] + np.arange(1, m + 1, dtype=np.uint64) * _PHI)
     return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
@@ -259,8 +248,7 @@ class RngStream:
     tag: int = 0
 
     def uniform(self, m: int) -> np.ndarray:
-        state = _key_states(self.seed, self.agent, self.iteration, self.tag)
-        return _state_uniform(state, m)[0]
+        return _uniforms(m, self.seed, self.agent, self.iteration, self.tag)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +317,7 @@ def _randk_rows(m: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_dimension(kind: CompressorKind, p: int) -> None:
+def check_dimension(kind: CompressorKind, p: int) -> None:
     """Refuse a dimension the kind cannot compress: p < 1, or a sparsifier's k > p."""
     if p < 1:
         raise CompressionError(f"dimension must be positive, got {p}")
@@ -338,7 +326,7 @@ def _check_dimension(kind: CompressorKind, p: int) -> None:
 
 
 def _apply_rows(kind: CompressorKind, m: np.ndarray, u: np.ndarray | None) -> np.ndarray:
-    _check_dimension(kind, m.shape[1])
+    check_dimension(kind, m.shape[1])
     if isinstance(kind, Identity):
         return m.copy()
     if isinstance(kind, UnbiasedQuantize):
@@ -408,9 +396,8 @@ _BLOCK_DRAWS = 2**13
 
 def _draw_uniforms(seed: int, n: int, p: int, tags: tuple[int, ...], k0: int, c: int) -> np.ndarray:
     """(c, len(tags)*n, p) uniforms of iterations k0..k0+c-1; entry j is iteration k0+j's draw."""
-    states = _key_states(np.arange(k0, k0 + c)[:, None, None], np.asarray(tags)[None, :, None],
-                         prefix=_agent_prefix(seed, n))
-    u = _state_uniform(states.ravel(), p).reshape(c, len(tags) * n, p)
+    u = _uniforms(p, seed, np.arange(n), np.arange(k0, k0 + c)[:, None, None],
+                  np.asarray(tags)[None, :, None]).reshape(c, len(tags) * n, p)
     u.setflags(write=False)
     return u
 
@@ -429,7 +416,7 @@ def bit_cost(kind: CompressorKind, p: int) -> int:
     send the norm plus a sign bit per entry; the quantizer sends the norm,
     signs and b-bit integers.
     """
-    _check_dimension(kind, p)
+    check_dimension(kind, p)
     if isinstance(kind, Identity):
         return 64 * p
     if isinstance(kind, UnbiasedQuantize):
@@ -474,7 +461,7 @@ def analytic_profile(kind: CompressorKind, p: int) -> CompressorProfile | None:
     :func:`empirical_profile` for it.  A top-k or random-k with k > p is
     refused, as the kernels refuse it; k = p is the identity's exact profile.
     """
-    _check_dimension(kind, p)
+    check_dimension(kind, p)
     if isinstance(kind, Identity):
         return CompressorProfile(C=0.0, delta=1.0, r=1.0)
     if isinstance(kind, (TopK, RandK)):
@@ -554,8 +541,7 @@ def estimate_contraction(kind: CompressorKind, r: float, p: int, trials: int = 1
         u = None
         if isinstance(kind, _STOCHASTIC_KINDS):
             # input t, repetition rep: the stream keyed by (seed_t, t, rep, 0)
-            states = _key_states(seeds[trial, None], trial[:, None], reps[None, :], 0)
-            u = _state_uniform(states.ravel(), p)
+            u = _uniforms(p, seeds[trial, None], trial[:, None], reps[None, :], 0).reshape(-1, p)
         err = ((_apply_rows(kind, m, u) / r - m) ** 2).sum(axis=1)
         # inputs are unit norm, so the mean error is the ratio
         worst = max(worst, float(err.reshape(-1, inner).mean(axis=1).max()))

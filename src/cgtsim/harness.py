@@ -164,7 +164,9 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm.compressor: {self.compressor!r} would not read back "
                               "from config text (surrounding whitespace)")
         try:
-            parse_compressor(self.compressor)
+            kind = parse_compressor(self.compressor)
+            if self.problem.dim >= 1:  # a smaller dimension is the problem section's error
+                compression.check_dimension(kind, self.problem.dim)
         except compression.CompressionError as exc:
             raise ConfigError(f"algorithm.compressor: {exc}") from None
         if self.prefix != self.prefix.strip() or _NOT_IN_TEXT.search(self.prefix):

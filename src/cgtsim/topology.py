@@ -137,6 +137,8 @@ def build_weights_outdegree(g: Graph, p: float | np.ndarray) -> WeightMatrix:
     assumed, and a failed validation names the offending row or column.
     """
     p_vec = np.broadcast_to(np.asarray(p, dtype=float), (g.n,)).copy()
+    if not np.all(np.isfinite(p_vec)):
+        raise TopologyError(f"per-agent weights p_i must be finite, got p={p!r}")
     if np.any(p_vec <= 0):
         raise TopologyError("per-agent weights p_i must be positive")
     src, dst = _edge_arrays(g)
@@ -156,8 +158,8 @@ def build_weights_outdegree(g: Graph, p: float | np.ndarray) -> WeightMatrix:
 
 def build_weights_laplacian(g: Graph, a: float) -> WeightMatrix:
     """W = I - a*L for balanced graphs; rejects ``a`` that yields negative entries."""
-    if a <= 0:
-        raise TopologyError(f"tuning parameter a must be positive, got {a!r}")
+    if not 0 < a < math.inf:
+        raise TopologyError(f"tuning parameter a must be positive and finite, got {a!r}")
     src, dst = _edge_arrays(g)
     degs = np.bincount(src, minlength=g.n).astype(float)
     if not np.array_equal(degs, np.bincount(dst, minlength=g.n)):

@@ -19,7 +19,15 @@ from cgtsim.algorithms import (
     run_efcgt_reference,
     run_gt,
 )
-from cgtsim.compression import Identity, NormSign, RandK, TopK, UnbiasedQuantize
+from cgtsim.compression import (
+    TAG_INIT,
+    Identity,
+    NormSign,
+    RandK,
+    RngStream,
+    TopK,
+    UnbiasedQuantize,
+)
 from cgtsim.problems import RidgeProblem, generate_ridge, gradient_matrix, optimal_solution
 from cgtsim.topology import build_ring, build_weights_outdegree
 
@@ -460,6 +468,9 @@ def test_default_x0_modes(pb):
     assert u.shape == (10, 20)
     assert np.all((0 <= u) & (u < 1))
     assert np.array_equal(u, default_x0(pb, seed=5, init="uniform"))
+    # row i is agent i's public stream at iteration 0 with the init tag
+    for i in range(pb.n):
+        assert np.array_equal(u[i], RngStream(5, i, 0, TAG_INIT).uniform(pb.dim))
     with pytest.raises(AlgorithmError):
         default_x0(pb, seed=5, init="gaussian")
 

@@ -28,10 +28,8 @@ from cgtsim.compression import (
 )
 from cgtsim.compression import (
     _INNER_REPS,
-    _agent_prefix,
     _apply_rows,
-    _key_states,
-    _state_uniform,
+    _draw_uniforms,
     _test_inputs,
     _uniform_block,
 )
@@ -178,14 +176,20 @@ def test_block_drawn_uniforms_equal_per_iteration_draws(kind, b, n):
     # out of order and across block boundaries (20 iterations at n=10, b=2, p=20)
     p, seed = 20, 11
     tags = np.array([1, 2, 3, 4][:b])
+    c = max(1, 2**13 // (b * n * p))
     rng = np.random.default_rng(b * n)
     for k in (7, 0, 19, 20, 21, 500, 3):
+        k0 = k - k % c
+        u = _draw_uniforms(seed, n, p, tuple(tags), k0, c)
+        # row t*n + i of entry j is the public stream of agent i, iteration k0 + j, tag t
+        for j in range(c):
+            want = [RngStream(seed, i, k0 + j, t).uniform(p)
+                    for t in tags.tolist() for i in range(n)]
+            assert np.array_equal(u[j], want)
         m = rng.standard_normal((b, n, p))
         got = compress_rows_multi(kind, m, list(tags), seed, k)
-        states = _key_states(k, tags[:, None], prefix=_agent_prefix(seed, n))
-        want = _apply_rows(kind, m.reshape(b * n, p), _state_uniform(states.ravel(), p))
+        want = _apply_rows(kind, m.reshape(b * n, p), u[k - k0])
         assert np.array_equal(got, want.reshape(b, n, p))
-    c = max(1, 2**13 // (b * n * p))
     info = _uniform_block.cache_info()
     block = _uniform_block(seed, n, p, tuple(tags), 3 - 3 % c, c)
     # the memo keeps the last multi-iteration block only

@@ -425,7 +425,8 @@ def test_k_above_dimension_refused_by_run_certify_and_bit_cost(tmp_path, capsys,
     for verb in ("run", "certify"):
         rc = cli.main([verb, str(cfgfile), "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
-        assert (rc, captured.err) == (1, f"config error: {kind}:k=9 exceeds dimension p=8\n")
+        assert (rc, captured.err) == \
+            (1, f"config error: algorithm.compressor: {kind}:k=9 exceeds dimension p=8\n")
         assert "verdict" not in captured.out
     over = compression.parse_compressor(f"{kind}:k=9")
     for price in (compression.bit_cost, compression.analytic_profile):
@@ -434,6 +435,19 @@ def test_k_above_dimension_refused_by_run_certify_and_bit_cost(tmp_path, capsys,
     # k == p keeps every entry: the exact profile
     assert compression.analytic_profile(compression.parse_compressor(f"{kind}:k=8"), 8) == \
         compression.CompressorProfile(C=0.0, delta=1.0, r=1.0)
+
+
+@pytest.mark.parametrize("kind", ["topk", "randk"])
+def test_k_above_dimension_refused_when_the_config_is_read(tmp_path, capsys, kind):
+    text = CONFIG_TEXT.replace("topk:k=1", f"{kind}:k=9")  # dim = 8
+    message = f"algorithm.compressor: {kind}:k=9 exceeds dimension p=8"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+    # compare reads every config before it runs one, so the good config writes nothing
+    good, bad = write_cfg(tmp_path, CONFIG_TEXT, "a.cfg"), write_cfg(tmp_path, text, "b.cfg")
+    rc = cli.main(["compare", str(good), str(bad), "--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (1, f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def _alpha_config(alpha):
@@ -484,6 +498,21 @@ def test_quantizer_run_warns_about_the_alpha_certify_refuses(tmp_path):
         rc = cli.main(["run", str(write_cfg(tmp_path, harness.config_text(
             dataclasses.replace(one_bit, K=5000)))), "--out", str(tmp_path)])
     assert rc == cli.EXIT_DIVERGED
+
+
+def test_cli_diverged_run_prints_no_floating_point_warning(tmp_path, capsys):
+    # the divergence guard reports the overflow; numpy must not warn about it as well
+    base = preset("fig1-cgt")
+    cfg = write_cfg(tmp_path, harness.config_text(
+        dataclasses.replace(base, hyper=dataclasses.replace(base.hyper, eta=1e300))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_DIVERGED
+    assert captured.out.startswith("fig1-cgt: DIVERGED at k=1 residual=inf")
+    assert [str(w.message) for w in caught] == []
+    assert "warning:" not in captured.err
 
 
 def test_cli_prints_a_warning_as_one_line(tmp_path):

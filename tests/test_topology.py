@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,20 @@ def test_laplacian_complete_graph_gives_uniform_averaging():
 def test_laplacian_rejects_large_a():
     with pytest.raises(TopologyError, match="need a <="):
         build_weights_laplacian(build_ring(4, directed=False), 0.6)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_parameter_refused_by_name(value):
+    g = build_ring(4, directed=False)
+    # refused before any arithmetic, so numpy has nothing to warn about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TopologyError, match=r"^per-agent weights p_i must be finite, got p="):
+            build_weights_outdegree(g, value)
+        with pytest.raises(TopologyError, match=r"^per-agent weights p_i must be finite"):
+            build_weights_outdegree(g, np.array([0.1, value, 0.1, 0.1]))
+        with pytest.raises(TopologyError, match=r"^tuning parameter a must be positive and finite"):
+            build_weights_laplacian(g, value)
 
 
 def test_check_doubly_stochastic_names_offender():
