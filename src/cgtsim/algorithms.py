@@ -19,19 +19,24 @@ them in this layout from the update loop to the trace.  alpha and beta are
 Python floats when the x and y values agree and (2, 1, 1) columns otherwise,
 so each update, and each ``metrics`` reduction, is written once for both.
 
-The trace is computed in blocks.  Each trace point keeps references to that
-iteration's Z, H and E, not copies.  Once c = max(1, _TRACE_BLOCK //
-(len(tags)*n*p)) points are pending, the next one first has them stacked and
-turned into trace records by one ``metrics`` call; the rest go through the one
-flush after the loop, which a diverged run also reaches.  Every record is bit
-for bit that of one call per point.  This rests on an invariant of the
-engine: every iteration builds fresh arrays, and an array that reached a
-trace point (or ``states_x``/``states_y``) is never updated in place.
+The update loop only steps the state; ``_simulate`` checks it in blocks of c =
+max(1, _BLOCK_BYTES // (8 * floats kept per iteration)) iterations.  Each iteration's
+Z, H, H_w, E, gradient and step are kept by reference, not copied.  After c
+iterations, and once more at the end, the block is stacked and reduced in one
+call per quantity: the residuals of the divergence guard, the mean-dynamics
+drift and the tracking violation.  The first iteration whose residual is not
+finite or exceeds ``DIVERGENCE_LIMIT`` ends the run: the block is cut there,
+so the iterations the loop ran past it leave no trace, no state and no
+maximum.  The maxima fold that block's values up to the cut, and its trace
+points become records in one ``metrics`` call.  Every residual, maximum,
+record and state is bit for bit that of a check after each iteration.  This
+rests on an invariant of the engine: every iteration builds fresh arrays, and
+an array that reached a block (or ``states_x``/``states_y``) is never updated
+in place.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -60,9 +65,10 @@ from .topology import WeightMatrix
 
 DIVERGENCE_LIMIT = 1e12
 
-# trace points per metrics call: c = max(1, _TRACE_BLOCK // (len(tags)*n*p)), so a stacked
-# block holds about 2**16 floats (512 KB) per array, and n = 1000 traces point by point
-_TRACE_BLOCK = 2**16
+# iterations per checked block: c = max(1, _BLOCK_BYTES // (8 * floats kept per iteration)),
+# where an iteration keeps Z, H, H_w, E (2*n*p each), the gradient and the step (n*p each);
+# so a block's kept arrays take about 512 KB: c = 32-54 at n = 10, p = 20 and 1 at n = 1000
+_BLOCK_BYTES = 2**19
 
 
 class AlgorithmError(ValueError):
@@ -169,7 +175,13 @@ class TraceRecord:
 
 @dataclass
 class RunResult:
-    """Trace plus final state and echoes of everything that determined the run."""
+    """Trace plus final state and echoes of everything that determined the run.
+
+    ``max_tracking_violation`` and ``max_mean_drift`` are the largest relative
+    violations of the two invariants over the iterations run (to the
+    divergence guard's, for a diverged run).  Each reads nan when the run's
+    state overflowed, so that an identity compared inf with inf.
+    """
 
     trace: list[TraceRecord]
     final: NetworkState
@@ -242,6 +254,50 @@ def _channels(vx: float, vy: float) -> float | np.ndarray:
     return float(vx) if vx == vy else np.array([vx, vy], dtype=float)[:, None, None]
 
 
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    # a @ a of each row as one batched matmul, which runs the same BLAS dot per row
+    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    # a block of one iteration (n = 1000) is a view, not a copy
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _stack_points(points: list[tuple], error_feedback: bool) -> NetworkState:
+    """The Z, H and E of a block's trace points, stacked as ``metrics`` reads them."""
+    E = np.stack([pt[3] for pt in points]) if error_feedback else None
+    return NetworkState(np.stack([pt[0] for pt in points]), np.stack([pt[1] for pt in points]),
+                        E=E)
+
+
+def _check_block(kept: list[tuple], cs_x: np.ndarray, x_star: np.ndarray,
+                 denom: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Residual, mean drift and tracking violation of each of a block's m iterations.
+
+    ``kept`` holds (Z, H, H_w, E, grad, step) after each iteration and
+    ``cs_x`` the column sums of X before the first.  Returns the three (m,)
+    arrays and the column sums of X after the last iteration.  Each value is
+    bit for bit the one the iteration's own arrays give.
+    """
+    m = len(kept)
+    if m == 0:  # a run of K = 0 iterations
+        return np.empty(0), np.empty(0), np.empty(0), cs_x
+    Zs = _stack([pt[0] for pt in kept])
+    grads = _stack([pt[4] for pt in kept])
+    cs = Zs.sum(axis=2)
+    cs_prev = np.concatenate([cs_x[None], cs[:-1, 0]])
+    # mean-dynamics identity: the network average follows exact gradient descent
+    diff = cs[:, 0] - cs_prev + _stack([pt[5] for pt in kept]).sum(axis=1)
+    n = Zs.shape[-2]
+    drift = np.sqrt(_row_dots(diff)) / n / (1.0 + np.sqrt(_row_dots(cs_prev)) / n)
+    # gradient-tracking identity: column sums of Y and of the gradients agree
+    viol = np.abs(cs[:, 1] - grads.sum(axis=1)).max(axis=-1)
+    track = viol / (1.0 + np.sqrt(_row_dots(grads.reshape(m, -1))))
+    r = (Zs[:, 0] - x_star).reshape(m, -1)
+    return _row_dots(r) / denom, drift, track, cs[-1, 0]
+
+
 def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: CompressorKind,
               K: int, seed: int, *, efficient: bool, error_feedback: bool,
               algorithm: str, x0: np.ndarray | None = None, init: str = "zeros",
@@ -283,80 +339,72 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
 
         bits_per_iter = n * len(tags) * bit_cost(kind, p)
 
+        # floats one iteration keeps: Z, H and, when present, H_w and E, the gradient and the step
+        kept_floats = (2 * (2 + efficient + error_feedback) + 2) * n * p
+        block = max(1, _BLOCK_BYTES // (8 * kept_floats))
+
         trace: list[TraceRecord] = []
-        pending = [(0, Z, H, E)]  # (k, Z, H, E) of the trace points not yet in trace
-        block = max(1, _TRACE_BLOCK // (len(tags) * n * p))
-
-        def flush() -> None:
-            ks, Zs, Hs, Es = zip(*pending)
-            E_block = np.stack(Es) if error_feedback else None
-            state = NetworkState(np.stack(Zs), np.stack(Hs), E=E_block)
-            trace.extend(metrics(state, x_star, k=ks, residual_denom=denom,
-                                 bits_sent=[i * bits_per_iter for i in ks]))
-            pending.clear()
-
-        max_track = 0.0
-        max_drift = 0.0
+        max_track = max_drift = 0.0
         zs = [Z] if record_states else None
-        cs = Z.sum(axis=1)
-        diverged = False
-        for k in range(K):
-            if not error_feedback:
-                Q = compress_rows_multi(kind, Z - H, tags, seed, k)
-                Z_hat = H + Q
-                H = keep * H + alpha * Z_hat
-                if efficient:
-                    Z_hat_w = H_w + w @ Q
-                    H_w = keep * H_w + alpha * Z_hat_w
-            else:
-                D = Z - H
-                DE = beta * E + D
-                out = compress_rows_multi(kind, np.concatenate([D, DE]), tags, seed, k)
-                Q, Qh = out.reshape(2, 2, n, p)
-                E = DE - Qh
-                Z_hat = H + Qh
-                H = H + alpha * Q
-                if efficient:
-                    Z_hat_w = H_w + w @ Qh
-                    H_w = H_w + alpha * (w @ Q)
+        cs_x = X.sum(axis=0)
+        done = 0  # iterations checked
+        # entry j is (Z, H, H_w, E, grad, step) after iteration done + j, by reference; the
+        # block's start, entry 0, is kept only in the first block, as the k = 0 trace point
+        kept = [(Z, H, H_w, E, grad, None)]
+        while True:
+            for k in range(done, min(done + block, K)):
+                if not error_feedback:
+                    Q = compress_rows_multi(kind, Z - H, tags, seed, k)
+                    Z_hat = H + Q
+                    H = keep * H + alpha * Z_hat
+                    if efficient:
+                        Z_hat_w = H_w + w @ Q
+                        H_w = keep * H_w + alpha * Z_hat_w
+                else:
+                    D = Z - H
+                    DE = beta * E + D
+                    out = compress_rows_multi(kind, np.concatenate([D, DE]), tags, seed, k)
+                    Q, Qh = out.reshape(2, 2, n, p)
+                    E = DE - Qh
+                    Z_hat = H + Qh
+                    H = H + alpha * Q
+                    if efficient:
+                        Z_hat_w = H_w + w @ Qh
+                        H_w = H_w + alpha * (w @ Q)
 
-            mix = Z_hat - Z_hat_w if efficient else i_minus_w @ Z_hat
-            step = eta * Z[1]
-            Z = Z - hp.gamma * mix
-            X, Y = Z
-            X -= step
-            grad_new = gradient_matrix(pb, X)
-            Y += grad_new
-            Y -= grad
+                mix = Z_hat - Z_hat_w if efficient else i_minus_w @ Z_hat
+                step = eta * Z[1]
+                Z = Z - hp.gamma * mix
+                X, Y = Z
+                X -= step
+                grad_new = gradient_matrix(pb, X)
+                Y += grad_new
+                Y -= grad
+                grad = grad_new
+                kept.append((Z, H, H_w, E, grad, step))
 
-            # mean-dynamics identity: the network average follows exact gradient descent
-            cs_new = Z.sum(axis=1)
-            diff = cs_new[0] - cs[0] + step.sum(axis=0)
-            drift = math.sqrt(diff @ diff) / n
-            max_drift = max(max_drift, drift / (1.0 + math.sqrt(cs[0] @ cs[0]) / n))
-
-            grad, cs = grad_new, cs_new
-
-            # gradient-tracking identity: column sums of Y and of the gradients agree
-            gdiff = cs[1] - grad.sum(axis=0)
-            viol = float(np.abs(gdiff).max())
-            g_flat = grad.ravel()
-            max_track = max(max_track, viol / (1.0 + math.sqrt(g_flat @ g_flat)))
-
+            residual, drift, track, cs_x = _check_block(kept[1:], cs_x, x_star, denom)
+            bad = np.flatnonzero(~np.isfinite(residual) | (residual > DIVERGENCE_LIMIT))
+            diverged = bad.size > 0
+            # the block is cut after its first bad iteration
+            m = int(bad[0]) + 1 if diverged else len(residual)
+            max_drift = float(np.max(drift[:m], initial=max_drift))
+            max_track = float(np.max(track[:m], initial=max_track))
+            end = done + m
+            ks = [i for i in range(done + 1 if done else 0, end + 1)
+                  if i % trace_every == 0 or i == K or (diverged and i == end)]
+            if ks:
+                # no name holds the stacked points, so they are freed before the next block
+                trace.extend(metrics(_stack_points([kept[i - done] for i in ks], error_feedback),
+                                     x_star, k=ks, residual_denom=denom,
+                                     bits_sent=[i * bits_per_iter for i in ks]))
             if zs is not None:
-                zs.append(Z)
-
-            r_flat = (X - x_star[None, :]).ravel()
-            residual = float(r_flat @ r_flat) / denom
-            diverged = not math.isfinite(residual) or residual > DIVERGENCE_LIMIT
-            if diverged or (k + 1) % trace_every == 0 or k + 1 == K:
-                if len(pending) == block:
-                    flush()
-                pending.append((k + 1, Z, H, E))
-            if diverged:
+                zs.extend(pt[0] for pt in kept[1:m + 1])
+            Z, H, H_w, E, grad, _ = kept[m]
+            done = end
+            if diverged or done == K:
                 break
-
-        flush()
+            kept = [None]
     states_x, states_y = (None, None) if zs is None else np.stack(zs, axis=1)
     res = RunResult(trace=trace, final=NetworkState(Z, H, H_w, E), hyper=hp,
                     compressor=compressor_label(kind), seed=seed, algorithm=algorithm,
@@ -364,7 +412,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                     states_x=states_x, states_y=states_y)
     if diverged:
         raise DivergenceError(
-            f"{algorithm} diverged at iteration {k + 1}: residual {residual:.3e} "
+            f"{algorithm} diverged at iteration {done}: residual {residual[m - 1]:.3e} "
             f"exceeds {DIVERGENCE_LIMIT:.0e}",
             partial=res,
         )

@@ -212,10 +212,11 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _u64(x: int | np.ndarray) -> np.ndarray:
+def _u64(x: int | np.integer | np.ndarray) -> np.ndarray:
     if isinstance(x, np.ndarray):
         return np.atleast_1d(x).astype(np.uint64)
-    return np.asarray([x & _MASK], dtype=np.uint64)
+    # int() first: a NumPy integer folds as the equal Python int
+    return np.asarray([int(x) & _MASK], dtype=np.uint64)
 
 
 def _uniforms(m: int, *words: int | np.ndarray) -> np.ndarray:

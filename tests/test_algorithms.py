@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -285,51 +287,156 @@ def _fingerprint(res):
 
 
 def _run_or_partial(run):
-    """(diverged, fingerprint) of one run, from the partial result if it diverged."""
+    """(divergence message or None, fingerprint) of one run, from the partial if it diverged."""
     try:
-        return False, _fingerprint(run())
+        return None, _fingerprint(run())
     except DivergenceError as exc:
-        return True, _fingerprint(exc.partial)
+        return str(exc), _fingerprint(exc.partial)
+
+
+# floats one iteration keeps, in units of n*p: Z and H (2 each), H_w (2, efficient forms),
+# E (2, error feedback), the gradient and the step
+KEPT = {"gt": 6, "cgt-ref": 6, "cgt": 8, "efcgt-ref": 8, "efcgt": 10}
+
+
+def _block_bytes(pb, name, c):
+    """The ``_BLOCK_BYTES`` at which the engine checks ``name``'s runs c iterations at a time."""
+    return c * 8 * KEPT[name] * pb.n * pb.dim
+
+
+def _default_block(pb, name):
+    return algorithms._BLOCK_BYTES // _block_bytes(pb, name, 1)
 
 
 @pytest.mark.parametrize("name", list(BLOCK_RUNNERS))
 @pytest.mark.parametrize("trace_every", [1, 7])
 def test_trace_blocks_do_not_change_results(pb, W_und, W_dir, monkeypatch, name, trace_every):
     # K = 47 is a multiple of no c * trace_every below; at the default block size
-    # (c >= 81 at n = 10) each 47-iteration run is one block
+    # (c = 32-54 at n = 10) each 47-iteration run is one or two blocks
     runner = BLOCK_RUNNERS[name]
-    ntags = 4 if name.startswith("efcgt") else 2
     cases = [
         lambda: runner(pb, W_und, HyperParams(eta=0.05, gamma=0.6), RandK(k=2), 47,
                        trace_every=trace_every),
         lambda: runner(pb, W_und, HyperParams(eta=0.09), QUANT, 47, trace_every=trace_every,
                        record_states=True),
-        # diverges: the partial result flushes a part-filled block
+        # diverges: the partial result is cut inside a block
         lambda: runner(pb, W_dir, HyperParams(eta=5.0, gamma=0.5), TopK(k=1), 5000,
                        trace_every=trace_every),
     ]
-    sizes = []
+    calls = []
     block_metrics = algorithms.metrics
 
     def counted(state, x_star, **kw):
-        sizes.append(len(kw["k"]))
+        calls.append(list(kw["k"]))
         return block_metrics(state, x_star, **kw)
 
     def run_in_blocks(run, c):
-        # every metrics call but the last takes a full block of c trace points
-        sizes.clear()
+        # each metrics call holds exactly the trace points of one c-iteration block,
+        # iterations j*c + 1 .. (j + 1)*c, the first block with the k = 0 point
+        calls.clear()
         out = _run_or_partial(run)
-        assert sizes[:-1] == [c] * (len(sizes) - 1) and 1 <= sizes[-1] <= c
+        ks = [k for call in calls for k in call]
+        assert calls == [list(g) for _, g in groupby(ks, key=lambda k: max(k - 1, 0) // c)]
         return out
 
     monkeypatch.setattr(algorithms, "metrics", counted)
-    default_c = algorithms._TRACE_BLOCK // (ntags * pb.n * pb.dim)
-    want = [run_in_blocks(run, default_c) for run in cases]
-    assert [diverged for diverged, _ in want] == [False, False, True]
+    want = [run_in_blocks(run, _default_block(pb, name)) for run in cases]
+    assert [msg is not None for msg, _ in want] == [False, False, True]
     for c in (1, 2, 3):
-        monkeypatch.setattr(algorithms, "_TRACE_BLOCK", c * ntags * pb.n * pb.dim)
+        monkeypatch.setattr(algorithms, "_BLOCK_BYTES", _block_bytes(pb, name, c))
         for run, expected in zip(cases, want):
             assert run_in_blocks(run, c) == expected, c
+
+
+# sha256 of repr(outcomes) in the test below, recorded with the per-iteration guard the
+# engine had before it checked in blocks
+DIVERGENCE_DIGESTS = {
+    "gt":
+        "794a6f5495ae6054d8e438c0d4088c998a12f97ea967e716945e1f8823b36d6d",
+    "cgt-ref":
+        "0ee281a111f5bd0368aefea53a3da87b0864c2b15bb1eac249c7185c1860748b",
+    "cgt":
+        "75fa8dc972245985df8cc86a802ef49bc563fde67885fa1230f18b2d96ca1e21",
+    "efcgt-ref":
+        "d190cf55f26f636ab49051f9dcb0ea0e6a4b8ff05d5cb17923e5056aa5f3174a",
+    "efcgt":
+        "f4b709b6d07f0ffc1dc90f60d8b239d6a3f2a785f575a2b0ee6897d07f856d4d",
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_RUNNERS))
+def test_divergence_at_every_block_position(pb, W_dir, monkeypatch, name):
+    runner = BLOCK_RUNNERS[name]
+    default_c = _default_block(pb, name)
+
+    def run(trace_every=2):
+        return runner(pb, W_dir, HyperParams(eta=0.2, gamma=0.5), TopK(k=1), 100,
+                      trace_every=trace_every, record_states=True)
+
+    # at eta = 0.2 the residual rises at every iteration until it passes 1e12 at iteration
+    # 22 or 23, so a limit between r_{d-1} and r_d makes d the first bad iteration
+    with pytest.raises(DivergenceError) as exc:
+        run(trace_every=1)
+    rs = [t.residual for t in exc.value.partial.trace]
+    assert all(a < b for a, b in zip(rs, rs[1:])) and len(rs) > 20
+    # d = 1..7 puts the divergence at every position of a block for c = 1, 2 and 3, in the
+    # first block and in later ones; the last case is the run's own divergence
+    limits = [(a + b) / 2 for a, b in zip(rs[:7], rs[1:8])] + [algorithms.DIVERGENCE_LIMIT]
+    outcomes = []
+    for d, limit in enumerate(limits, start=1):
+        monkeypatch.setattr(algorithms, "DIVERGENCE_LIMIT", limit)
+        monkeypatch.setattr(algorithms, "_BLOCK_BYTES", _block_bytes(pb, name, 1))
+        want = _run_or_partial(run)
+        assert want[0].startswith(f"{name} diverged at iteration {d if d < 8 else len(rs) - 1}:")
+        for c in (2, 3, default_c):
+            monkeypatch.setattr(algorithms, "_BLOCK_BYTES", _block_bytes(pb, name, c))
+            assert _run_or_partial(run) == want, (d, c)
+        outcomes.append(want)
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == DIVERGENCE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("runner", [run_cgt_efficient, run_efcgt_reference])
+def test_overflowed_invariants_read_nan(pb, W_und, runner):
+    # at eta = 1e308 the first step overflows X to inf, so each identity compares inf with
+    # inf; the maxima read nan, not the 0.0 a NaN-dropping maximum kept
+    with pytest.raises(DivergenceError) as exc:
+        runner(pb, W_und, HyperParams(eta=1e308), TopK(k=1), 10, seed=SEED)
+    partial = exc.value.partial
+    assert [t.k for t in partial.trace] == [0, 1]
+    assert math.isnan(partial.max_tracking_violation) and math.isnan(partial.max_mean_drift)
+    # at eta = 1e300 the first step stays finite and both identities hold exactly
+    with pytest.raises(DivergenceError) as exc:
+        runner(pb, W_und, HyperParams(eta=1e300), TopK(k=1), 10, seed=SEED)
+    partial = exc.value.partial
+    assert (partial.max_tracking_violation, partial.max_mean_drift) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_block_checks_equal_per_iteration_checks(n, m):
+    # the block's stacked sums and batched row dots against each iteration's own
+    # reductions and BLAS dots, as a per-iteration guard computes them
+    p, denom = 20, 3.0
+    rng = np.random.default_rng(n * m)
+    eta = rng.uniform(0.01, 1.0, (n, 1))
+    x_star = rng.standard_normal(p)
+    Zs = [rng.standard_normal((2, n, p)) * 10.0 ** rng.integers(-3, 4) for _ in range(m + 1)]
+    grads = [rng.standard_normal((n, p)) for _ in range(m)]
+    steps = [eta * Z[1] for Z in Zs[:-1]]
+    its = [(Zs[j + 1], None, None, None, grads[j], steps[j]) for j in range(m)]
+    residual, drift, track, cs_x = algorithms._check_block(its, Zs[0][0].sum(axis=0), x_star,
+                                                           denom)
+    for j in range(m):
+        cs, cs_new = Zs[j].sum(axis=1), Zs[j + 1].sum(axis=1)
+        diff = cs_new[0] - cs[0] + steps[j].sum(axis=0)
+        want = math.sqrt(diff @ diff) / n / (1.0 + math.sqrt(cs[0] @ cs[0]) / n)
+        assert drift[j] == want
+        g = grads[j].ravel()
+        viol = float(np.abs(cs_new[1] - grads[j].sum(axis=0)).max())
+        assert track[j] == viol / (1.0 + math.sqrt(g @ g))
+        r = (Zs[j + 1][0] - x_star[None, :]).ravel()
+        assert residual[j] == float(r @ r) / denom
+    assert cs_x.tobytes() == Zs[m].sum(axis=1)[0].tobytes()
 
 
 @pytest.mark.parametrize("name", list(BLOCK_RUNNERS))

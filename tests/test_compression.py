@@ -117,6 +117,17 @@ def test_stream_distinct_keys_differ():
         assert not np.array_equal(base, other.uniform(32))
 
 
+@pytest.mark.parametrize("word", [np.int64(1), np.uint64(1), np.int32(1)])
+def test_stream_numpy_integer_words_fold_as_python_ints(word):
+    # each key word, a NumPy integer or the equal Python int, gives the same stream
+    want = RngStream(11, 0, 0, 1).uniform(3)
+    assert RngStream(11, 0, 0, word).uniform(3).tobytes() == want.tobytes()
+    assert RngStream(np.int64(11), np.int64(0), np.uint64(0), word).uniform(3).tobytes() == \
+        want.tobytes()
+    negative = RngStream(11, 0, 0, np.int64(-3)).uniform(3)
+    assert negative.tobytes() == RngStream(11, 0, 0, -3).uniform(3).tobytes()
+
+
 def test_stream_uniform_statistics():
     u = RngStream(seed=77).uniform(200_000)
     assert 0.0 <= u.min() and u.max() < 1.0
@@ -184,7 +195,7 @@ def test_block_drawn_uniforms_equal_per_iteration_draws(kind, b, n):
         # row t*n + i of entry j is the public stream of agent i, iteration k0 + j, tag t
         for j in range(c):
             want = [RngStream(seed, i, k0 + j, t).uniform(p)
-                    for t in tags.tolist() for i in range(n)]
+                    for t in tags for i in range(n)]
             assert np.array_equal(u[j], want)
         m = rng.standard_normal((b, n, p))
         got = compress_rows_multi(kind, m, list(tags), seed, k)
