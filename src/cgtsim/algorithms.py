@@ -20,8 +20,11 @@ Python floats when the x and y values agree and (2, 1, 1) columns otherwise,
 so each update, and each ``metrics`` reduction, is written once for both.
 
 The update loop only steps the state; ``_simulate`` checks it in blocks of c =
-max(1, _BLOCK_BYTES // (8 * floats kept per iteration)) iterations.  Each iteration's
-Z, H, H_w, E, gradient and step are kept by reference, not copied.  After c
+max(1, _BLOCK_BYTES // (8 * floats kept per iteration)) iterations.  A block
+starts with one draw of every uniform its iterations compress with: none for a
+deterministic kind, else 2 or, with error feedback, 4 n*p per iteration, keyed
+as one draw per iteration would key them.  Each iteration's Z, H, H_w, E,
+gradient and step are kept by reference, not copied.  After c
 iterations, and once more at the end, the block is stacked and reduced in one
 call per quantity: the residuals of the divergence guard, the mean-dynamics
 drift and the tracking violation.  The first iteration whose residual is not
@@ -58,6 +61,7 @@ from .compression import (
     compress_rows_multi,
     compressor_label,
     profile_for,
+    _draw_block,
     _uniforms,
 )
 from .problems import RidgeProblem, gradient_matrix, optimal_solution
@@ -67,7 +71,9 @@ DIVERGENCE_LIMIT = 1e12
 
 # iterations per checked block: c = max(1, _BLOCK_BYTES // (8 * floats kept per iteration)),
 # where an iteration keeps Z, H, H_w, E (2*n*p each), the gradient and the step (n*p each);
-# so a block's kept arrays take about 512 KB: c = 32-54 at n = 10, p = 20 and 1 at n = 1000
+# so a block's kept arrays take about 512 KB: c = 32-54 at n = 10, p = 20 and 1 at n = 1000.
+# A stochastic kind's block also holds its uniforms, 2 (with error feedback 4) n*p per
+# iteration: at most half the kept arrays
 _BLOCK_BYTES = 2**19
 
 
@@ -259,6 +265,18 @@ def _row_dots(a: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """sqrt(a @ a) of each row; where only the dot overflows, the max-scaled norm."""
+    norms = np.sqrt(_row_dots(a))
+    over = np.isinf(norms)
+    if over.any():
+        # the dot overflows once entries pass about 1e153, long before the norm does
+        over &= np.isfinite(a).all(axis=1)
+        scale = np.abs(a[over]).max(axis=1)
+        norms[over] = scale * np.sqrt(_row_dots(a[over] / scale[:, None]))
+    return norms
+
+
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     # a block of one iteration (n = 1000) is a view, not a copy
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
@@ -290,10 +308,10 @@ def _check_block(kept: list[tuple], cs_x: np.ndarray, x_star: np.ndarray,
     # mean-dynamics identity: the network average follows exact gradient descent
     diff = cs[:, 0] - cs_prev + _stack([pt[5] for pt in kept]).sum(axis=1)
     n = Zs.shape[-2]
-    drift = np.sqrt(_row_dots(diff)) / n / (1.0 + np.sqrt(_row_dots(cs_prev)) / n)
+    drift = _row_norms(diff) / n / (1.0 + _row_norms(cs_prev) / n)
     # gradient-tracking identity: column sums of Y and of the gradients agree
     viol = np.abs(cs[:, 1] - grads.sum(axis=1)).max(axis=-1)
-    track = viol / (1.0 + np.sqrt(_row_dots(grads.reshape(m, -1))))
+    track = viol / (1.0 + _row_norms(grads.reshape(m, -1)))
     r = (Zs[:, 0] - x_star).reshape(m, -1)
     return _row_dots(r) / denom, drift, track, cs[-1, 0]
 
@@ -352,9 +370,10 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         # block's start, entry 0, is kept only in the first block, as the k = 0 trace point
         kept = [(Z, H, H_w, E, grad, None)]
         while True:
-            for k in range(done, min(done + block, K)):
+            # one draw of the block's uniforms, one entry per iteration
+            for u in _draw_block(kind, seed, n, p, tags, done, min(done + block, K)):
                 if not error_feedback:
-                    Q = compress_rows_multi(kind, Z - H, tags, seed, k)
+                    Q = compress_rows_multi(kind, Z - H, u)
                     Z_hat = H + Q
                     H = keep * H + alpha * Z_hat
                     if efficient:
@@ -363,7 +382,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                 else:
                     D = Z - H
                     DE = beta * E + D
-                    out = compress_rows_multi(kind, np.concatenate([D, DE]), tags, seed, k)
+                    out = compress_rows_multi(kind, np.concatenate([D, DE]), u)
                     Q, Qh = out.reshape(2, 2, n, p)
                     E = DE - Qh
                     Z_hat = H + Qh

@@ -101,9 +101,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "certify":
             cfg = harness.parse_config_file(args.config)
             report = harness.certificate_report(cfg)
-            out = harness.default_out_dir(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / f"{cfg.prefix}.cert.txt"
+            path = harness.make_out_dir(args.out) / f"{cfg.prefix}.cert.txt"
             path.write_text(report)
             print(report, end="")
             print(f"certificate: {path}")

@@ -5,9 +5,9 @@ so reference and communication-efficient algorithm variants can consume
 identical draws by sharing stream keys.
 
 The streams are a counter hash that one function, ``_uniforms``, folds, so any
-draw can be made out of order.  The engine's uniforms are drawn per block of
-consecutive iterations in one pass, with the same keys and therefore the same
-bits as one draw per iteration.
+draw can be made out of order.  The engine draws the uniforms of each of its
+checked blocks of consecutive iterations in one ``_draw_block`` call, with the
+same keys and therefore the same bits as one draw per iteration.
 """
 
 from __future__ import annotations
@@ -364,47 +364,37 @@ def compress_rows(kind: CompressorKind, m: np.ndarray, seed: int, iteration: int
 
     Bit-identical to calling :func:`compress` row by row.
     """
-    return compress_rows_multi(kind, [m], [tag], seed, iteration)[0]
+    u = _draw_block(kind, seed, *np.shape(m), [tag], iteration, iteration + 1)[0]
+    return compress_rows_multi(kind, [m], u)[0]
 
 
 def compress_rows_multi(kind: CompressorKind, blocks: np.ndarray | list[np.ndarray],
-                        tags: list[int], seed: int, iteration: int) -> np.ndarray:
-    """Compress a stack of same-shaped (n, p) row blocks in one pass, one tag per block.
+                        u: np.ndarray | None) -> np.ndarray:
+    """Compress a stack of same-shaped (n, p) row blocks in one pass.
 
     ``blocks`` is a (B, n, p) array or a list of B (n, p) arrays; the result
-    is one (B, n, p) array.  Row i of the block with tag t uses the stream
-    keyed by (seed, i, iteration, t); the engine compresses its stacked x/y
-    (and error-feedback) channels of one iteration this way.
+    is one (B, n, p) array.  ``u`` holds the (B*n, p) uniforms of the rows in
+    stack order, one entry of :func:`_draw_block`, or None for a deterministic
+    kind; the engine compresses its stacked x/y (and error-feedback) channels
+    of one iteration this way.
     """
     stacked = np.asarray(blocks, dtype=float)
     b, n, p = stacked.shape
-    rows = stacked.reshape(b * n, p)
-    u = None
-    if isinstance(kind, _STOCHASTIC_KINDS):
-        c = max(1, _BLOCK_DRAWS // (b * n * p))
-        k0 = iteration - iteration % c
-        # a one-iteration block is never reused; keeping it cost ring-1000 ~1.5 MB of peak RSS
-        draw = _uniform_block if c > 1 else _draw_uniforms
-        u = draw(seed, n, p, tuple(tags), k0, c)[iteration - k0]
-    return _apply_rows(kind, rows, u).reshape(b, n, p)
+    return _apply_rows(kind, stacked.reshape(b * n, p), u).reshape(b, n, p)
 
 
-# a block holds about _BLOCK_DRAWS uniforms (64 KB): c = max(1, _BLOCK_DRAWS // (b*n*p))
-# iterations, 20 of the engine's x/y stack at n=10, p=20; a stack bigger than
-# that (n=1000) still draws one iteration per call
-_BLOCK_DRAWS = 2**13
+def _draw_block(kind: CompressorKind, seed: int, n: int, p: int, tags: list[int],
+                start: int, stop: int) -> np.ndarray | list[None]:
+    """The uniforms of iterations start..stop-1 for a stack of len(tags) (n, p) blocks.
 
-
-def _draw_uniforms(seed: int, n: int, p: int, tags: tuple[int, ...], k0: int, c: int) -> np.ndarray:
-    """(c, len(tags)*n, p) uniforms of iterations k0..k0+c-1; entry j is iteration k0+j's draw."""
-    u = _uniforms(p, seed, np.arange(n), np.arange(k0, k0 + c)[:, None, None],
-                  np.asarray(tags)[None, :, None]).reshape(c, len(tags) * n, p)
-    u.setflags(write=False)
-    return u
-
-
-# one block is memoised: the engine asks for a block's iterations in turn
-_uniform_block = lru_cache(maxsize=1)(_draw_uniforms)
+    Entry j is iteration start + j's (len(tags)*n, p) draw: row t*n + i is the
+    stream keyed by (seed, i, start + j, tags[t]).  A deterministic kind
+    draws nothing: each entry is None.
+    """
+    if not isinstance(kind, _STOCHASTIC_KINDS):
+        return [None] * (stop - start)
+    return _uniforms(p, seed, np.arange(n), np.arange(start, stop)[:, None, None],
+                     np.asarray(tags)[None, :, None]).reshape(stop - start, len(tags) * n, p)
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,11 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    return parse_config(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from None
+    return parse_config(text)
 
 
 def config_text(cfg: ExperimentConfig) -> str:
@@ -319,10 +323,14 @@ def trace_csv(trace: list[TraceRecord]) -> str:
     return out.getvalue()
 
 
-def default_out_dir(override: str | Path | None = None) -> Path:
-    if override is not None:
-        return Path(override)
-    return Path(os.environ.get(OUT_DIR_ENV, "out"))
+def make_out_dir(override: str | Path | None = None) -> Path:
+    """The output directory, ``override`` or $CGTSIM_OUT_DIR or ./out, created if missing."""
+    out = Path(override if override is not None else os.environ.get(OUT_DIR_ENV, "out"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out} cannot be created: {exc}") from None
+    return out
 
 
 @dataclass
@@ -368,8 +376,7 @@ def certificate_report(cfg: ExperimentConfig) -> str:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentOutcome:
     """Run one config; write the trace CSV (and certificate) and build a summary line."""
     cfg.validate()
-    out = default_out_dir(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir)
     csv_path = out / f"{cfg.prefix}.csv"
     diverged = False
     try:
@@ -426,8 +433,7 @@ def compare(cfgs: list[ExperimentConfig], out_dir: str | Path | None = None,
             trace = exc.partial.trace
             diverged.append(exc)
         columns.append({t.k: t.residual for t in trace})
-    out = default_out_dir(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir)
     path = out / f"{prefix}.csv"
     buf = io.StringIO()
     buf.write("k," + ",".join(f"{c.algorithm}:{c.compressor}" for c in cfgs) + "\n")

@@ -439,6 +439,29 @@ def test_block_checks_equal_per_iteration_checks(n, m):
     assert cs_x.tobytes() == Zs[m].sum(axis=1)[0].tobytes()
 
 
+def test_invariants_read_past_an_overflowed_dot():
+    # at scale 1e200 each squared norm overflows while every norm is finite; a planted
+    # mean drift and tracking error of 1e190 must read as such, not as 0 or nan
+    n, p, scale = 10, 20, 1e200
+    rng = np.random.default_rng(8)
+    X0, Y0, grad = rng.standard_normal((3, n, p)) * scale
+    step = 0.5 * Y0
+    X1 = X0 - step
+    X1[0, 0] += 1e190
+    Y1 = grad.copy()
+    Y1[3, 5] -= 1e190
+    its = [(np.stack([X1, Y1]), None, None, None, grad, step)]
+    # as in the engine, the overflowing dots raise no warning
+    with np.errstate(over="ignore"):
+        _, drift, track, _ = algorithms._check_block(its, X0.sum(axis=0), np.zeros(p), 1.0)
+    diff = X1.sum(axis=0) - X0.sum(axis=0) + step.sum(axis=0)
+    want = math.hypot(*diff) / n / (1.0 + math.hypot(*X0.sum(axis=0)) / n)
+    assert 0 < drift[0] < math.inf and drift[0] == pytest.approx(want, rel=1e-12)
+    viol = float(np.abs(Y1.sum(axis=0) - grad.sum(axis=0)).max())
+    want = viol / (1.0 + math.hypot(*grad.ravel()))
+    assert 0 < track[0] < math.inf and track[0] == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("name", list(BLOCK_RUNNERS))
 def test_final_state_is_the_engine_stack(pb, W_und, name):
     res = BLOCK_RUNNERS[name](pb, W_und, HyperParams(eta=0.05, gamma=0.6), TopK(k=2), 20,

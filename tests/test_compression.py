@@ -29,9 +29,8 @@ from cgtsim.compression import (
 from cgtsim.compression import (
     _INNER_REPS,
     _apply_rows,
-    _draw_uniforms,
+    _draw_block,
     _test_inputs,
-    _uniform_block,
 )
 
 
@@ -175,7 +174,7 @@ def test_compress_rows_multi_matches_single_tag_calls():
     m1 = np.random.default_rng(3).standard_normal((5, 8))
     m2 = np.random.default_rng(4).standard_normal((5, 8))
     kind = UnbiasedQuantize(bits=2, q=2)
-    a1, a2 = compress_rows_multi(kind, [m1, m2], [1, 3], seed=6, iteration=2)
+    a1, a2 = compress_rows_multi(kind, [m1, m2], _draw_block(kind, 6, 5, 8, [1, 3], 2, 3)[0])
     assert np.array_equal(a1, compress_rows(kind, m1, 6, 2, 1))
     assert np.array_equal(a2, compress_rows(kind, m2, 6, 2, 3))
 
@@ -184,31 +183,26 @@ def test_compress_rows_multi_matches_single_tag_calls():
 @pytest.mark.parametrize("b", [1, 2, 4])
 @pytest.mark.parametrize("kind", [UnbiasedQuantize(bits=2, q=math.inf), RandK(k=2)])
 def test_block_drawn_uniforms_equal_per_iteration_draws(kind, b, n):
-    # out of order and across block boundaries (20 iterations at n=10, b=2, p=20)
+    # iteration ranges of the engine's blocks that start and end anywhere, out of order
     p, seed = 20, 11
-    tags = np.array([1, 2, 3, 4][:b])
-    c = max(1, 2**13 // (b * n * p))
+    tags = [1, 2, 3, 4][:b]
     rng = np.random.default_rng(b * n)
-    for k in (7, 0, 19, 20, 21, 500, 3):
-        k0 = k - k % c
-        u = _draw_uniforms(seed, n, p, tuple(tags), k0, c)
-        # row t*n + i of entry j is the public stream of agent i, iteration k0 + j, tag t
-        for j in range(c):
-            want = [RngStream(seed, i, k0 + j, t).uniform(p)
-                    for t in tags for i in range(n)]
+    for start, stop in ((7, 8), (0, 3), (19, 22), (500, 501), (3, 3)):
+        u = _draw_block(kind, seed, n, p, tags, start, stop)
+        assert u.shape == (stop - start, b * n, p)
+        # row t*n + i of entry j is the public stream of agent i, iteration start + j, tag t
+        for j, k in enumerate(range(start, stop)):
+            want = [RngStream(seed, i, k, t).uniform(p) for t in tags for i in range(n)]
             assert np.array_equal(u[j], want)
-        m = rng.standard_normal((b, n, p))
-        got = compress_rows_multi(kind, m, list(tags), seed, k)
-        want = _apply_rows(kind, m.reshape(b * n, p), u[k - k0])
-        assert np.array_equal(got, want.reshape(b, n, p))
-    info = _uniform_block.cache_info()
-    block = _uniform_block(seed, n, p, tuple(tags), 3 - 3 % c, c)
-    # the memo keeps the last multi-iteration block only
-    assert _uniform_block.cache_info().hits == info.hits + (c > 1)
-    assert _uniform_block.cache_info().maxsize == 1
-    assert not block.flags.writeable
-    with pytest.raises(ValueError):
-        block[0, 0, 0] = 0.5
+            m = rng.standard_normal((b, n, p))
+            got = compress_rows_multi(kind, m, u[j])
+            want = _apply_rows(kind, m.reshape(b * n, p), u[j])
+            assert np.array_equal(got, want.reshape(b, n, p))
+
+
+@pytest.mark.parametrize("kind", [Identity(), TopK(k=2), NormSign(q=1)])
+def test_deterministic_kinds_draw_nothing(kind):
+    assert _draw_block(kind, 11, 10, 20, [1, 2], 4, 7) == [None] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +415,12 @@ def test_stream_determinism_property(seed, agent, k, tag):
 def test_golden_compress_rows_multi():
     m1 = np.array([[1.0, -0.5, 0.25, 0.75], [0.0, 2.0, -1.0, 0.5]])
     m2 = np.array([[-3.0, 1.5, 0.0, 0.75], [0.125, 0.25, -0.5, 1.0]])
-    q = compress_rows_multi(UnbiasedQuantize(bits=2, q=math.inf), [m1, m2], [1, 3],
-                            seed=6, iteration=2)
+    quant = UnbiasedQuantize(bits=2, q=math.inf)
+    q = compress_rows_multi(quant, [m1, m2], _draw_block(quant, 6, 2, 4, [1, 3], 2, 3)[0])
     assert [a.tolist() for a in q] == [[[1.0, -0.5, 0.0, 1.0], [0.0, 2.0, -1.0, 1.0]],
                                        [[-3.0, 1.5, 0.0, 1.5], [0.0, 0.0, -0.5, 1.0]]]
-    r = compress_rows_multi(RandK(k=2), [m1, m2], [1, 3], seed=6, iteration=2)
+    randk = RandK(k=2)
+    r = compress_rows_multi(randk, [m1, m2], _draw_block(randk, 6, 2, 4, [1, 3], 2, 3)[0])
     assert [a.tolist() for a in r] == [[[0.0, -0.5, 0.25, 0.0], [0.0, 0.0, -1.0, 0.0]],
                                        [[-3.0, 1.5, 0.0, 0.0], [0.0, 0.0, -0.5, 1.0]]]
 

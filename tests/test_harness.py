@@ -360,6 +360,35 @@ def test_cli_run_missing_file_exit_1(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("what", ["directory", "latin-1"])
+def test_cli_run_unreadable_config_exit_1(tmp_path, capsys, what):
+    # a directory, or a file that is not UTF-8: one config error line naming the path
+    path = tmp_path
+    if what == "latin-1":
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"# caf\xe9\n" + CONFIG_TEXT.encode())
+    rc = cli.main(["run", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith(f"config error: config file {path} cannot be read: ")
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_cli_out_at_a_regular_file_exit_1(tmp_path, capsys, below):
+    # --out naming a regular file, or a path below one, is refused by every verb that writes
+    cfgfile = write_cfg(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = str(blocker / "sub" if below else blocker)
+    for argv in (["run", str(cfgfile)], ["preset", "fig3a-cgt", "--k", "5"],
+                 ["compare", str(cfgfile)], ["certify", str(cfgfile)]):
+        rc = cli.main(argv + ["--out", out])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, argv
+        assert err.startswith(f"config error: output directory {out} cannot be created: "), argv
+    assert blocker.read_text() == "kept\n"
+
+
 def test_cli_run_divergence_exit_2(tmp_path, capsys):
     text = CONFIG_TEXT.replace("eta = 0.05", "eta = 60.0").replace("K = 120", "K = 4000")
     cfgfile = write_cfg(tmp_path, text)
