@@ -71,7 +71,7 @@ from .problems import (
     optimal_solution,
 )
 from .topology import (
-    Graph,
+    Ring,
     SpectralInfo,
     TopologyError,
     WeightMatrix,

@@ -77,6 +77,9 @@ class ErrorConstants:
 def _constants(prob: ProblemConstants, spec: SpectralInfo, alpha_x: float, alpha_y: float,
                n: int, C: float, delta: float, r: float, span: str) -> ErrorConstants:
     """Constants for variance bound C, contraction delta, scale r; ``span`` names alpha's range."""
+    # an eigensolve can round a tiny mu to or below zero; every bound below divides by it
+    if not prob.mu > 0:
+        raise AnalysisError(f"strong convexity mu must be positive, got mu={prob.mu!r}")
     for name, alpha in (("alpha_x", alpha_x), ("alpha_y", alpha_y)):
         if not alpha_in_range(alpha, r):
             raise AnalysisError(f"{name}={alpha!r} outside {span}")

@@ -100,9 +100,9 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.verb == "certify":
             cfg = harness.parse_config_file(args.config)
+            path = harness.output_file(args.out, f"{cfg.prefix}.cert.txt")
             report = harness.certificate_report(cfg)
-            path = harness.make_out_dir(args.out) / f"{cfg.prefix}.cert.txt"
-            path.write_text(report)
+            harness.write_output(path, report)
             print(report, end="")
             print(f"certificate: {path}")
             return EXIT_OK

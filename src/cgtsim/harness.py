@@ -284,10 +284,10 @@ def config_text(cfg: ExperimentConfig) -> str:
 # building blocks
 
 def make_topology(ts: TopologySpec) -> topology.WeightMatrix:
-    g = build_ring(ts.n, directed=ts.directed)
+    ring = build_ring(ts.n, directed=ts.directed)
     if ts.weights == "outdegree":
-        return build_weights_outdegree(g, ts.p)
-    return build_weights_laplacian(g, ts.a)
+        return build_weights_outdegree(ring, ts.p)
+    return build_weights_laplacian(ring, ts.a)
 
 
 def make_problem(ps: ProblemSpec) -> problems.RidgeProblem:
@@ -333,6 +333,23 @@ def make_out_dir(override: str | Path | None = None) -> Path:
     return out
 
 
+def output_file(out_dir: str | Path | None, name: str) -> Path:
+    """``name`` in :func:`make_out_dir`'s directory; a directory of that name is refused
+    here, before anything runs, and not by the write after the run."""
+    path = make_out_dir(out_dir) / name
+    if path.is_dir():
+        raise ConfigError(f"output file {path} is a directory")
+    return path
+
+
+def write_output(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``; a failed write is a config error that names the path."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"output file {path} cannot be written: {exc}") from None
+
+
 @dataclass
 class ExperimentOutcome:
     result: RunResult
@@ -376,19 +393,17 @@ def certificate_report(cfg: ExperimentConfig) -> str:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentOutcome:
     """Run one config; write the trace CSV (and certificate) and build a summary line."""
     cfg.validate()
-    out = make_out_dir(out_dir)
-    csv_path = out / f"{cfg.prefix}.csv"
+    csv_path = output_file(out_dir, f"{cfg.prefix}.csv")
+    cert_path = output_file(out_dir, f"{cfg.prefix}.cert.txt") if cfg.certify else None
     diverged = False
     try:
         result = run_from_config(cfg)
     except DivergenceError as exc:
         result = exc.partial
         diverged = True
-    csv_path.write_text(trace_csv(result.trace))
-    cert_path = None
-    if cfg.certify:
-        cert_path = out / f"{cfg.prefix}.cert.txt"
-        cert_path.write_text(certificate_report(cfg))
+    write_output(csv_path, trace_csv(result.trace))
+    if cert_path is not None:
+        write_output(cert_path, certificate_report(cfg))
     final = result.trace[-1]
     invariants = (f"max_tracking_violation={result.max_tracking_violation:.3e} "
                   f"max_mean_drift={result.max_mean_drift:.3e}")
@@ -425,6 +440,7 @@ def compare(cfgs: list[ExperimentConfig], out_dir: str | Path | None = None,
             raise ConfigError("compare: topology sections differ")
         if cfg.K != base.K or cfg.trace_every != base.trace_every:
             raise ConfigError("compare: K/trace_every differ, traces would not align")
+    path = output_file(out_dir, f"{prefix}.csv")
     columns, diverged = [], []
     for c in cfgs:
         try:
@@ -433,13 +449,11 @@ def compare(cfgs: list[ExperimentConfig], out_dir: str | Path | None = None,
             trace = exc.partial.trace
             diverged.append(exc)
         columns.append({t.k: t.residual for t in trace})
-    out = make_out_dir(out_dir)
-    path = out / f"{prefix}.csv"
     buf = io.StringIO()
     buf.write("k," + ",".join(f"{c.algorithm}:{c.compressor}" for c in cfgs) + "\n")
     for k in sorted(set().union(*columns)):
         buf.write(f"{k}," + ",".join(_fmt(col[k]) if k in col else "" for col in columns) + "\n")
-    path.write_text(buf.getvalue())
+    write_output(path, buf.getvalue())
     if diverged:
         raise DivergenceError(f"{diverged[0]}; partial traces in {path}",
                               partial=diverged[0].partial)

@@ -1,4 +1,11 @@
-"""Communication graphs, doubly stochastic weight matrices and their spectral data."""
+"""Ring weight matrices, their doubly stochastic check and their spectral data.
+
+Every W is a ring's circulant stencil: agent i keeps ``self_weight`` and gives
+``weight`` to agent (i + k) mod n for each offset k of the ring, so row i is
+row 0 rolled by i.  A directed ring has the one offset 1, an undirected ring
+the offsets 1 and n - 1 (one offset at n = 2).  The outdegree scheme's ``p``
+and the Laplacian scheme's ``a`` are scalars.
+"""
 
 from __future__ import annotations
 
@@ -13,92 +20,50 @@ _POWER_MAX_ITER = 100_000
 
 
 class TopologyError(ValueError):
-    """Raised for invalid graphs, weights or spectral preconditions."""
+    """Raised for invalid rings, weights or spectral preconditions."""
 
 
 @dataclass(frozen=True)
-class Graph:
-    """Directed communication graph on agents 0..n-1.
-
-    An edge (i, j) means agent i can send to agent j.  Self-loops are not
-    stored; the self-weight lives on the diagonal of the weight matrix.
-    The graph must be strongly connected.
-    """
+class Ring:
+    """Ring on agents 0..n-1: i sends to (i+1) mod n, and to (i-1) mod n if undirected."""
 
     n: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
     directed: bool = True
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise TopologyError(f"need at least one agent, got n={self.n}")
-        for i, j in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise TopologyError(f"edge ({i}, {j}) out of range for n={self.n}")
-            if i == j:
-                raise TopologyError(f"self-loop ({i}, {i}) not allowed")
-        if not self.directed:
-            for i, j in self.edges:
-                if (j, i) not in self.edges:
-                    raise TopologyError(f"undirected graph missing reverse edge ({j}, {i})")
-        if not self._strongly_connected():
-            raise TopologyError("graph is not strongly connected")
+        if self.n < 2:
+            raise TopologyError(f"ring needs n >= 2, got n={self.n}")
 
-    def _strongly_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        fwd: list[list[int]] = [[] for _ in range(self.n)]
-        bwd: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            fwd[i].append(j)
-            bwd[j].append(i)
-        return _reaches_all(fwd, self.n) and _reaches_all(bwd, self.n)
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        """The k with i -> (i+k) mod n an edge; the set makes n = 2 undirected one edge."""
+        return (1,) if self.directed else tuple(sorted({1, self.n - 1}))
 
 
-def _reaches_all(adj: list[list[int]], n: int) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
-
-
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(senders, receivers) of every edge of g as integer arrays, in one pass."""
-    e = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
-    return e[:, 0], e[:, 1]
-
-
-def build_ring(n: int, directed: bool = True) -> Graph:
-    """Ring on n agents: i -> (i+1) mod n, plus reverse edges if undirected."""
-    if n < 2:
-        raise TopologyError(f"ring needs n >= 2, got n={n}")
-    edges = {(i, (i + 1) % n) for i in range(n)}
-    if not directed:
-        edges |= {(j, i) for (i, j) in edges}
-    return Graph(n=n, edges=frozenset(edges), directed=directed)
+def build_ring(n: int, directed: bool = True) -> Ring:
+    return Ring(n, directed)
 
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Nonnegative doubly stochastic mixing matrix supported on a graph."""
+    """Nonnegative doubly stochastic circulant: ``self_weight`` on the diagonal and
+    ``weight`` at (i, (i+k) mod n) for each offset k; ``matrix`` is its dense form."""
 
-    graph: Graph
-    matrix: np.ndarray
+    n: int
+    offsets: tuple[int, ...]
+    self_weight: float
+    weight: float
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.zeros((self.n, self.n))
+        rows = np.arange(self.n)
+        m[rows, rows] = self.self_weight
+        for k in self.offsets:
+            m[rows, (rows + k) % self.n] = self.weight
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         validate_doubly_stochastic(m)
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
 
 
 def check_doubly_stochastic(m: np.ndarray) -> tuple[bool, str]:
@@ -129,49 +94,31 @@ def validate_doubly_stochastic(m: np.ndarray) -> None:
         raise TopologyError(f"not doubly stochastic: {detail}")
 
 
-def build_weights_outdegree(g: Graph, p: float | np.ndarray) -> WeightMatrix:
-    """Weights w_ij = p_i for j in i's out-neighborhood, remainder on the diagonal.
-
-    ``p`` is a shared scalar or a per-agent vector.  The construction is only
-    doubly stochastic on balanced graphs; the result is validated rather than
-    assumed, and a failed validation names the offending row or column.
-    """
-    p_vec = np.broadcast_to(np.asarray(p, dtype=float), (g.n,)).copy()
-    if not np.all(np.isfinite(p_vec)):
+def build_weights_outdegree(ring: Ring, p: float) -> WeightMatrix:
+    """Weights w_ij = p for each j agent i sends to, 1 - Deg_out*p on the diagonal."""
+    if np.ndim(p) != 0:
+        raise TopologyError(f"weight p must be a scalar, got an array of shape {np.shape(p)}")
+    p = float(p)
+    if not math.isfinite(p):
         raise TopologyError(f"per-agent weights p_i must be finite, got p={p!r}")
-    if np.any(p_vec <= 0):
+    if p <= 0:
         raise TopologyError("per-agent weights p_i must be positive")
-    src, dst = _edge_arrays(g)
-    deg = np.bincount(src, minlength=g.n)
-    diag = 1.0 - deg * p_vec
-    bad = np.flatnonzero(diag <= 0)
-    if bad.size:
-        i = bad[0]
-        raise TopologyError(
-            f"agent {i}: 1 - Deg_out*p = {float(diag[i])!r} <= 0 "
-            f"(Deg_out={deg[i]}, p={float(p_vec[i])!r})"
-        )
-    w = np.diag(diag)
-    w[src, dst] = p_vec[src]
-    return WeightMatrix(graph=g, matrix=w)
+    deg = len(ring.offsets)
+    diag = 1.0 - deg * p
+    if diag <= 0:
+        raise TopologyError(f"agent 0: 1 - Deg_out*p = {diag!r} <= 0 (Deg_out={deg}, p={p!r})")
+    return WeightMatrix(ring.n, ring.offsets, diag, p)
 
 
-def build_weights_laplacian(g: Graph, a: float) -> WeightMatrix:
-    """W = I - a*L for balanced graphs; rejects ``a`` that yields negative entries."""
+def build_weights_laplacian(ring: Ring, a: float) -> WeightMatrix:
+    """W = I - a*L for the ring's Laplacian L; rejects ``a`` that yields negative entries."""
     if not 0 < a < math.inf:
         raise TopologyError(f"tuning parameter a must be positive and finite, got {a!r}")
-    src, dst = _edge_arrays(g)
-    degs = np.bincount(src, minlength=g.n).astype(float)
-    if not np.array_equal(degs, np.bincount(dst, minlength=g.n)):
-        raise TopologyError("Laplacian construction needs in-degree == out-degree per agent")
-    adj = np.zeros((g.n, g.n))
-    adj[src, dst] = 1.0
-    lap = np.diag(degs) - adj
-    w = np.eye(g.n) - a * lap
-    if np.any(np.diag(w) < 0):
-        a_max = float(1.0 / degs.max())
-        raise TopologyError(f"a={a!r} makes a diagonal entry negative; need a <= {a_max!r}")
-    return WeightMatrix(graph=g, matrix=w)
+    deg = len(ring.offsets)
+    diag = 1.0 - a * deg
+    if diag < 0:
+        raise TopologyError(f"a={a!r} makes a diagonal entry negative; need a <= {1.0 / deg!r}")
+    return WeightMatrix(ring.n, ring.offsets, diag, a)
 
 
 @dataclass(frozen=True)

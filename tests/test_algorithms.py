@@ -89,8 +89,8 @@ def test_hyperparams_refuse_two_dimensional_eta():
 
 def test_single_agent_gt_is_centralized_gradient_descent():
     pb1 = RidgeProblem(U=np.array([[0.5, -1.0, 0.25]]), v=np.array([1.5]), rho=0.05)
-    from cgtsim.topology import Graph, WeightMatrix
-    W1 = WeightMatrix(graph=Graph(n=1, edges=frozenset()), matrix=np.array([[1.0]]))
+    from cgtsim.topology import WeightMatrix
+    W1 = WeightMatrix(n=1, offsets=(), self_weight=1.0, weight=0.0)
     eta = 0.05
     res = run_gt(pb1, W1, HyperParams(eta=eta), 50, seed=0, x0=np.zeros((1, 3)),
                  record_states=True)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgtsim import cli, compression, harness
+from cgtsim import cli, compression, harness, problems
 from cgtsim.algorithms import DivergenceError
 from cgtsim.harness import (
     ConfigError,
@@ -387,6 +387,61 @@ def test_cli_out_at_a_regular_file_exit_1(tmp_path, capsys, below):
         assert rc == 1 and err.count("\n") == 1, argv
         assert err.startswith(f"config error: output directory {out} cannot be created: "), argv
     assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["run", "exp.cfg"], "smoke.csv"),
+    (["run", "cert.cfg"], "smoke.cert.txt"),
+    (["preset", "fig3a-cgt", "--k", "5"], "fig3a-cgt.csv"),
+    (["compare", "exp.cfg"], "compare.csv"),
+    (["certify", "exp.cfg"], "smoke.cert.txt"),
+])
+def test_cli_output_file_at_a_directory_exit_1(tmp_path, capsys, monkeypatch, argv, name):
+    # a directory where a verb would write its file is refused before anything runs
+    write_cfg(tmp_path)
+    write_cfg(tmp_path, CONFIG_TEXT.replace("certify = false", "certify = true"), "cert.cfg")
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before its output file was checked")
+
+    monkeypatch.setattr(harness, "run_from_config", never)
+    monkeypatch.setattr(harness, "certificate_report", never)
+    blocker = tmp_path / "out" / name
+    blocker.mkdir(parents=True)
+    argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (1, f"config error: output file {blocker} is a directory\n")
+
+
+def test_cli_failed_write_after_a_run_exit_1(tmp_path, capsys, monkeypatch):
+    # a write that fails once the run is done is one config error line naming the file
+    out = tmp_path / "out"
+    run = harness.run_from_config
+
+    def run_then_block(cfg, **kwargs):
+        (out / "smoke.csv").mkdir()
+        return run(cfg, **kwargs)
+
+    monkeypatch.setattr(harness, "run_from_config", run_then_block)
+    rc = cli.main(["run", str(write_cfg(tmp_path)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith(f"config error: output file {out / 'smoke.csv'} cannot be written: ")
+
+
+@pytest.mark.parametrize("method,comp", [("cgt", "quant:b=2,q=inf"), ("efcgt", "topk:k=1")])
+def test_cli_certify_refuses_non_positive_mu_by_name(tmp_path, capsys, method, comp):
+    # at rho = 1e-300 the eigensolve's rounding exceeds 2*rho, so mu comes out below zero;
+    # both chains refuse it by name, not as a negative eta further down
+    cfg = dataclasses.replace(preset("fig1-cgt"), algorithm=method, compressor=comp)
+    cfg = dataclasses.replace(cfg, problem=dataclasses.replace(cfg.problem, rho=1e-300))
+    mu = problems.constants(harness.make_problem(cfg.problem)).mu
+    assert mu <= 0
+    rc = cli.main(["certify", str(write_cfg(tmp_path, harness.config_text(cfg))),
+                   "--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (
+        1, f"config error: certification infeasible: strong convexity mu must be positive, "
+           f"got mu={mu!r}\n")
 
 
 def test_cli_run_divergence_exit_2(tmp_path, capsys):

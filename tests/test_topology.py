@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cgtsim.topology import (
-    Graph,
     TopologyError,
+    WeightMatrix,
     build_ring,
     build_weights_laplacian,
     build_weights_outdegree,
@@ -15,37 +15,66 @@ from cgtsim.topology import (
 )
 
 
+def _support(W):
+    return {(int(i), int(j)) for i, j in np.argwhere(W.matrix != 0) if i != j}
+
+
 def test_ring_directed_edges():
-    g = build_ring(3, directed=True)
-    assert g.edges == frozenset({(0, 1), (1, 2), (2, 0)})
+    ring = build_ring(3, directed=True)
+    assert ring.offsets == (1,)
+    assert _support(build_weights_outdegree(ring, 0.1)) == {(0, 1), (1, 2), (2, 0)}
 
 
 def test_ring_undirected_has_both_directions():
-    g = build_ring(3, directed=False)
-    assert len(g.edges) == 6
-    for i, j in g.edges:
-        assert (j, i) in g.edges
+    ring = build_ring(3, directed=False)
+    assert ring.offsets == (1, 2)
+    edges = _support(build_weights_outdegree(ring, 0.1))
+    assert len(edges) == 6
+    for i, j in edges:
+        assert (j, i) in edges
+    # at n = 2 both directions are the one edge 0 <-> 1
+    pair = build_ring(2, directed=False)
+    assert pair.offsets == (1,)
+    assert _support(build_weights_outdegree(pair, 0.1)) == {(0, 1), (1, 0)}
 
 
 def test_ring_strongly_connected_out_degree_one():
-    g = build_ring(10, directed=True)
-    senders = sorted(i for i, _ in g.edges)
+    W = build_weights_outdegree(build_ring(10, directed=True), 0.1)
+    senders = sorted(i for i, _ in _support(W))
     assert senders == list(range(10))  # every agent sends along exactly one edge
+    # with self-weights, W^(n-1) is positive exactly when the ring is strongly connected
+    assert np.all(np.linalg.matrix_power(W.matrix, 9) > 0)
 
 
 def test_ring_rejects_small_n():
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match=r"^ring needs n >= 2, got n=1$"):
         build_ring(1, directed=True)
 
 
-def test_graph_rejects_self_loop():
-    with pytest.raises(TopologyError, match="self-loop"):
-        Graph(n=2, edges=frozenset({(0, 0), (0, 1), (1, 0)}))
+def _ring_oracle(n, directed, value):
+    """W of either scheme by explicit loops over the ring's edge set: ``value`` (p or a)
+    on each edge, 1 - deg*value on the diagonal."""
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    if not directed:
+        edges |= {(j, i) for i, j in edges}
+    m = np.zeros((n, n))
+    for i in range(n):
+        m[i, i] = 1.0 - sum(1 for s, _ in edges if s == i) * value
+    for i, j in edges:
+        m[i, j] = value
+    return m
 
 
-def test_graph_rejects_disconnected():
-    with pytest.raises(TopologyError, match="strongly connected"):
-        Graph(n=3, edges=frozenset({(0, 1), (1, 0)}))
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 1000])
+@pytest.mark.parametrize("directed", [True, False])
+def test_ring_weights_equal_loop_oracle_bytes(n, directed):
+    # byte for byte, so a signed zero or a last-bit difference counts
+    ring = build_ring(n, directed=directed)
+    for build, value in ((build_weights_outdegree, 0.1), (build_weights_outdegree, 1 / 3),
+                         (build_weights_laplacian, 0.25), (build_weights_laplacian, 0.3)):
+        m = build(ring, value).matrix
+        assert m.tobytes() == _ring_oracle(n, directed, value).tobytes(), (build.__name__, value)
+        assert not m.flags.writeable
 
 
 def test_outdegree_weights_directed_ring():
@@ -72,17 +101,13 @@ def test_outdegree_weights_rejects_oversized_p():
         build_weights_outdegree(g, 0.5)
 
 
-def test_outdegree_weights_asymmetric_p_fails_validation():
-    # the out-neighbor construction is only doubly stochastic when the
-    # per-agent weights balance; validation catches the broken column
+def test_outdegree_weights_refuse_vector_p():
+    # on a ring only a constant per-agent p is doubly stochastic, and a scalar says that
     g = build_ring(5, directed=True)
-    with pytest.raises(TopologyError, match="column"):
-        build_weights_outdegree(g, np.array([0.1, 0.2, 0.1, 0.2, 0.1]))
-
-
-def test_outdegree_weights_constant_vector_p_accepted():
-    W = build_weights_outdegree(build_ring(5, directed=True), np.full(5, 0.3))
-    assert W.matrix[0, 1] == pytest.approx(0.3)
+    message = r"^weight p must be a scalar, got an array of shape \(5,\)$"
+    for p in (np.array([0.1, 0.2, 0.1, 0.2, 0.1]), np.full(5, 0.3)):
+        with pytest.raises(TopologyError, match=message):
+            build_weights_outdegree(g, p)
 
 
 def test_laplacian_weights_ring():
@@ -92,14 +117,6 @@ def test_laplacian_weights_ring():
     assert m[0, 1] == pytest.approx(0.25)
     assert m[0, 3] == pytest.approx(0.25)
     assert m[0, 2] == 0.0
-
-
-def test_laplacian_complete_graph_gives_uniform_averaging():
-    n = 5
-    edges = frozenset((i, j) for i in range(n) for j in range(n) if i != j)
-    g = Graph(n=n, edges=edges, directed=False)
-    W = build_weights_laplacian(g, 1.0 / n)
-    assert np.allclose(W.matrix, np.full((n, n), 1.0 / n))
 
 
 def test_laplacian_rejects_large_a():
@@ -115,7 +132,7 @@ def test_non_finite_weight_parameter_refused_by_name(value):
         warnings.simplefilter("error")
         with pytest.raises(TopologyError, match=r"^per-agent weights p_i must be finite, got p="):
             build_weights_outdegree(g, value)
-        with pytest.raises(TopologyError, match=r"^per-agent weights p_i must be finite"):
+        with pytest.raises(TopologyError, match=r"^weight p must be a scalar"):
             build_weights_outdegree(g, np.array([0.1, value, 0.1, 0.1]))
         with pytest.raises(TopologyError, match=r"^tuning parameter a must be positive and finite"):
             build_weights_laplacian(g, value)
@@ -225,11 +242,8 @@ def test_lazy_mixing_contraction(gamma):
 
 
 def test_weight_matrix_rejects_non_stochastic():
-    g = build_ring(3, directed=True)
     with pytest.raises(TopologyError, match="not doubly stochastic"):
         spectral_info(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.25, 0.5]]))
     # also via the WeightMatrix constructor path
-    from cgtsim.topology import WeightMatrix
-    bad = np.array([[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.1, 0.7]])
     with pytest.raises(TopologyError):
-        WeightMatrix(graph=g, matrix=bad)
+        WeightMatrix(n=3, offsets=(1,), self_weight=0.8, weight=0.3)
