@@ -100,13 +100,11 @@ class DivergenceError(RuntimeError):
 class HyperParams:
     """Step sizes and scaling parameters shared by all algorithm variants.
 
-    ``eta`` is a scalar or a per-agent vector (uncoordinated step sizes), stored
-    as a float or a tuple of floats, so the generated equality and hash compare
-    it by value.  ``beta_x``/``beta_y`` damp the error-feedback accumulators; 1
-    recovers the plain error-feedback updates.
+    ``eta`` is one step size for every agent.  ``beta_x``/``beta_y`` damp the
+    error-feedback accumulators; 1 recovers the plain error-feedback updates.
     """
 
-    eta: float | tuple[float, ...]
+    eta: float
     gamma: float = 1.0
     alpha_x: float = 1.0
     alpha_y: float = 1.0
@@ -114,14 +112,13 @@ class HyperParams:
     beta_y: float = 1.0
 
     def __post_init__(self) -> None:
-        eta = np.asarray(self.eta, dtype=float)
-        if eta.ndim > 1:
-            raise AlgorithmError(f"step-size eta must be a scalar or a vector, got shape "
-                                 f"{eta.shape}", "eta")
-        if not np.all((eta > 0) & np.isfinite(eta)):
+        if np.ndim(self.eta) != 0:
+            raise AlgorithmError(f"step-size eta must be a scalar, got an array of shape "
+                                 f"{np.shape(self.eta)}", "eta")
+        if not (self.eta > 0 and np.isfinite(self.eta)):
             raise AlgorithmError(f"step-size eta must be positive and finite, got {self.eta!r}",
                                  "eta")
-        object.__setattr__(self, "eta", float(eta) if eta.ndim == 0 else tuple(eta.tolist()))
+        object.__setattr__(self, "eta", float(self.eta))
         if not 0 < self.gamma <= 1:
             raise AlgorithmError(f"consensus step-size gamma must be in (0, 1], got {self.gamma!r}",
                                  "gamma")
@@ -129,14 +126,6 @@ class HyperParams:
             val = getattr(self, name)
             if not 0 < val <= 1:
                 raise AlgorithmError(f"{name} must be in (0, 1], got {val!r}", name)
-
-    def eta_rows(self, n: int) -> np.ndarray:
-        """eta broadcast to an (n, 1) column for per-agent updates."""
-        if isinstance(self.eta, float):
-            return np.full((n, 1), self.eta)
-        if len(self.eta) != n:
-            raise AlgorithmError(f"per-agent eta must have shape ({n},), got ({len(self.eta)},)")
-        return np.array(self.eta)[:, None]
 
 
 @dataclass
@@ -337,7 +326,6 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         alpha = _channels(hp.alpha_x, hp.alpha_y)
         keep = 1 - alpha
         beta = _channels(hp.beta_x, hp.beta_y)
-        eta = hp.eta_rows(n)
         tags = [TAG_X_DIFF, TAG_Y_DIFF] + ([TAG_X_EF, TAG_Y_EF] if error_feedback else [])
 
         X = default_x0(pb, seed, init) if x0 is None else np.array(x0, dtype=float)
@@ -392,7 +380,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                         H_w = H_w + alpha * (w @ Q)
 
                 mix = Z_hat - Z_hat_w if efficient else i_minus_w @ Z_hat
-                step = eta * Z[1]
+                step = hp.eta * Z[1]
                 Z = Z - hp.gamma * mix
                 X, Y = Z
                 X -= step

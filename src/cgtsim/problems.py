@@ -31,6 +31,12 @@ class RidgeProblem:
             raise ProblemError(f"inconsistent shapes U{u.shape}, v{v.shape}")
         if self.rho <= 0:
             raise ProblemError(f"penalty rho must be positive, got {self.rho!r}")
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise ProblemError("features U and observations v must be finite")
+        # the gradient takes 2*rho, the Hessian of the sum n*rho
+        if not math.isfinite(max(2, u.shape[0]) * self.rho):
+            raise ProblemError(f"penalty terms 2*rho and n*rho must be finite, got "
+                               f"rho={self.rho!r} at n={u.shape[0]}")
         u.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "U", u)
@@ -76,7 +82,8 @@ def generate_ridge(n: int, p: int, rho: float, noise_std: float, seed: int) -> R
     u = rng.uniform(-1.0, 1.0, size=(n, p))
     levels = np.full(n, 0.5) if n == 1 else np.arange(n) / (n - 1)
     x_tilde = np.repeat(levels[:, None], p, axis=1)
-    v = np.einsum("ij,ij->i", u, x_tilde) + noise_std * rng.standard_normal(n)
+    with np.errstate(over="ignore"):  # RidgeProblem refuses a v that overflowed
+        v = np.einsum("ij,ij->i", u, x_tilde) + noise_std * rng.standard_normal(n)
     return RidgeProblem(U=u, v=v, rho=rho)
 
 

@@ -81,8 +81,6 @@ GOLDEN = {
         "c0e7672be09a67417fc842e739ccf6babdd070fb61cb2b7152aa4c44858fce0c",
     "runner/efcgt/normsign-rescaled:q=inf,r=20":
         "4084db3154fd0282b0df969aa711fa06a6800b564e5640dfd952bb1d0004cd3a",
-    "eta-per-agent":
-        "8b88a857c329ecdf80d0de315b263e538912d748819b555a0dc91354d48e3179",
     "init-uniform":
         "9147598255680f185245bb271deb0b0f6b0899b3969410be4ae71356268b5aca",
     "alpha":
@@ -141,8 +139,6 @@ MAXIMA = {
         ("0x1.1c1876bc793b0p-50", "0x1.509ad44802856p-53"),
     "runner/efcgt/normsign-rescaled:q=inf,r=20":
         ("0x1.0b5f12ae59b53p-50", "0x1.4f213cefc58fdp-53"),
-    "eta-per-agent":
-        ("0x1.b1841520b91e6p-49", "0x1.62aac21a5de42p-53"),
     "init-uniform":
         ("0x1.fb1b0ff0f5c40p-49", "0x1.3ccf676371179p-53"),
     "alpha":
@@ -179,9 +175,6 @@ def _case(name, pb, W):
         _, algo, comp = name.split("/")
         return RUNNERS[algo](pb, W, hp, parse_compressor(comp), trace_every=1), ()
     quant = parse_compressor("quant:b=2,q=inf")
-    if name == "eta-per-agent":
-        hp = HyperParams(eta=np.linspace(0.002, 0.006, N), gamma=0.5)
-        return run_efcgt_efficient(pb, W, hp, quant, K, 3, trace_every=1), ()
     if name == "init-uniform":
         return run_cgt_efficient(pb, W, hp, quant, K, 3, trace_every=1, init="uniform"), ()
     if name == "alpha":
@@ -209,8 +202,7 @@ def _case(name, pb, W):
 # run_gt ignores the compressor, so it has one case
 CASES = (["runner/gt/identity"]
          + [f"runner/{algo}/{comp}" for algo in RUNNERS if algo != "gt" for comp in COMPRESSORS]
-         + ["eta-per-agent", "init-uniform", "alpha", "beta", "record-states",
-            "divergence-partial"])
+         + ["init-uniform", "alpha", "beta", "record-states", "divergence-partial"])
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import math
@@ -68,13 +69,7 @@ def test_parse_config_round_trip():
     assert cfg.compressor == "topk:k=1"
     assert cfg.hyper.eta == 0.05 and cfg.hyper.gamma == 0.6
     again = parse_config(harness.config_text(cfg))
-    assert again == cfg
-    eta = np.linspace(0.04, 0.06, 6)
-    vec = dataclasses.replace(cfg, hyper=dataclasses.replace(cfg.hyper, eta=eta))
-    back = parse_config(harness.config_text(vec))
-    assert np.array_equal(back.hyper.eta, eta)
-    assert back == vec and hash(back) == hash(vec)
-    assert dataclasses.replace(back, hyper=cfg.hyper) == cfg
+    assert again == cfg and hash(again) == hash(cfg)
 
 
 def test_config_text_round_trips_every_preset():
@@ -102,8 +97,9 @@ def test_run_from_config_looks_up_runner_at_call_time(monkeypatch, method):
     assert len(calls) == 1
 
 
-def test_config_per_agent_eta_length_checked():
-    with pytest.raises(ConfigError, match="hyper.eta"):
+def test_config_vector_eta_refused_at_read():
+    # one step size for every agent: a list of them does not parse
+    with pytest.raises(ConfigError, match=re.escape("hyper.eta: cannot parse '0.05 0.05' as float")):
         parse_config(CONFIG_TEXT.replace("eta = 0.05", "eta = 0.05 0.05"))
     with pytest.raises(ConfigError, match="hyper.eta"):
         parse_config(CONFIG_TEXT.replace("eta = 0.05", "eta = 0.05 x"))
@@ -247,6 +243,17 @@ def test_compare_merges_aligned_traces(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "k,cgt:topk:k=1,efcgt:topk:k=1"
     assert len(lines) == base.K + 2
+
+
+def test_compare_header_quotes_a_label_with_a_comma(tmp_path):
+    base = parse_config(CONFIG_TEXT)
+    quant = dataclasses.replace(base, compressor="quant:b=2,q=inf")
+    path = compare([quant, base, quant], out_dir=tmp_path, prefix="merged")
+    text = path.read_text()
+    assert text.splitlines()[0] == 'k,"cgt:quant:b=2,q=inf",cgt:topk:k=1,"cgt:quant:b=2,q=inf"'
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["k", "cgt:quant:b=2,q=inf", "cgt:topk:k=1", "cgt:quant:b=2,q=inf"]
+    assert len(rows) == base.K + 2 and all(len(row) == 4 for row in rows)
 
 
 def test_compare_single_config_passthrough(tmp_path):
@@ -427,6 +434,40 @@ def test_cli_failed_write_after_a_run_exit_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert rc == 1 and err.count("\n") == 1
     assert err.startswith(f"config error: output file {out / 'smoke.csv'} cannot be written: ")
+
+
+def test_cli_run_refuses_an_infeasible_certificate_before_the_run(tmp_path, capsys, monkeypatch):
+    # the report does not depend on the run, so certify = true refuses it before anything
+    # runs or is written
+    def never(*args, **kwargs):
+        raise AssertionError("ran before its certificate was built")
+
+    monkeypatch.setattr(harness, "run_from_config", never)
+    cfg = dataclasses.replace(preset("fig5-efcgt-normsign"), certify=True)
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(write_cfg(tmp_path, harness.config_text(cfg))), "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (
+        1, "config error: certification infeasible: error-feedback certification needs a "
+           "contractive compressor; got C=19.0 with r=20.0\n")
+    assert not (out / "fig5-efcgt-normsign.csv").exists()
+    assert not (out / "fig5-efcgt-normsign.cert.txt").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "certify"])
+@pytest.mark.parametrize("field,message", [
+    ("rho", "penalty terms 2*rho and n*rho must be finite, got rho=1e+308 at n=10"),
+    ("noise_std", "features U and observations v must be finite"),
+], ids=["rho", "noise_std"])
+def test_cli_non_finite_problem_data_refused_at_read(tmp_path, capsys, verb, field, message):
+    # rho = 1e308 overflows the penalty terms, and noise_std = 1e308 overflows v: both are
+    # refused when the config is read, with no numpy warning and no traceback
+    cfg = preset("fig1-cgt")
+    cfg = dataclasses.replace(cfg, problem=dataclasses.replace(cfg.problem, **{field: 1e308}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([verb, str(write_cfg(tmp_path, harness.config_text(cfg))),
+                       "--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (1, f"config error: problem: {message}\n")
 
 
 @pytest.mark.parametrize("method,comp", [("cgt", "quant:b=2,q=inf"), ("efcgt", "topk:k=1")])

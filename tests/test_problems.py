@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,23 @@ def test_gradient_matrix_rows_equal_local_gradients(paper_instance):
 def test_optimal_solution_hand_example():
     pb = RidgeProblem(U=np.array([[1.0, 0.0]]), v=np.array([2.0]), rho=1.0)
     assert np.allclose(optimal_solution(pb), [1.0, 0.0])
+
+
+def test_problem_refuses_non_finite_data_and_overflowing_penalty():
+    u, v = np.array([[1.0, -0.5], [0.2, 0.9]]), np.array([3.0, -1.0])
+    for bad_u, bad_v in ((np.array([[np.inf, 0.0], [0.2, 0.9]]), v), (u, np.array([np.nan, 1.0]))):
+        with pytest.raises(ProblemError, match="U and observations v must be finite"):
+            RidgeProblem(U=bad_u, v=bad_v, rho=0.1)
+    # 2*rho overflows at rho = 1e308, n*rho first once n > 2, and a nan rho is no number
+    for n, rho in ((2, 1e308), (10, 2e307), (1, float("nan"))):
+        with pytest.raises(ProblemError, match=r"2\*rho and n\*rho must be finite"):
+            RidgeProblem(U=np.ones((n, 2)), v=np.ones(n), rho=rho)
+    assert RidgeProblem(U=np.ones((2, 2)), v=np.ones(2), rho=2e307).rho == 2e307
+    # a noise draw that overflows v is refused, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProblemError, match="must be finite"):
+            generate_ridge(10, 20, 0.01, 1e308, seed=405)
 
 
 def test_optimal_solution_large_penalty_shrinks_to_zero():
