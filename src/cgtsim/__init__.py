@@ -76,7 +76,6 @@ from .topology import (
     TopologyError,
     WeightMatrix,
     build_ring,
-    build_weights_laplacian,
     build_weights_outdegree,
     check_doubly_stochastic,
     spectral_info,

@@ -80,6 +80,8 @@ def _constants(prob: ProblemConstants, spec: SpectralInfo, alpha_x: float, alpha
     # an eigensolve can round a tiny mu to or below zero; every bound below divides by it
     if not prob.mu > 0:
         raise AnalysisError(f"strong convexity mu must be positive, got mu={prob.mu!r}")
+    if not spec.s > 0:  # c1..c4 divide by the spectral gap
+        raise AnalysisError(f"spectral gap s must be positive, got s={spec.s!r}")
     for name, alpha in (("alpha_x", alpha_x), ("alpha_y", alpha_y)):
         if not alpha_in_range(alpha, r):
             raise AnalysisError(f"{name}={alpha!r} outside {span}")

@@ -72,7 +72,7 @@ from .compression import (
 )
 from .problems import constants as problem_constants
 from .problems import generate_ridge
-from .topology import build_ring, build_weights_laplacian, build_weights_outdegree, check_doubly_stochastic, spectral_info
+from .topology import build_ring, build_weights_outdegree, check_doubly_stochastic, spectral_info
 
 OUT_DIR_ENV = "CGTSIM_OUT_DIR"
 
@@ -234,15 +234,15 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"hyper.{exc.field}: {exc}") from None
     cfg = ExperimentConfig(**specs, **fields["algorithm"], **fields["output"])
     cfg.validate()
-    # build the weights and the problem once, so a value only their constructors check
-    # fails here and not when the run starts
+    # build the weights and the problem once, so a value only their constructors check,
+    # or a size they cannot allocate, fails here and not when the run starts
     try:
         make_topology(cfg.topology)
-    except topology.TopologyError as exc:
+    except (topology.TopologyError, MemoryError) as exc:
         raise ConfigError(f"topology: {exc}") from None
     try:
         make_problem(cfg.problem)
-    except problems.ProblemError as exc:
+    except (problems.ProblemError, MemoryError) as exc:
         raise ConfigError(f"problem: {exc}") from None
     return cfg
 
@@ -273,10 +273,9 @@ def config_text(cfg: ExperimentConfig) -> str:
 # building blocks
 
 def make_topology(ts: TopologySpec) -> topology.WeightMatrix:
+    """The ring's W; ``laplacian`` weights I - aL are the outdegree stencil with p = a."""
     ring = build_ring(ts.n, directed=ts.directed)
-    if ts.weights == "outdegree":
-        return build_weights_outdegree(ring, ts.p)
-    return build_weights_laplacian(ring, ts.a)
+    return build_weights_outdegree(ring, ts.p if ts.weights == "outdegree" else ts.a)
 
 
 def make_problem(ps: ProblemSpec) -> problems.RidgeProblem:

@@ -3,8 +3,9 @@
 Every W is a ring's circulant stencil: agent i keeps ``self_weight`` and gives
 ``weight`` to agent (i + k) mod n for each offset k of the ring, so row i is
 row 0 rolled by i.  A directed ring has the one offset 1, an undirected ring
-the offsets 1 and n - 1 (one offset at n = 2).  The outdegree scheme's ``p``
-and the Laplacian scheme's ``a`` are scalars.
+the offsets 1 and n - 1 (one offset at n = 2).  :func:`build_weights_outdegree`
+is the one builder: a scalar ``p`` on each edge and a positive self weight
+1 - Deg_out*p.  The Laplacian scheme I - aL is that stencil with p = a.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ class WeightMatrix:
             m[rows, (rows + k) % self.n] = self.weight
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        validate_doubly_stochastic(m)
+        ok, detail = check_doubly_stochastic(m)
+        if not ok:
+            raise TopologyError(f"not doubly stochastic: {detail}")
 
 
 def check_doubly_stochastic(m: np.ndarray) -> tuple[bool, str]:
@@ -88,12 +91,6 @@ def check_doubly_stochastic(m: np.ndarray) -> tuple[bool, str]:
     return True, "ok"
 
 
-def validate_doubly_stochastic(m: np.ndarray) -> None:
-    ok, detail = check_doubly_stochastic(m)
-    if not ok:
-        raise TopologyError(f"not doubly stochastic: {detail}")
-
-
 def build_weights_outdegree(ring: Ring, p: float) -> WeightMatrix:
     """Weights w_ij = p for each j agent i sends to, 1 - Deg_out*p on the diagonal."""
     if np.ndim(p) != 0:
@@ -108,17 +105,6 @@ def build_weights_outdegree(ring: Ring, p: float) -> WeightMatrix:
     if diag <= 0:
         raise TopologyError(f"agent 0: 1 - Deg_out*p = {diag!r} <= 0 (Deg_out={deg}, p={p!r})")
     return WeightMatrix(ring.n, ring.offsets, diag, p)
-
-
-def build_weights_laplacian(ring: Ring, a: float) -> WeightMatrix:
-    """W = I - a*L for the ring's Laplacian L; rejects ``a`` that yields negative entries."""
-    if not 0 < a < math.inf:
-        raise TopologyError(f"tuning parameter a must be positive and finite, got {a!r}")
-    deg = len(ring.offsets)
-    diag = 1.0 - a * deg
-    if diag < 0:
-        raise TopologyError(f"a={a!r} makes a diagonal entry negative; need a <= {1.0 / deg!r}")
-    return WeightMatrix(ring.n, ring.offsets, diag, a)
 
 
 @dataclass(frozen=True)
@@ -164,11 +150,9 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def spectral_info(w: WeightMatrix | np.ndarray) -> SpectralInfo:
-    """Compute (rho_w, s, ||I-W||) for a doubly stochastic matrix."""
-    m = w.matrix if isinstance(w, WeightMatrix) else np.asarray(w, dtype=float)
-    validate_doubly_stochastic(m)
-    n = m.shape[0]
+def spectral_info(w: WeightMatrix) -> SpectralInfo:
+    """Compute (rho_w, s, ||I-W||) for a ring's W, checked doubly stochastic when built."""
+    m, n = w.matrix, w.n
     dev = m - np.full((n, n), 1.0 / n)
     rho_w = spectral_norm(dev)
     norm_iw = spectral_norm(np.eye(n) - m)

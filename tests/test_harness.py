@@ -29,6 +29,7 @@ from cgtsim.harness import (
     trace_csv,
     verify_suite,
 )
+from cgtsim.topology import spectral_info
 
 CONFIG_TEXT = """
 [topology]
@@ -690,10 +691,66 @@ def test_topology_errors_print_plain_floats():
         parse_config(text)
     assert str(exc.value) == ("topology: agent 0: 1 - Deg_out*p = -0.19999999999999996 <= 0 "
                               "(Deg_out=2, p=0.6)")
+    # the Laplacian scheme is the outdegree stencil with p = a, and refused as that
     laplacian = _set_line(_set_line(text, "weights", "laplacian"), "a", "0.75")
-    with pytest.raises(ConfigError, match=re.escape("topology: a=0.75 makes a diagonal entry "
-                                                    "negative; need a <= 0.5")):
+    with pytest.raises(ConfigError) as exc:
         parse_config(laplacian)
+    assert str(exc.value) == "topology: agent 0: 1 - Deg_out*p = -0.5 <= 0 (Deg_out=2, p=0.75)"
+
+
+@pytest.mark.parametrize("verb", ["run", "certify"])
+@pytest.mark.parametrize("n,directed,a,deg", [
+    (4, False, 0.5, 2), (2, False, 1.0, 1), (10, True, 1.0, 1), (10, False, 0.5, 2),
+    (100, False, 0.5, 2),
+], ids=["n4", "n2", "directed-n10", "n10", "n100"])
+def test_cli_refuses_laplacian_ring_with_zero_self_weight(tmp_path, capsys, verb, n, directed,
+                                                           a, deg):
+    # a = 1/deg leaves each agent no self weight: a periodic ring whose spectral gap is 0,
+    # which certify would divide by or certify on rounding noise
+    cfg = preset("fig1-cgt")
+    cfg = dataclasses.replace(
+        cfg, problem=dataclasses.replace(cfg.problem, n=n),
+        topology=dataclasses.replace(cfg.topology, n=n, directed=directed, weights="laplacian", a=a))
+    rc = cli.main([verb, str(write_cfg(tmp_path, harness.config_text(cfg))),
+                   "--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (
+        1, f"config error: topology: agent 0: 1 - Deg_out*p = 0.0 <= 0 (Deg_out={deg}, p={a!r})\n")
+
+
+@pytest.mark.parametrize("method,comp", [("cgt", "quant:b=2,q=inf"), ("efcgt", "topk:k=1")])
+@pytest.mark.parametrize("directed,p", [(False, 1e-300), (True, 0.9999999999999999)],
+                         ids=["tiny-p", "p-below-one"])
+def test_cli_certify_refuses_zero_spectral_gap_by_name(tmp_path, capsys, method, comp,
+                                                        directed, p):
+    # both rings build, but the power iteration rounds their gap s to exactly 0, and
+    # every certificate constant c1..c4 divides by s
+    cfg = dataclasses.replace(preset("fig1-cgt"), algorithm=method, compressor=comp)
+    cfg = dataclasses.replace(cfg, topology=dataclasses.replace(cfg.topology, directed=directed, p=p))
+    assert spectral_info(harness.make_topology(cfg.topology)).s == 0.0
+    rc = cli.main(["certify", str(write_cfg(tmp_path, harness.config_text(cfg))),
+                   "--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (
+        1, "config error: certification infeasible: spectral gap s must be positive, got s=0.0\n")
+
+
+@pytest.mark.parametrize("section,builder", [("topology", "build_weights_outdegree"),
+                                             ("problem", "generate_ridge")])
+def test_cli_refuses_a_size_that_cannot_be_allocated(tmp_path, capsys, monkeypatch, section,
+                                                     builder):
+    # a patched builder stands in for numpy refusing a dense W or a problem too large for
+    # memory; asking numpy for such an array could succeed lazily and touch gigabytes
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    text = harness.config_text(preset("fig1-cgt"))
+    monkeypatch.setattr(harness, builder, refuse)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == f"{section}: {message}"
+    rc = cli.main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (1, f"config error: {section}: {message}\n")
 
 
 def test_gt_certificate_describes_the_identity_operator_it_runs():

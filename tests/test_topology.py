@@ -3,11 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from cgtsim.harness import TopologySpec, make_topology
 from cgtsim.topology import (
     TopologyError,
     WeightMatrix,
     build_ring,
-    build_weights_laplacian,
     build_weights_outdegree,
     check_doubly_stochastic,
     spectral_info,
@@ -68,12 +68,13 @@ def _ring_oracle(n, directed, value):
 @pytest.mark.parametrize("n", [2, 3, 4, 10, 1000])
 @pytest.mark.parametrize("directed", [True, False])
 def test_ring_weights_equal_loop_oracle_bytes(n, directed):
-    # byte for byte, so a signed zero or a last-bit difference counts
-    ring = build_ring(n, directed=directed)
-    for build, value in ((build_weights_outdegree, 0.1), (build_weights_outdegree, 1 / 3),
-                         (build_weights_laplacian, 0.25), (build_weights_laplacian, 0.3)):
-        m = build(ring, value).matrix
-        assert m.tobytes() == _ring_oracle(n, directed, value).tobytes(), (build.__name__, value)
+    # byte for byte, so a signed zero or a last-bit difference counts; the Laplacian
+    # spelling builds the same stencil with p = a
+    for weights, value in (("outdegree", 0.1), ("outdegree", 1 / 3),
+                           ("laplacian", 0.25), ("laplacian", 0.3)):
+        spec = TopologySpec(n=n, directed=directed, weights=weights, p=value, a=value)
+        m = make_topology(spec).matrix
+        assert m.tobytes() == _ring_oracle(n, directed, value).tobytes(), (weights, value)
         assert not m.flags.writeable
 
 
@@ -110,8 +111,12 @@ def test_outdegree_weights_refuse_vector_p():
             build_weights_outdegree(g, p)
 
 
+def _laplacian(n, directed, a):
+    return make_topology(TopologySpec(n=n, directed=directed, weights="laplacian", a=a))
+
+
 def test_laplacian_weights_ring():
-    W = build_weights_laplacian(build_ring(4, directed=False), 0.25)
+    W = _laplacian(4, False, 0.25)
     m = W.matrix
     assert np.allclose(np.diag(m), 0.5)
     assert m[0, 1] == pytest.approx(0.25)
@@ -120,8 +125,11 @@ def test_laplacian_weights_ring():
 
 
 def test_laplacian_rejects_large_a():
-    with pytest.raises(TopologyError, match="need a <="):
-        build_weights_laplacian(build_ring(4, directed=False), 0.6)
+    # a = 1/deg leaves a zero self weight: a periodic ring with no spectral gap
+    for a, diag in ((0.6, "-0.19999999999999996"), (0.5, "0.0")):
+        message = rf"^agent 0: 1 - Deg_out\*p = {diag} <= 0 \(Deg_out=2, p={a}\)$"
+        with pytest.raises(TopologyError, match=message):
+            _laplacian(4, False, a)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -134,8 +142,8 @@ def test_non_finite_weight_parameter_refused_by_name(value):
             build_weights_outdegree(g, value)
         with pytest.raises(TopologyError, match=r"^weight p must be a scalar"):
             build_weights_outdegree(g, np.array([0.1, value, 0.1, 0.1]))
-        with pytest.raises(TopologyError, match=r"^tuning parameter a must be positive and finite"):
-            build_weights_laplacian(g, value)
+        with pytest.raises(TopologyError, match=r"^per-agent weights p_i must be finite, got p="):
+            _laplacian(4, False, value)
 
 
 def test_check_doubly_stochastic_names_offender():
@@ -147,14 +155,14 @@ def test_check_doubly_stochastic_names_offender():
 
 
 def test_spectral_info_uniform_averaging():
-    n = 6
-    info = spectral_info(np.full((n, n), 1.0 / n))
+    # the complete graph on 6 agents as a circulant: weight 1/6 at every offset
+    info = spectral_info(WeightMatrix(n=6, offsets=(1, 2, 3, 4, 5), self_weight=1 / 6, weight=1 / 6))
     assert info.rho_w == pytest.approx(0.0, abs=1e-12)
     assert info.s == pytest.approx(1.0)
 
 
 def test_spectral_info_identity_disconnected_limit():
-    info = spectral_info(np.eye(7))
+    info = spectral_info(WeightMatrix(n=7, offsets=(), self_weight=1.0, weight=0.0))
     assert info.rho_w == pytest.approx(1.0, abs=1e-10)
 
 
@@ -204,7 +212,7 @@ def test_spectral_info_golden_outdegree_rings(n, directed):
 
 
 def test_spectral_golden_laplacian_random_and_zero():
-    info = spectral_info(build_weights_laplacian(build_ring(12, directed=False), 0.25))
+    info = spectral_info(build_weights_outdegree(build_ring(12, directed=False), 0.25))
     assert (info.rho_w.hex(), info.s.hex(), info.norm_IminusW.hex()) == (
         "0x1.ddb3d742c1945p-1", "0x1.126145e9f35d8p-4", "0x1.fffffffffd048p-1")
     rng = np.random.default_rng(7)
@@ -243,7 +251,4 @@ def test_lazy_mixing_contraction(gamma):
 
 def test_weight_matrix_rejects_non_stochastic():
     with pytest.raises(TopologyError, match="not doubly stochastic"):
-        spectral_info(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.25, 0.5]]))
-    # also via the WeightMatrix constructor path
-    with pytest.raises(TopologyError):
         WeightMatrix(n=3, offsets=(1,), self_weight=0.8, weight=0.3)
