@@ -170,7 +170,7 @@ class TraceRecord:
 
 @dataclass
 class RunResult:
-    """Trace plus final state and echoes of everything that determined the run.
+    """Trace, final state and invariant maxima of a run, with its algorithm and compressor.
 
     ``max_tracking_violation`` and ``max_mean_drift`` are the largest relative
     violations of the two invariants over the iterations run (to the
@@ -180,9 +180,7 @@ class RunResult:
 
     trace: list[TraceRecord]
     final: NetworkState
-    hyper: HyperParams
     compressor: str
-    seed: int
     algorithm: str
     max_tracking_violation: float = 0.0
     max_mean_drift: float = 0.0
@@ -340,6 +338,11 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
 
         x_star = optimal_solution(pb)
         denom = float(_sum_sq(X - x_star))
+        # every residual is divided by denom: an inf one makes each of them inf/inf = nan
+        if not np.isfinite(denom):
+            raise AlgorithmError(
+                f"the squared distance to the optimum ||X0 - 1x*'||^2 overflows to {denom} "
+                f"(largest |x*| entry {np.abs(x_star).max():.3e}); rescale the problem")
         if denom == 0.0:
             denom = 1.0
 
@@ -413,8 +416,8 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                 break
             kept = [None]
     states_x, states_y = (None, None) if zs is None else np.stack(zs, axis=1)
-    res = RunResult(trace=trace, final=NetworkState(Z, H, H_w, E), hyper=hp,
-                    compressor=compressor_label(kind), seed=seed, algorithm=algorithm,
+    res = RunResult(trace=trace, final=NetworkState(Z, H, H_w, E),
+                    compressor=compressor_label(kind), algorithm=algorithm,
                     max_tracking_violation=max_track, max_mean_drift=max_drift,
                     states_x=states_x, states_y=states_y)
     if diverged:

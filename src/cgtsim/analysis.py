@@ -35,18 +35,20 @@ class AnalysisError(ValueError):
     """Raised for violated preconditions or infeasible parameter chains."""
 
 
-def _slack(contr_x: float, contr_y: float) -> list[tuple[float, float]]:
-    """Per channel (x, y): the pair (tau*(1-contr), 3 tau/(tau-1)) for a slack tau > 1.
+def _slack(alpha_x: float, alpha_y: float, r: float, delta: float) -> list[tuple[float, float]]:
+    """Per channel (x, y) of contraction alpha*r*delta: (tau*(1-contr), 3 tau/(tau-1)), tau > 1.
 
     tau is the geometric midpoint of (1, 1/(1-contr)), or 2 when the
     contraction reaches 1.
     """
     pairs = []
-    for contr in (contr_x, contr_y):
+    for name, alpha in (("alpha_x", alpha_x), ("alpha_y", alpha_y)):
+        contr = alpha * r * delta
         tau = 2.0 if contr >= 1.0 else 1.0 / math.sqrt(1.0 - contr)
         # 1 - contr rounds to 1 for a contraction below machine epsilon
         if tau <= 1:
-            raise AnalysisError("slack parameters tau must exceed 1")
+            raise AnalysisError(f"slack parameters tau must exceed 1, but at {name}={alpha!r} "
+                                f"1 - {name}*r*delta = 1 - {contr!r} rounds to 1")
         pairs.append((tau * (1.0 - contr), 3.0 * tau / (tau - 1.0)))
     return pairs
 
@@ -86,7 +88,7 @@ def _constants(prob: ProblemConstants, spec: SpectralInfo, alpha_x: float, alpha
         if not alpha_in_range(alpha, r):
             raise AnalysisError(f"{name}={alpha!r} outside {span}")
     s, niw = spec.s, spec.norm_IminusW
-    (c_x, t_x), (c_y, t_y) = _slack(alpha_x * r * delta, alpha_y * r * delta)
+    (c_x, t_x), (c_y, t_y) = _slack(alpha_x, alpha_y, r, delta)
     if c_x >= 1.0 or c_y >= 1.0:
         raise AnalysisError(
             f"infeasible: c_x={c_x!r}, c_y={c_y!r} must be < 1 "

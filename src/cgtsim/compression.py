@@ -18,34 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "CompressionError",
-    "Identity",
-    "UnbiasedQuantize",
-    "TopK",
-    "RandK",
-    "NormSign",
-    "RescaledNormSign",
-    "CompressorKind",
-    "CompressorProfile",
-    "RngStream",
-    "TAG_X_DIFF",
-    "TAG_Y_DIFF",
-    "TAG_X_EF",
-    "TAG_Y_EF",
-    "parse_compressor",
-    "compressor_label",
-    "compress",
-    "compress_rows",
-    "check_dimension",
-    "bit_cost",
-    "alpha_in_range",
-    "analytic_profile",
-    "empirical_profile",
-    "estimate_variance_ratio",
-    "estimate_contraction",
-]
-
 
 class CompressionError(ValueError):
     """Raised for invalid operator parameters or inputs."""
@@ -288,32 +260,12 @@ def _quantize_rows(m: np.ndarray, kind: UnbiasedQuantize, u: np.ndarray) -> np.n
     return out
 
 
-def _topk_rows(m: np.ndarray, k: int) -> np.ndarray:
+def _keep_rows(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Zero all of each row but the columns ``keep`` names: (rows,) or (rows, k)."""
     out = np.zeros_like(m)
-    if k == 1:
-        # argmax takes the first maximum, i.e. ties go to the lowest index
-        rows = np.arange(m.shape[0])
-        keep = np.abs(m).argmax(axis=1)
-        out[rows, keep] = m[rows, keep]
-        return out
-    # stable argsort on -|m| breaks ties toward the lowest index
-    order = np.argsort(-np.abs(m), axis=1, kind="stable")
-    rows = np.arange(m.shape[0])[:, None]
-    keep = order[:, :k]
-    out[rows, keep] = m[rows, keep]
-    return out
-
-
-def _randk_rows(m: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
-    # kept set = indices of the k smallest uniforms: a uniformly random k-subset
-    out = np.zeros_like(m)
-    if k == 1:
-        rows = np.arange(m.shape[0])
-        keep = u.argmin(axis=1)
-        out[rows, keep] = m[rows, keep]
-        return out
-    rows = np.arange(m.shape[0])[:, None]
-    keep = np.argpartition(u, k - 1, axis=1)[:, :k]
+    rows = np.arange(m.shape[0])
+    if keep.ndim == 2:
+        rows = rows[:, None]
     out[rows, keep] = m[rows, keep]
     return out
 
@@ -334,10 +286,17 @@ def _apply_rows(kind: CompressorKind, m: np.ndarray, u: np.ndarray | None) -> np
         assert u is not None
         return _quantize_rows(m, kind, u)
     if isinstance(kind, TopK):
-        return _topk_rows(m, kind.k)
+        # argmax takes the first maximum and the stable argsort on -|m| keeps order among
+        # equals, so ties go to the lowest index either way
+        if kind.k == 1:
+            return _keep_rows(m, np.abs(m).argmax(axis=1))
+        return _keep_rows(m, np.argsort(-np.abs(m), axis=1, kind="stable")[:, :kind.k])
     if isinstance(kind, RandK):
         assert u is not None
-        return _randk_rows(m, kind.k, u)
+        # kept set = indices of the k smallest uniforms: a uniformly random k-subset
+        if kind.k == 1:
+            return _keep_rows(m, u.argmin(axis=1))
+        return _keep_rows(m, np.argpartition(u, kind.k - 1, axis=1)[:, :kind.k])
     if isinstance(kind, NormSign):
         return _row_norms(m, kind.q)[:, None] * np.sign(m)
     if isinstance(kind, RescaledNormSign):

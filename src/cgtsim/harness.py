@@ -282,14 +282,14 @@ def make_problem(ps: ProblemSpec) -> problems.RidgeProblem:
     return generate_ridge(ps.n, ps.dim, ps.rho, ps.noise_std, ps.seed)
 
 
-def run_from_config(cfg: ExperimentConfig, **kwargs) -> RunResult:
+def run_from_config(cfg: ExperimentConfig) -> RunResult:
     cfg.validate()
     pb = make_problem(cfg.problem)
     W = make_topology(cfg.topology)
     kind = parse_compressor(cfg.compressor)
     runner = _RUNNERS[cfg.algorithm]
     return runner(pb, W, cfg.hyper, kind, cfg.K, cfg.problem.seed,
-                  trace_every=cfg.trace_every, init=cfg.init, **kwargs)
+                  trace_every=cfg.trace_every, init=cfg.init)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,39 @@ def test_topk_tie_goes_to_lowest_index():
     assert np.array_equal(out, [2.0, 0.0, 0.0])
 
 
+# rows with tied magnitudes, with +-inf and all zero, then two Gaussian rows
+_SPARSIFIER_ROWS = np.vstack([
+    [2.0, -2.0, 2.0, 1.0, -1.0],
+    [1.0, np.inf, -np.inf, 3.0, -3.0],
+    [-np.inf, 0.0, np.inf, -np.inf, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, -1.5, 0.0, 1.5, 0.0],
+    np.random.default_rng(8).standard_normal((2, 5)),
+])
+
+
+@pytest.mark.parametrize("cls", [TopK, RandK])
+@pytest.mark.parametrize("k", [1, 2, 4, 5])
+def test_sparsifier_keeps_the_k_entries_a_per_row_loop_picks(cls, k):
+    m = _SPARSIFIER_ROWS
+    u = np.random.default_rng(k).random(m.shape)
+    want = np.zeros_like(m)
+    for i, row in enumerate(m):
+        # top-k: largest magnitude first, ties to the lowest index; rand-k: smallest uniform
+        key = (lambda j: (-abs(row[j]), j)) if cls is TopK else (lambda j: u[i, j])
+        for j in sorted(range(m.shape[1]), key=key)[:k]:
+            want[i, j] = row[j]
+    assert np.array_equal(_apply_rows(cls(k), m, u), want)
+
+
+def test_topk_nan_is_kept_by_top1_and_dropped_above_it():
+    # pinned as it is: argmax takes the first NaN, while the stable argsort on -|m| puts
+    # NaN after every number, +-inf included
+    x = np.array([[1.0, np.nan, -3.0, np.inf, 2.0]])
+    np.testing.assert_array_equal(_apply_rows(TopK(1), x, None), [[0, np.nan, 0, 0, 0]])
+    np.testing.assert_array_equal(_apply_rows(TopK(2), x, None), [[0, 0, -3.0, np.inf, 0]])
+
+
 def test_normsign_inf():
     out = compress(NormSign(q=math.inf), np.array([2.0, -1.0]))
     assert np.array_equal(out, [2.0, -2.0])

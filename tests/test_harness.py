@@ -471,6 +471,36 @@ def test_cli_non_finite_problem_data_refused_at_read(tmp_path, capsys, verb, fie
     assert (rc, capsys.readouterr().err) == (1, f"config error: problem: {message}\n")
 
 
+@pytest.mark.parametrize("method", ["cgt", "efcgt"])
+def test_cli_run_refuses_a_residual_normaliser_that_overflows(tmp_path, capsys, method):
+    # at noise_std = 1e154 the data are finite but x* is about 7e153, so ||X0 - 1x*'||^2
+    # overflows and every residual would read inf/inf = nan from k = 0 on
+    cfg = dataclasses.replace(preset("fig1-cgt"), algorithm=method)
+    cfg = dataclasses.replace(cfg, problem=dataclasses.replace(cfg.problem, noise_std=1e154))
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(write_cfg(tmp_path, harness.config_text(cfg))), "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (
+        1, "config error: the squared distance to the optimum ||X0 - 1x*'||^2 overflows to "
+           "inf (largest |x*| entry 6.926e+153); rescale the problem\n")
+    assert not (out / "fig1-cgt.csv").exists()
+
+
+@pytest.mark.parametrize("preset_name,alpha,contr", [
+    ("fig1-cgt", "alpha_x", "5.008323553488432e-301"),
+    ("fig3a-efcgt", "alpha_y", "5e-302"),
+])
+def test_cli_certify_names_an_alpha_too_small_for_a_slack(tmp_path, capsys, preset_name, alpha,
+                                                         contr):
+    # 1 - alpha*r*delta rounds to 1, so no slack tau > 1 exists; the refusal names the alpha
+    cfg = preset(preset_name)
+    cfg = dataclasses.replace(cfg, hyper=dataclasses.replace(cfg.hyper, **{alpha: 1e-300}))
+    rc = cli.main(["certify", str(write_cfg(tmp_path, harness.config_text(cfg))),
+                   "--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (
+        1, f"config error: certification infeasible: slack parameters tau must exceed 1, but "
+           f"at {alpha}=1e-300 1 - {alpha}*r*delta = 1 - {contr} rounds to 1\n")
+
+
 @pytest.mark.parametrize("method,comp", [("cgt", "quant:b=2,q=inf"), ("efcgt", "topk:k=1")])
 def test_cli_certify_refuses_non_positive_mu_by_name(tmp_path, capsys, method, comp):
     # at rho = 1e-300 the eigensolve's rounding exceeds 2*rho, so mu comes out below zero;
