@@ -18,6 +18,11 @@ x, channel 1 the tracker y, row i belongs to agent i.  ``NetworkState`` holds
 them in this layout from the update loop to the trace.  alpha and beta are
 Python floats when the x and y values agree and (2, 1, 1) columns otherwise,
 so each update, and each ``metrics`` reduction, is written once for both.
+A coefficient that is a scalar 1 (alpha, beta or gamma) multiplies nothing:
+``x * 1.0`` is ``x`` bit for bit for every double, ±0, ±inf and NaN included,
+and most presets run at alpha = beta = 1.  ``keep * H``, with keep = 1 - alpha,
+stays even at keep = 0: adding its ``0.0 * h`` turns a -0.0 into +0 where h is
+positive, and is NaN where h is infinite, so dropping the term is not exact.
 
 The update loop only steps the state; ``_simulate`` checks it in blocks of c =
 max(1, _BLOCK_BYTES // (8 * floats kept per iteration)) iterations.  A block
@@ -264,15 +269,23 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _times(c: float | np.ndarray, a: np.ndarray) -> np.ndarray:
+    # c * a, or a itself when c is a scalar 1: x * 1.0 is x bit for bit for every double
+    return a if not isinstance(c, np.ndarray) and c == 1 else c * a
+
+
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    # a block of one iteration (n = 1000) is a view, not a copy
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    # the bytes of np.stack, from one concatenate; a block of one iteration (n = 1000) is a
+    # view, not a copy
+    if len(arrays) == 1:
+        return arrays[0][None]
+    return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
 
 
 def _stack_points(points: list[tuple], error_feedback: bool) -> NetworkState:
     """The Z, H and E of a block's trace points, stacked as ``metrics`` reads them."""
-    E = np.stack([pt[3] for pt in points]) if error_feedback else None
-    return NetworkState(np.stack([pt[0] for pt in points]), np.stack([pt[1] for pt in points]),
+    E = _stack([pt[3] for pt in points]) if error_feedback else None
+    return NetworkState(_stack([pt[0] for pt in points]), _stack([pt[1] for pt in points]),
                         E=E)
 
 
@@ -366,26 +379,26 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                 if not error_feedback:
                     Q = compress_rows_multi(kind, Z - H, u)
                     Z_hat = H + Q
-                    H = keep * H + alpha * Z_hat
+                    H = keep * H + _times(alpha, Z_hat)
                     if efficient:
                         Z_hat_w = H_w + w @ Q
-                        H_w = keep * H_w + alpha * Z_hat_w
+                        H_w = keep * H_w + _times(alpha, Z_hat_w)
                 else:
                     D = Z - H
-                    DE = beta * E + D
+                    DE = _times(beta, E) + D
                     out = compress_rows_multi(kind, np.concatenate([D, DE]), u)
                     Q, Qh = out.reshape(2, 2, n, p)
                     E = DE - Qh
                     Z_hat = H + Qh
-                    H = H + alpha * Q
+                    H = H + _times(alpha, Q)
                     if efficient:
                         Z_hat_w = H_w + w @ Qh
-                        H_w = H_w + alpha * (w @ Q)
+                        H_w = H_w + _times(alpha, w @ Q)
 
                 mix = Z_hat - Z_hat_w if efficient else i_minus_w @ Z_hat
                 step = hp.eta * Z[1]
-                Z = Z - hp.gamma * mix
-                X, Y = Z
+                Z = Z - _times(hp.gamma, mix)
+                X, Y = Z[0], Z[1]
                 X -= step
                 grad_new = gradient_matrix(pb, X)
                 Y += grad_new

@@ -7,7 +7,9 @@ identical draws by sharing stream keys.
 The streams are a counter hash that one function, ``_uniforms``, folds, so any
 draw can be made out of order.  The engine draws the uniforms of each of its
 checked blocks of consecutive iterations in one ``_draw_block`` call, with the
-same keys and therefore the same bits as one draw per iteration.
+same keys and therefore the same bits as one draw per iteration.  The hash
+rounds run in place, on the fresh array each fold creates; no caller's array
+is ever written.
 """
 
 from __future__ import annotations
@@ -52,7 +54,10 @@ class UnbiasedQuantize:
 
 @dataclass(frozen=True)
 class TopK:
-    """Keep the k entries of largest absolute value (ties to the lowest index)."""
+    """Keep the k entries of largest absolute value (ties to the lowest index).
+
+    A NaN entry ranks above every number, ±inf included, at every k.
+    """
 
     k: int
 
@@ -178,10 +183,13 @@ TAG_INIT = 5
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # operates on uint64 arrays; wraparound is intentional
-    z = (z ^ (z >> np.uint64(30))) * _MUL1
-    z = (z ^ (z >> np.uint64(27))) * _MUL2
-    return z ^ (z >> np.uint64(31))
+    # updates a fresh uint64 array in place and returns it; wraparound is intentional
+    z ^= z >> np.uint64(30)
+    z *= _MUL1
+    z ^= z >> np.uint64(27)
+    z *= _MUL2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _u64(x: int | np.integer | np.ndarray) -> np.ndarray:
@@ -203,7 +211,8 @@ def _uniforms(m: int, *words: int | np.ndarray) -> np.ndarray:
     for word in words:
         h = _mix64(h ^ (_u64(word) + _PHI))
     z = _mix64(h[..., None] + np.arange(1, m + 1, dtype=np.uint64) * _PHI)
-    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    z >>= np.uint64(11)
+    return z * 2.0 ** -53  # a Python float scales uint64 to float64, exactly below 2**53
 
 
 @dataclass(frozen=True)
@@ -242,27 +251,33 @@ def _need_rng(kind: CompressorKind, rng: RngStream | None) -> RngStream:
     return rng
 
 
-def _row_norms(m: np.ndarray, q: float) -> np.ndarray:
-    if q == math.inf:
-        return np.abs(m).max(axis=1)
-    if q == 1:
-        return np.abs(m).sum(axis=1)
-    return np.sqrt((m * m).sum(axis=1))
+def _row_norms(m: np.ndarray, q: float, a: np.ndarray | None = None) -> np.ndarray:
+    """The q-norm of each row of m; ``a`` is np.abs(m) when the caller already has it."""
+    if q == 2:
+        return np.sqrt((m * m).sum(axis=1))
+    a = np.abs(m) if a is None else a
+    return a.max(axis=1) if q == math.inf else a.sum(axis=1)
 
 
 def _quantize_rows(m: np.ndarray, kind: UnbiasedQuantize, u: np.ndarray) -> np.ndarray:
     scale = 2.0 ** (kind.bits - 1)
-    norms = _row_norms(m, kind.q)
-    safe = np.where(norms > 0, norms, 1.0)[:, None]
-    level = np.floor(scale * np.abs(m) / safe + u)
+    a = np.abs(m)
+    norms = _row_norms(m, kind.q, a)
+    positive = norms > 0
+    all_positive = positive.all()
+    safe = (norms if all_positive else np.where(positive, norms, 1.0))[:, None]
+    level = np.floor(scale * a / safe + u)
     out = (safe / scale) * np.sign(m) * level
-    out[norms == 0] = 0.0
+    # a zero-norm row maps to +0.0: the formula alone gives -0.0 for the negative entries
+    # of a row whose 2-norm underflows to 0
+    if not all_positive:
+        out[norms == 0] = 0.0
     return out
 
 
 def _keep_rows(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Zero all of each row but the columns ``keep`` names: (rows,) or (rows, k)."""
-    out = np.zeros_like(m)
+    out = np.zeros(m.shape)
     rows = np.arange(m.shape[0])
     if keep.ndim == 2:
         rows = rows[:, None]
@@ -286,11 +301,12 @@ def _apply_rows(kind: CompressorKind, m: np.ndarray, u: np.ndarray | None) -> np
         assert u is not None
         return _quantize_rows(m, kind, u)
     if isinstance(kind, TopK):
-        # argmax takes the first maximum and the stable argsort on -|m| keeps order among
-        # equals, so ties go to the lowest index either way
+        # NaN ranks first, then |m| descending, ties to the lowest index: argmax takes the
+        # first NaN, else the first maximum, and the stable lexsort keeps order among equals
+        a = np.abs(m)
         if kind.k == 1:
-            return _keep_rows(m, np.abs(m).argmax(axis=1))
-        return _keep_rows(m, np.argsort(-np.abs(m), axis=1, kind="stable")[:, :kind.k])
+            return _keep_rows(m, a.argmax(axis=1))
+        return _keep_rows(m, np.lexsort((-a, ~np.isnan(a)), axis=1)[:, :kind.k])
     if isinstance(kind, RandK):
         assert u is not None
         # kept set = indices of the k smallest uniforms: a uniformly random k-subset

@@ -97,7 +97,8 @@ def local_gradient(pb: RidgeProblem, i: int, x: np.ndarray) -> np.ndarray:
 
 def gradient_matrix(pb: RidgeProblem, X: np.ndarray) -> np.ndarray:
     """Stacked local gradients: row i is grad f_i(X[i])."""
-    res = (pb.U * X).sum(axis=1) - pb.v
+    # np.add.reduce is the reduction .sum(axis=1) runs, without its Python-level wrapper
+    res = np.add.reduce(pb.U * X, axis=1) - pb.v
     return (2.0 * res)[:, None] * pb.U + (2.0 * pb.rho) * X
 
 

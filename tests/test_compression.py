@@ -30,6 +30,7 @@ from cgtsim.compression import (
     _INNER_REPS,
     _apply_rows,
     _draw_block,
+    _quantize_rows,
     _test_inputs,
 )
 
@@ -77,12 +78,23 @@ def test_sparsifier_keeps_the_k_entries_a_per_row_loop_picks(cls, k):
     assert np.array_equal(_apply_rows(cls(k), m, u), want)
 
 
-def test_topk_nan_is_kept_by_top1_and_dropped_above_it():
-    # pinned as it is: argmax takes the first NaN, while the stable argsort on -|m| puts
-    # NaN after every number, +-inf included
+@pytest.mark.parametrize("k,want", [
+    (1, [0, np.nan, 0, 0, 0]),
+    (2, [0, np.nan, 0, np.inf, 0]),
+    (5, [1.0, np.nan, -3.0, np.inf, 2.0]),
+], ids=["k=1", "k=2", "k=p"])
+def test_topk_keeps_nan_first_at_every_k(k, want):
+    # NaN ranks first, then |m| descending; ties go to the lowest index in both
     x = np.array([[1.0, np.nan, -3.0, np.inf, 2.0]])
+    np.testing.assert_array_equal(_apply_rows(TopK(k), x, None), [want])
+
+
+def test_topk_keeps_nans_in_index_order_before_any_number():
+    x = np.array([[-np.inf, np.nan, 5.0, np.nan, np.inf]])
     np.testing.assert_array_equal(_apply_rows(TopK(1), x, None), [[0, np.nan, 0, 0, 0]])
-    np.testing.assert_array_equal(_apply_rows(TopK(2), x, None), [[0, 0, -3.0, np.inf, 0]])
+    np.testing.assert_array_equal(_apply_rows(TopK(2), x, None), [[0, np.nan, 0, np.nan, 0]])
+    np.testing.assert_array_equal(_apply_rows(TopK(3), x, None),
+                                  [[-np.inf, np.nan, 0, np.nan, 0]])
 
 
 def test_normsign_inf():
@@ -100,6 +112,57 @@ def test_quantizer_with_zero_dither_recovers_exactly_representable():
     out = _apply_rows(UnbiasedQuantize(bits=2, q=math.inf),
                       np.array([[1.0, -0.5]]), np.zeros((1, 2)))
     assert np.array_equal(out[0], [1.0, -0.5])
+
+
+def _quantize_rows_as_recorded(m, kind, u):
+    # the quantizer's formula as first written: a check of every later rewrite, bit for bit
+    scale = 2.0 ** (kind.bits - 1)
+    if kind.q == math.inf:
+        norms = np.abs(m).max(axis=1)
+    elif kind.q == 1:
+        norms = np.abs(m).sum(axis=1)
+    else:
+        norms = np.sqrt((m * m).sum(axis=1))
+    safe = np.where(norms > 0, norms, 1.0)[:, None]
+    level = np.floor(scale * np.abs(m) / safe + u)
+    out = (safe / scale) * np.sign(m) * level
+    out[norms == 0] = 0.0
+    return out
+
+
+# all-zero rows, -0.0 entries alone and among numbers, rows of +-1e-200 (whose squared
+# 2-norm underflows to 0, so the reset turns their -0.0 outputs into +0.0), +-inf, NaN,
+# then Gaussian rows
+_QUANT_ROWS = np.vstack([
+    np.zeros(6),
+    np.full(6, -0.0),
+    [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+    [-0.0, 1.0, -0.0, -2.5, 0.0, 0.25],
+    [1e-200, -1e-200, -1e-200, 1e-200, -0.0, 1e-200],
+    np.full(6, -1e-200),
+    [1.0, -np.inf, 2.0, 0.0, -0.0, 3.0],
+    [1.0, np.nan, -2.0, 0.0, -0.0, 3.0],
+    np.random.default_rng(5).standard_normal((4, 6)),
+])
+
+
+@pytest.mark.parametrize("q", [1, 2, math.inf])
+@pytest.mark.parametrize("bits", [1, 2, 8])
+def test_quantize_rows_matches_the_recorded_formula_bit_for_bit(q, bits):
+    kind = UnbiasedQuantize(bits=bits, q=q)
+    m = _QUANT_ROWS
+    with np.errstate(invalid="ignore"):
+        for u in (np.random.default_rng(bits).random(m.shape), np.zeros(m.shape)):
+            got, want = _quantize_rows(m, kind, u), _quantize_rows_as_recorded(m, kind, u)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_quantizer_resets_an_underflowing_row_to_positive_zero():
+    # the squared 2-norm of +-1e-200 rounds to 0, so the row maps to +0.0 everywhere,
+    # whatever the dither
+    m = np.array([[1e-200, -1e-200, -1e-200]])
+    out = _quantize_rows(m, UnbiasedQuantize(bits=2, q=2), np.full((1, 3), 0.9))
+    assert out.tobytes() == np.zeros((1, 3)).tobytes()
 
 
 def test_identity_returns_input_and_full_bit_cost():

@@ -6,6 +6,12 @@ values were recorded before the engine moved to one channel-stacked state, so
 any change to the order or the values of the floating-point updates shows up
 here, where the other engine tests compare with tolerances or with the engine
 itself.  ``MAXIMA`` pins the run's invariant maxima the same way, as float hex.
+
+The ``gamma1``, ``alpha-column`` and ``overflow-partial`` cases were recorded
+before the engine skipped its multiplications by an exact 1.0, and their
+digests also cover the final H, H_w and E: they pin the gamma = 1 path that
+most presets take, the per-channel alpha column, and the partial state of a run
+whose first step overflows.
 """
 
 import hashlib
@@ -91,6 +97,22 @@ GOLDEN = {
         "adb59de6ae1819de2cb5678d62eb8a1e137b5e71853cf2b27a6e2060a2112442",
     "divergence-partial":
         "59228821fb524c4c81690aced211e206de1770978acfb2de65470b3db00cc328",
+    "gamma1/cgt/quant:b=2,q=inf":
+        "8d4279834e0c45a7ca9b75c535d743b2d68b4bb90e27aa034517b14d214ba489",
+    "gamma1/cgt/topk:k=1":
+        "635cba534bc40b1b101651baae3be440590547cf23cc6abf521636e39497e652",
+    "gamma1/efcgt/quant:b=2,q=inf":
+        "c2ceaf2a0ffc61fc62592159c39b85ba3e287ea5e789e7e5a3c203593eb0066d",
+    "gamma1/efcgt/topk:k=1":
+        "71397b84fa47a42fe04221f26b2d3b4d4c34628f9d1819cb21361cdcb0ff796b",
+    "alpha-column/cgt/quant:b=2,q=inf":
+        "df74d852d5360731b9efd30d6dd456ac487b14453c67ec09bc30926f8dff05ee",
+    "alpha-column/efcgt/topk:k=1":
+        "b9de4c486b34592f3e4f2e702cb9f55bd03db569aa21780dc4291e2dae8ae60f",
+    "overflow-partial/cgt/quant:b=2,q=inf":
+        "7690fefa30751eb4fb783d63acd033ee98dee4025d5be6d8513a9cb8b48014e1",
+    "overflow-partial/efcgt/topk:k=1":
+        "803db44c3e8ec469dcb0e4f3f0aed578009dc871f8fd5cb8530ac1c062487b00",
 }
 
 
@@ -149,6 +171,23 @@ MAXIMA = {
         ("0x1.3d8187cb144ecp-51", "0x1.67b6d34a043bdp-53"),
     "divergence-partial":
         ("0x1.01c5fcb775b5dp-54", "0x1.092c14f026dc7p-46"),
+    "gamma1/cgt/quant:b=2,q=inf":
+        ("0x1.5263bcbe5da9bp-48", "0x1.5df9e91e5b117p-53"),
+    "gamma1/cgt/topk:k=1":
+        ("0x1.fe0b602abc7b3p-50", "0x1.36699d49a4d69p-53"),
+    "gamma1/efcgt/quant:b=2,q=inf":
+        ("0x1.93ca411be3eedp-48", "0x1.6b9a78a8a0857p-53"),
+    "gamma1/efcgt/topk:k=1":
+        ("0x1.12c4c8f3c2531p-49", "0x1.35618c44ac1c9p-53"),
+    "alpha-column/cgt/quant:b=2,q=inf":
+        ("0x1.f3d1381924dcap-49", "0x1.63dc7b0a16f54p-53"),
+    "alpha-column/efcgt/topk:k=1":
+        ("0x1.8b1587611cdcap-51", "0x1.3ea9294ef86f4p-53"),
+    # the first step overflows, so each identity compares inf with inf
+    "overflow-partial/cgt/quant:b=2,q=inf":
+        ("nan", "nan"),
+    "overflow-partial/efcgt/topk:k=1":
+        ("nan", "nan"),
 }
 
 @pytest.fixture(scope="module")
@@ -168,12 +207,30 @@ def _digest(res, *extra: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def _final(res) -> tuple:
+    return tuple(a for a in (res.final.H, res.final.H_w, res.final.E) if a is not None)
+
+
 def _case(name, pb, W):
     """Run the named golden case: its result and the extra arrays its digest covers."""
     hp = HyperParams(eta=0.004, gamma=0.5)
     if name.startswith("runner/"):
         _, algo, comp = name.split("/")
         return RUNNERS[algo](pb, W, hp, parse_compressor(comp), trace_every=1), ()
+    if name.startswith(("gamma1/", "alpha-column/")):
+        case, algo, comp = name.split("/")
+        hp = (HyperParams(eta=0.004, gamma=1.0) if case == "gamma1"
+              else HyperParams(eta=0.004, gamma=0.5, alpha_x=1.0, alpha_y=0.5))
+        res = RUNNERS[algo](pb, W, hp, parse_compressor(comp), trace_every=1)
+        return res, _final(res)
+    if name.startswith("overflow-partial/"):
+        # the first step overflows X; the guard cuts the run after it
+        _, algo, comp = name.split("/")
+        hp = HyperParams(eta=1e308, gamma=1.0)
+        with pytest.raises(DivergenceError) as exc:
+            RUNNERS[algo](pb, W, hp, parse_compressor(comp), trace_every=1, record_states=True)
+        res = exc.value.partial
+        return res, (res.states_x, res.states_y) + _final(res)
     quant = parse_compressor("quant:b=2,q=inf")
     if name == "init-uniform":
         return run_cgt_efficient(pb, W, hp, quant, K, 3, trace_every=1, init="uniform"), ()
@@ -202,7 +259,11 @@ def _case(name, pb, W):
 # run_gt ignores the compressor, so it has one case
 CASES = (["runner/gt/identity"]
          + [f"runner/{algo}/{comp}" for algo in RUNNERS if algo != "gt" for comp in COMPRESSORS]
-         + ["init-uniform", "alpha", "beta", "record-states", "divergence-partial"])
+         + ["init-uniform", "alpha", "beta", "record-states", "divergence-partial"]
+         + [f"gamma1/{algo}/{comp}" for algo in ("cgt", "efcgt")
+            for comp in ("quant:b=2,q=inf", "topk:k=1")]
+         + ["alpha-column/cgt/quant:b=2,q=inf", "alpha-column/efcgt/topk:k=1",
+            "overflow-partial/cgt/quant:b=2,q=inf", "overflow-partial/efcgt/topk:k=1"])
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -485,6 +485,31 @@ def test_cli_run_refuses_a_residual_normaliser_that_overflows(tmp_path, capsys, 
     assert not (out / "fig1-cgt.csv").exists()
 
 
+def test_inf_trace_cells_at_the_overflow_edge_are_the_correctly_rounded_squares():
+    # at noise_std = 1e153 the initial trackers, the gradients, are near 1e153 per entry:
+    # the exact k = 0 tracking_error and compress_error_y, summed max-scaled, lie above
+    # DBL_MAX (10^308.25), so inf is their correctly rounded value, and the run stays finite
+    cfg = preset("fig1-cgt", K=50)
+    cfg = dataclasses.replace(cfg, problem=dataclasses.replace(cfg.problem, noise_std=1e153))
+    pb = harness.make_problem(cfg.problem)
+    y0 = problems.gradient_matrix(pb, np.zeros((pb.n, pb.dim)))
+
+    def log10_sum_sq(d):
+        scale = np.abs(d).max()
+        return 2 * math.log10(scale) + math.log10(float(np.sum((d / scale) ** 2)))
+
+    # tracking_error is the spread of Y about its mean; compress_error_y is ||Y - H_y||^2
+    # with H = 0
+    exact = (log10_sum_sq(y0 - y0.mean(axis=0)), log10_sum_sq(y0))
+    assert exact == (pytest.approx(308.56, abs=0.01), pytest.approx(308.61, abs=0.01))
+    assert min(exact) > math.log10(sys.float_info.max)
+    res = run_from_config(cfg)
+    first = res.trace[0]
+    assert (first.tracking_error, first.compress_error_y) == (math.inf, math.inf)
+    assert all(math.isfinite(v) for r in res.trace[1:] for v in dataclasses.astuple(r))
+    assert np.isfinite(res.final.Z).all() and res.trace[-1].residual < 1
+
+
 @pytest.mark.parametrize("preset_name,alpha,contr", [
     ("fig1-cgt", "alpha_x", "5.008323553488432e-301"),
     ("fig3a-efcgt", "alpha_y", "5e-302"),

@@ -4,10 +4,12 @@ Every module under ``src/cgtsim`` is parsed with ``ast``.  Four things fail:
 an import the module never uses, a module-level private function that
 nothing in the library refers to, a local name a function assigns but never
 reads, and a parameter a function never reads.  All four are what deleting
-code leaves behind.
+code leaves behind.  Each module must also compile without a warning, such as
+the ``SyntaxWarning`` of ``x is 1.0``.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,14 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                 if bound not in used:
                     unused.append(f"line {node.lineno}: {bound}")
     return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_compiles_without_warnings(path):
+    # a compile-time warning is an error, so tier-1 fails on it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(), str(path), "exec")
 
 
 def test_sources_found():
