@@ -252,9 +252,21 @@ def _need_rng(kind: CompressorKind, rng: RngStream | None) -> RngStream:
 
 
 def _row_norms(m: np.ndarray, q: float, a: np.ndarray | None = None) -> np.ndarray:
-    """The q-norm of each row of m; ``a`` is np.abs(m) when the caller already has it."""
+    """The q-norm of each row of m; ``a`` is np.abs(m) when the caller already has it.
+
+    At q = 2, a finite row whose sum of squares overflows takes the max-scaled norm.
+    """
     if q == 2:
-        return np.sqrt((m * m).sum(axis=1))
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((m * m).sum(axis=1))
+            over = np.isinf(norms)
+            if over.any():
+                # the sum overflows once entries pass about 1.3e154, long before the norm does
+                over &= np.isfinite(m).all(axis=1)
+                scale = np.abs(m[over]).max(axis=1)
+                scaled = m[over] / scale[:, None]
+                norms[over] = scale * np.sqrt((scaled * scaled).sum(axis=1))
+        return norms
     a = np.abs(m) if a is None else a
     return a.max(axis=1) if q == math.inf else a.sum(axis=1)
 

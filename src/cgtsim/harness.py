@@ -92,7 +92,8 @@ ALGORITHMS = tuple(_RUNNERS)
 
 
 class ConfigError(ValueError):
-    """Raised with a named-field diagnostic when a config does not validate."""
+    """Raised with a named-field diagnostic for a config that cannot run: when its text
+    is read, or when an ``ExperimentConfig`` is made or replaced."""
 
 
 # what the config text cannot hold in a value: a line break (files are read with
@@ -129,6 +130,9 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings.  It checks itself when it is made, and ``dataclasses.replace``
+    checks the new config again, so every instance is a config the run accepts."""
+
     topology: TopologySpec = TopologySpec()
     problem: ProblemSpec = ProblemSpec()
     algorithm: str = "cgt"
@@ -140,7 +144,7 @@ class ExperimentConfig:
     prefix: str = "run"
     certify: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.topology.kind != "ring":
             raise ConfigError(f"topology.kind: unknown kind {self.topology.kind!r}")
         if self.topology.weights not in ("outdegree", "laplacian"):
@@ -233,7 +237,6 @@ def parse_config(text: str) -> ExperimentConfig:
     except AlgorithmError as exc:  # only HyperParams checks its fields on construction
         raise ConfigError(f"hyper.{exc.field}: {exc}") from None
     cfg = ExperimentConfig(**specs, **fields["algorithm"], **fields["output"])
-    cfg.validate()
     # build the weights and the problem once, so a value only their constructors check,
     # or a size they cannot allocate, fails here and not when the run starts
     try:
@@ -283,7 +286,6 @@ def make_problem(ps: ProblemSpec) -> problems.RidgeProblem:
 
 
 def run_from_config(cfg: ExperimentConfig) -> RunResult:
-    cfg.validate()
     pb = make_problem(cfg.problem)
     W = make_topology(cfg.topology)
     kind = parse_compressor(cfg.compressor)
@@ -380,7 +382,6 @@ def certificate_report(cfg: ExperimentConfig) -> str:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentOutcome:
     """Run one config; write the trace CSV (and certificate) and build a summary line."""
-    cfg.validate()
     csv_path = output_file(out_dir, f"{cfg.prefix}.csv")
     cert_path = output_file(out_dir, f"{cfg.prefix}.cert.txt") if cfg.certify else None
     # the report does not depend on the run, so an infeasible one is refused before it

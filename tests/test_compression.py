@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,26 @@ def test_quantizer_resets_an_underflowing_row_to_positive_zero():
     m = np.array([[1e-200, -1e-200, -1e-200]])
     out = _quantize_rows(m, UnbiasedQuantize(bits=2, q=2), np.full((1, 3), 0.9))
     assert out.tobytes() == np.zeros((1, 3)).tobytes()
+
+
+def test_two_norm_past_the_square_overflow_is_the_max_scaled_norm():
+    # (1e200)^2 overflows, the 2-norm 1.063e200 does not; a row whose squares stay
+    # finite keeps the plain sum's bits
+    x = np.array([1e200, -3e199, 2e199])
+    small = np.array([3.0, -4.0, 12.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        signs = _apply_rows(NormSign(q=2), np.vstack([x, small]), None)
+        rescaled = compress(RescaledNormSign(q=2, r=4.0), x)
+        quant = compress(UnbiasedQuantize(bits=2, q=2), x, rng_for())
+    norm = math.hypot(*x)
+    np.testing.assert_allclose(signs[0], norm * np.sign(x), rtol=1e-15)
+    assert signs[1].tobytes() == (np.sqrt((small * small).sum()) * np.sign(small)).tobytes()
+    np.testing.assert_allclose(rescaled, norm / 4.0 * np.sign(x), rtol=1e-15)
+    # each quantized entry is sign(x) times a level in {0, 1, 2} of norm/2
+    levels = quant / (norm / 2) * np.sign(x)
+    np.testing.assert_allclose(levels, np.round(levels), atol=1e-12)
+    assert np.isin(np.round(levels), [0, 1, 2]).all()
 
 
 def test_identity_returns_input_and_full_bit_cost():
@@ -474,10 +495,12 @@ _entries = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(
 @settings(max_examples=200, deadline=None)
 def test_topk_support_invariant_under_positive_scaling(values, c):
     x = np.asarray(values)
-    # rounding c*x can close a gap of an ulp or two between the two largest
-    # magnitudes (e.g. 999999.9999999999 vs 1e6), which moves top-1 to the tie-break
+    # rounding c*x can close a gap of an ulp or two between the largest magnitude
+    # and the next smaller one (e.g. 999999.9999999999 vs 1e6), which moves top-1
+    # to the tie-break, also when the largest magnitude itself is tied
     top = np.sort(np.abs(x))[::-1]
-    assume(top.size == 1 or top[0] == top[1] or top[0] - top[1] > 2 * np.spacing(top[0]))
+    below = top[top < top[0]]
+    assume(below.size == 0 or top[0] - below[0] > 2 * np.spacing(top[0]))
     a = compress(TopK(k=1), x)
     b = compress(TopK(k=1), c * x)
     assert np.array_equal(a != 0, b != 0)

@@ -122,9 +122,8 @@ def test_config_bad_compressor_named():
         parse_config(CONFIG_TEXT.replace("topk:k=1", "gzip"))
     # the text strips surrounding whitespace, so such a value would not round-trip
     for comp in (" topk:k=1", "topk:k=1 ", "topk:k=1\t"):
-        cfg = dataclasses.replace(harness.ExperimentConfig(), compressor=comp)
         with pytest.raises(ConfigError, match=r"^algorithm\.compressor: "):
-            cfg.validate()
+            dataclasses.replace(harness.ExperimentConfig(), compressor=comp)
 
 
 def test_config_missing_required_field():
@@ -170,15 +169,46 @@ def test_config_percent_is_literal():
 @pytest.mark.parametrize("prefix", ["run #1", "run ;1", "#run", ";run", "run\n1", "run\r1",
                                     " run", "run ", "run\t"])
 def test_config_prefix_the_text_cannot_hold_rejected(prefix):
-    cfg = dataclasses.replace(harness.ExperimentConfig(), prefix=prefix)
     with pytest.raises(ConfigError, match=r"^output\.prefix: "):
-        cfg.validate()
+        dataclasses.replace(harness.ExperimentConfig(), prefix=prefix)
 
 
 def test_config_prefix_with_inner_comment_char_round_trips():
     cfg = dataclasses.replace(harness.ExperimentConfig(), prefix="run#1;a b")
-    cfg.validate()
     assert parse_config(harness.config_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("old,new,section,field,value", [
+    ("kind = ring", "kind = torus", "topology", "kind", "torus"),
+    ("weights = outdegree", "weights = metropolis", "topology", "weights", "metropolis"),
+    ("n = 6", "n = 30", "topology", "n", 30),
+    ("method = cgt", "method = sgd", None, "algorithm", "sgd"),
+    ("K = 120", "K = 0", None, "K", 0),
+    ("trace_every = 1", "trace_every = 0", None, "trace_every", 0),
+    ("trace_every = 1", "trace_every = 1\ninit = ones", None, "init", "ones"),
+    ("topk:k=1", "gzip", None, "compressor", "gzip"),
+    ("topk:k=1", "topk:k=9", None, "compressor", "topk:k=9"),
+    ("prefix = smoke", "prefix = sub/run", None, "prefix", "sub/run"),
+], ids=["kind", "weights", "n", "method", "K", "trace_every", "init", "compressor",
+        "compressor-dim", "prefix"])
+def test_config_replace_refuses_what_the_text_refuses(old, new, section, field, value):
+    # a config checks itself when it is made, so replace() gives the text's message
+    with pytest.raises(ConfigError) as from_text:
+        parse_config(CONFIG_TEXT.replace(old, new, 1))
+    cfg = parse_config(CONFIG_TEXT)
+    change = ({field: value} if section is None
+              else {section: dataclasses.replace(getattr(cfg, section), **{field: value})})
+    with pytest.raises(ConfigError) as from_replace:
+        dataclasses.replace(cfg, **change)
+    assert str(from_replace.value) == str(from_text.value)
+
+
+def test_config_with_a_network_of_another_size_is_refused_when_made():
+    # a 30-agent W on the 10-agent problem: no config holds it, so no certificate
+    # can be reported for it
+    cfg = preset("fig1-cgt")
+    with pytest.raises(ConfigError, match=re.escape("topology.n (30) must equal problem.n (10)")):
+        dataclasses.replace(cfg, topology=dataclasses.replace(cfg.topology, n=30))
 
 
 def test_run_experiment_writes_csv_and_summary(tmp_path):
@@ -564,6 +594,14 @@ def test_cli_preset_run_small(tmp_path, capsys):
     rc = cli.main(["preset", "fig3a-cgt", "--k", "200", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "fig3a-cgt.csv").exists()
+
+
+def test_cli_preset_override_refused_before_the_output_directory(tmp_path, capsys):
+    out = tmp_path / "run-out"
+    rc = cli.main(["preset", "fig1-cgt", "--k", "0", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "config error: algorithm.K: must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_cli_compare(tmp_path, capsys):
