@@ -32,7 +32,10 @@ as one draw per iteration would key them.  Each iteration's Z, H, H_w, E,
 gradient and step are kept by reference, not copied.  After c
 iterations, and once more at the end, the block is stacked and reduced in one
 call per quantity: the residuals of the divergence guard, the mean-dynamics
-drift and the tracking violation.  The first iteration whose residual is not
+drift and the tracking violation.  Each is reduced by numpy's own sums, never
+by BLAS, so the checks give the same bits at every BLAS thread count: the
+guard's residual is the trace's, ``_sum_sq``, and the two invariants' norms are
+``compression._row_norms``.  The first iteration whose residual is not
 finite or exceeds ``DIVERGENCE_LIMIT`` ends the run: the block is cut there,
 so the iterations the loop ran past it leave no trace, no state and no
 maximum.  The maxima fold that block's values up to the cut, and its trace
@@ -67,6 +70,7 @@ from .compression import (
     compressor_label,
     profile_for,
     _draw_block,
+    _row_norms,
     _uniforms,
 )
 from .problems import RidgeProblem, gradient_matrix, optimal_solution
@@ -252,23 +256,6 @@ def _channels(vx: float, vy: float) -> float | np.ndarray:
     return float(vx) if vx == vy else np.array([vx, vy], dtype=float)[:, None, None]
 
 
-def _row_dots(a: np.ndarray) -> np.ndarray:
-    # a @ a of each row as one batched matmul, which runs the same BLAS dot per row
-    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """sqrt(a @ a) of each row; where only the dot overflows, the max-scaled norm."""
-    norms = np.sqrt(_row_dots(a))
-    over = np.isinf(norms)
-    if over.any():
-        # the dot overflows once entries pass about 1e153, long before the norm does
-        over &= np.isfinite(a).all(axis=1)
-        scale = np.abs(a[over]).max(axis=1)
-        norms[over] = scale * np.sqrt(_row_dots(a[over] / scale[:, None]))
-    return norms
-
-
 def _times(c: float | np.ndarray, a: np.ndarray) -> np.ndarray:
     # c * a, or a itself when c is a scalar 1: x * 1.0 is x bit for bit for every double
     return a if not isinstance(c, np.ndarray) and c == 1 else c * a
@@ -296,7 +283,9 @@ def _check_block(kept: list[tuple], cs_x: np.ndarray, x_star: np.ndarray,
     ``kept`` holds (Z, H, H_w, E, grad, step) after each iteration and
     ``cs_x`` the column sums of X before the first.  Returns the three (m,)
     arrays and the column sums of X after the last iteration.  Each value is
-    bit for bit the one the iteration's own arrays give.
+    bit for bit the one the iteration's own arrays give: the residual is
+    ``metrics``' ``_sum_sq``, and the norms are ``compression._row_norms``'
+    pairwise sums, so no value depends on the BLAS thread count.
     """
     m = len(kept)
     if m == 0:  # a run of K = 0 iterations
@@ -308,12 +297,11 @@ def _check_block(kept: list[tuple], cs_x: np.ndarray, x_star: np.ndarray,
     # mean-dynamics identity: the network average follows exact gradient descent
     diff = cs[:, 0] - cs_prev + _stack([pt[5] for pt in kept]).sum(axis=1)
     n = Zs.shape[-2]
-    drift = _row_norms(diff) / n / (1.0 + _row_norms(cs_prev) / n)
+    drift = _row_norms(diff, 2) / n / (1.0 + _row_norms(cs_prev, 2) / n)
     # gradient-tracking identity: column sums of Y and of the gradients agree
     viol = np.abs(cs[:, 1] - grads.sum(axis=1)).max(axis=-1)
-    track = viol / (1.0 + _row_norms(grads.reshape(m, -1)))
-    r = (Zs[:, 0] - x_star).reshape(m, -1)
-    return _row_dots(r) / denom, drift, track, cs[-1, 0]
+    track = viol / (1.0 + _row_norms(grads.reshape(m, -1), 2))
+    return _sum_sq(Zs[:, 0] - x_star) / denom, drift, track, cs[-1, 0]
 
 
 def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: CompressorKind,

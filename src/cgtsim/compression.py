@@ -254,7 +254,11 @@ def _need_rng(kind: CompressorKind, rng: RngStream | None) -> RngStream:
 def _row_norms(m: np.ndarray, q: float, a: np.ndarray | None = None) -> np.ndarray:
     """The q-norm of each row of m; ``a`` is np.abs(m) when the caller already has it.
 
-    At q = 2, a finite row whose sum of squares overflows takes the max-scaled norm.
+    This is the library's one row norm: the compressors and the engine's
+    invariant checks use it.  Its sums are numpy's pairwise sums, which give the
+    same bits at every BLAS thread count.  At q = 2, a finite row whose sum of
+    squares overflows takes the max-scaled norm.  A finite row whose q-norm
+    itself passes DBL_MAX reads inf, without a warning.
     """
     if q == 2:
         with np.errstate(over="ignore"):
@@ -268,23 +272,60 @@ def _row_norms(m: np.ndarray, q: float, a: np.ndarray | None = None) -> np.ndarr
                 norms[over] = scale * np.sqrt((scaled * scaled).sum(axis=1))
         return norms
     a = np.abs(m) if a is None else a
-    return a.max(axis=1) if q == math.inf else a.sum(axis=1)
+    if q == math.inf:
+        return a.max(axis=1)
+    with np.errstate(over="ignore"):
+        return a.sum(axis=1)
+
+
+def _scale_huge_rows(m: np.ndarray, norms: np.ndarray, q: float) -> tuple | None:
+    """Rescale the norms of the finite rows of m whose q-norm passes DBL_MAX.
+
+    Each such row's entry of ``norms`` becomes the q-norm of the row times
+    2**-e, with 2**e > p, which is finite; a caller computes the row's output at
+    that exact power-of-two scale and multiplies it by 2**e (``_unscale``).
+    Returns the rows' mask and e, or None when there are none, as always at
+    q = inf, where the norm is an entry.
+    """
+    if q == math.inf:
+        return None
+    huge = np.isinf(norms) & np.isfinite(m).all(axis=1)
+    if not huge.any():
+        return None
+    e = m.shape[1].bit_length()
+    norms[huge] = _row_norms(np.ldexp(m[huge], -e), q)
+    return huge, e
+
+
+def _unscale(out: np.ndarray, scaled: tuple | None) -> np.ndarray:
+    if scaled:
+        huge, e = scaled
+        # exact, but where the exact entry passes DBL_MAX too: it reads inf
+        with np.errstate(over="ignore"):
+            out[huge] = np.ldexp(out[huge], e)
+    return out
 
 
 def _quantize_rows(m: np.ndarray, kind: UnbiasedQuantize, u: np.ndarray) -> np.ndarray:
     scale = 2.0 ** (kind.bits - 1)
     a = np.abs(m)
     norms = _row_norms(m, kind.q, a)
+    scaled = _scale_huge_rows(m, norms, kind.q)
+    if scaled:
+        huge, e = scaled
+        a[huge] = np.ldexp(a[huge], -e)
     positive = norms > 0
     all_positive = positive.all()
     safe = (norms if all_positive else np.where(positive, norms, 1.0))[:, None]
-    level = np.floor(scale * a / safe + u)
+    # scale * a would overflow for entries above DBL_MAX / scale; a power of two scales
+    # exactly, so every level is the one scale * a / safe gives where that is finite
+    level = np.floor(scale * (a / safe) + u)
     out = (safe / scale) * np.sign(m) * level
     # a zero-norm row maps to +0.0: the formula alone gives -0.0 for the negative entries
     # of a row whose 2-norm underflows to 0
     if not all_positive:
         out[norms == 0] = 0.0
-    return out
+    return _unscale(out, scaled)
 
 
 def _keep_rows(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -325,10 +366,13 @@ def _apply_rows(kind: CompressorKind, m: np.ndarray, u: np.ndarray | None) -> np
         if kind.k == 1:
             return _keep_rows(m, u.argmin(axis=1))
         return _keep_rows(m, np.argpartition(u, kind.k - 1, axis=1)[:, :kind.k])
-    if isinstance(kind, NormSign):
-        return _row_norms(m, kind.q)[:, None] * np.sign(m)
-    if isinstance(kind, RescaledNormSign):
-        return (_row_norms(m, kind.q)[:, None] / kind.r) * np.sign(m)
+    if isinstance(kind, (NormSign, RescaledNormSign)):
+        norms = _row_norms(m, kind.q)
+        scaled = _scale_huge_rows(m, norms, kind.q)
+        if isinstance(kind, RescaledNormSign):
+            norms = norms / kind.r
+        out = norms[:, None] * np.sign(m)
+        return _unscale(out, scaled)
     raise CompressionError(f"unknown kind {kind!r}")
 
 

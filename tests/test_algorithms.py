@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,18 +355,20 @@ def test_trace_blocks_do_not_change_results(pb, W_und, W_dir, monkeypatch, name,
 
 
 # sha256 of repr(outcomes) in the test below, recorded with the per-iteration guard the
-# engine had before it checked in blocks
+# engine had before it checked in blocks, and re-recorded when the checks moved from BLAS
+# dots to pairwise sums: every message, trace and state stayed, and the maxima moved by
+# one ulp
 DIVERGENCE_DIGESTS = {
     "gt":
-        "794a6f5495ae6054d8e438c0d4088c998a12f97ea967e716945e1f8823b36d6d",
+        "b580afea687ad99e2e2f4398015abd87b72f124952a19b4ed542a0cd41737afe",
     "cgt-ref":
-        "0ee281a111f5bd0368aefea53a3da87b0864c2b15bb1eac249c7185c1860748b",
+        "0ed582f32f0621cba5b17fa73ecdb4b43fb4ee63847935f4376de11e3d0a6c45",
     "cgt":
-        "75fa8dc972245985df8cc86a802ef49bc563fde67885fa1230f18b2d96ca1e21",
+        "5af38cd7868ed876aa2556a70a1b839c14e2428f3c84d703d36e0532fc105874",
     "efcgt-ref":
-        "d190cf55f26f636ab49051f9dcb0ea0e6a4b8ff05d5cb17923e5056aa5f3174a",
+        "cd190e67cd751d81120b5e23a3b5dcc03be7bc102c2ee5b282d383cd66085790",
     "efcgt":
-        "f4b709b6d07f0ffc1dc90f60d8b239d6a3f2a785f575a2b0ee6897d07f856d4d",
+        "182f58b46ca54f77a86974b59806b1822a1a9bba457c0be39a8e49f50c583584",
 }
 
 
@@ -416,8 +422,8 @@ def test_overflowed_invariants_read_nan(pb, W_und, runner):
 @pytest.mark.parametrize("n", [1, 10, 1000])
 @pytest.mark.parametrize("m", [1, 2, 5])
 def test_block_checks_equal_per_iteration_checks(n, m):
-    # the block's stacked sums and batched row dots against each iteration's own
-    # reductions and BLAS dots, as a per-iteration guard computes them
+    # the block's stacked sums and row norms against each iteration's own reductions, as a
+    # per-iteration guard computes them: numpy's pairwise sum of each vector of squares
     p, denom = 20, 3.0
     rng = np.random.default_rng(n * m)
     eta = rng.uniform(0.01, 1.0, (n, 1))
@@ -431,14 +437,60 @@ def test_block_checks_equal_per_iteration_checks(n, m):
     for j in range(m):
         cs, cs_new = Zs[j].sum(axis=1), Zs[j + 1].sum(axis=1)
         diff = cs_new[0] - cs[0] + steps[j].sum(axis=0)
-        want = math.sqrt(diff @ diff) / n / (1.0 + math.sqrt(cs[0] @ cs[0]) / n)
+        want = math.sqrt(np.sum(diff * diff)) / n / (1.0 + math.sqrt(np.sum(cs[0] * cs[0])) / n)
         assert drift[j] == want
-        g = grads[j].ravel()
+        g = grads[j]
         viol = float(np.abs(cs_new[1] - grads[j].sum(axis=0)).max())
-        assert track[j] == viol / (1.0 + math.sqrt(g @ g))
-        r = (Zs[j + 1][0] - x_star[None, :]).ravel()
-        assert residual[j] == float(r @ r) / denom
+        assert track[j] == viol / (1.0 + math.sqrt(np.sum(g * g)))
+        r = Zs[j + 1][0] - x_star[None, :]
+        assert residual[j] == float(np.sum(r * r)) / denom
     assert cs_x.tobytes() == Zs[m].sum(axis=1)[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+def test_guard_residual_is_the_trace_residual(n):
+    # the divergence guard stops on the number the trace records: on the same snapshots,
+    # _check_block's residual and metrics' residual agree bit for bit
+    p, m, denom = 20, 16, 3.0
+    rng = np.random.default_rng(n)
+    x_star = rng.standard_normal(p)
+    Zs = rng.standard_normal((m, 2, n, p)) * 10.0 ** rng.integers(-3, 4, (m, 1, 1, 1))
+    its = [(Z, None, None, None, Z[1], Z[1]) for Z in Zs]
+    residual, _, _, _ = algorithms._check_block(its, np.zeros(p), x_star, denom)
+    records = metrics(NetworkState(Zs, Zs), x_star, k=range(m), residual_denom=denom,
+                      bits_sent=[0] * m)
+    assert residual.tolist() == [t.residual for t in records]
+
+
+_CHECK_BLOCK_BYTES = """
+import hashlib
+import numpy as np
+from cgtsim import algorithms
+rng = np.random.default_rng({seed})
+n, p = 1000, 20
+Z0, Z1 = rng.standard_normal((2, 2, n, p))
+grad, step = rng.standard_normal((2, n, p))
+out = algorithms._check_block([(Z1, None, None, None, grad, step)], Z0[0].sum(axis=0),
+                              rng.standard_normal(p), 7.0)
+print(hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_block_checks_do_not_depend_on_the_blas_thread_count(seed):
+    # n * p = 20000 floats is where a BLAS dot starts to split across threads; the checks
+    # sum without BLAS, so a one-iteration block at n = 1000 gives the same bytes at one
+    # and at two threads (the thread variables are read when numpy loads)
+    src = str(Path(algorithms.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _CHECK_BLOCK_BYTES.format(seed=seed)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_invariants_read_past_an_overflowed_dot():
@@ -453,7 +505,7 @@ def test_invariants_read_past_an_overflowed_dot():
     Y1 = grad.copy()
     Y1[3, 5] -= 1e190
     its = [(np.stack([X1, Y1]), None, None, None, grad, step)]
-    # as in the engine, the overflowing dots raise no warning
+    # as in the engine, the overflowing sums of squares raise no warning
     with np.errstate(over="ignore"):
         _, drift, track, _ = algorithms._check_block(its, X0.sum(axis=0), np.zeros(p), 1.0)
     diff = X1.sum(axis=0) - X0.sum(axis=0) + step.sum(axis=0)

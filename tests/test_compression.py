@@ -133,7 +133,8 @@ def _quantize_rows_as_recorded(m, kind, u):
 
 # all-zero rows, -0.0 entries alone and among numbers, rows of +-1e-200 (whose squared
 # 2-norm underflows to 0, so the reset turns their -0.0 outputs into +0.0), +-inf, NaN,
-# then Gaussian rows
+# then Gaussian rows, the last four spanning 1e-310 to 1e150, so that an entry's ratio
+# to its row's norm can be subnormal
 _QUANT_ROWS = np.vstack([
     np.zeros(6),
     np.full(6, -0.0),
@@ -144,11 +145,13 @@ _QUANT_ROWS = np.vstack([
     [1.0, -np.inf, 2.0, 0.0, -0.0, 3.0],
     [1.0, np.nan, -2.0, 0.0, -0.0, 3.0],
     np.random.default_rng(5).standard_normal((4, 6)),
+    np.random.default_rng(6).standard_normal((4, 6))
+    * 10.0 ** np.random.default_rng(7).integers(-310, 151, (4, 6)),
 ])
 
 
 @pytest.mark.parametrize("q", [1, 2, math.inf])
-@pytest.mark.parametrize("bits", [1, 2, 8])
+@pytest.mark.parametrize("bits", [1, 2, 8, 53])
 def test_quantize_rows_matches_the_recorded_formula_bit_for_bit(q, bits):
     kind = UnbiasedQuantize(bits=bits, q=q)
     m = _QUANT_ROWS
@@ -184,6 +187,44 @@ def test_two_norm_past_the_square_overflow_is_the_max_scaled_norm():
     levels = quant / (norm / 2) * np.sign(x)
     np.testing.assert_allclose(levels, np.round(levels), atol=1e-12)
     assert np.isin(np.round(levels), [0, 1, 2]).all()
+
+
+def test_quantizer_entries_past_dbl_max_over_the_scale_are_exact():
+    # 2 * 9e307 and 2**52 * 1e293 overflow; the quotient by the norm does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        two = compress(UnbiasedQuantize(bits=2, q=math.inf), np.array([9e307, 1.0]), rng_for())
+        many = compress(UnbiasedQuantize(bits=53, q=math.inf), np.array([1e293, 3e292]),
+                        rng_for())
+    assert two.tobytes() == np.array([9e307, 0.0]).tobytes()
+    # each b = 53 entry is finite and within one level, 1e293 / 2**52, of its input
+    assert np.abs(many - [1e293, 3e292]).max() <= 1e293 * 2.0**-52
+
+
+def test_a_row_whose_norm_passes_dbl_max_compresses_at_a_power_of_two_scale():
+    # the 1-norm of twenty 1e307 is 2e308, past DBL_MAX, while every output is finite:
+    # each quantized entry is a level in {0, 1} of 1e308, and the rescaled norm-sign 1e307
+    huge = np.full(20, 1e307)
+    small = np.random.default_rng(3).standard_normal(20)
+    kind = UnbiasedQuantize(bits=2, q=1)
+    u = _draw_block(kind, 7, 2, 20, [0], 0, 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quant = _quantize_rows(np.vstack([huge, small]), kind, u)
+        rescaled = compress(RescaledNormSign(q=1, r=20.0), huge)
+        signs = compress(NormSign(q=1), np.array([1e308, 1e308, 0.0, -1.0]))
+        two_norm = _quantize_rows(np.full((1, 2), 1.5e308), UnbiasedQuantize(bits=2, q=2),
+                                  np.array([[0.0, 0.9]]))[0]
+    assert np.isfinite(quant[0]).all() and quant[0].any()
+    assert quant[0][quant[0] != 0] == pytest.approx(1e308, rel=1e-15)
+    # the other row keeps its bits
+    assert quant[1].tobytes() == _quantize_rows(small[None], kind, u[1:]).tobytes()
+    assert rescaled == pytest.approx(np.full(20, 1e307), rel=1e-15)
+    # the exact norm-sign is +-inf, and 0 at a zero entry
+    assert signs.tobytes() == np.array([np.inf, np.inf, 0.0, -np.inf]).tobytes()
+    # levels 1 and 2 of half the 2-norm, 1.06e308: the second passes DBL_MAX
+    assert two_norm[0] == pytest.approx(1.5e308 / math.sqrt(2), rel=1e-15)
+    assert two_norm[1] == math.inf
 
 
 def test_identity_returns_input_and_full_bit_cost():
