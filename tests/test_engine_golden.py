@@ -15,9 +15,16 @@ before the engine skipped its multiplications by an exact 1.0, and their
 digests also cover the final H, H_w and E: they pin the gamma = 1 path that
 most presets take, the per-channel alpha column, and the partial state of a run
 whose first step overflows.
+
+The ``shape`` cases leave the n = 10, p = 20, k = 1, b = 2 setting of the
+others: p = 1 and p = 2 (k = p), an undirected ring of n = 37, top-k and
+rand-k at k > 1, the quantizer at b = 1 and at q = 1 and 2, and the rescaled
+norm-sign at r != p, all at alpha = beta = 1/2.  Their digests cover the
+final H, H_w and E as well.
 """
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -116,6 +123,40 @@ GOLDEN = {
         "7690fefa30751eb4fb783d63acd033ee98dee4025d5be6d8513a9cb8b48014e1",
     "overflow-partial/efcgt/topk:k=1":
         "803db44c3e8ec469dcb0e4f3f0aed578009dc871f8fd5cb8530ac1c062487b00",
+    "shape/cgt/p1":
+        "3bf516653dda4c880c0e60e36641a975657340e1437ce806c403709ee0195b65",
+    "shape/cgt/p2":
+        "d1a61c8f62721624d72647aebf0a777c6424c7ab1482177caf8c3c231b369289",
+    "shape/cgt/n37-undirected":
+        "1d0da8f589ab121dbbef102cac997d632c11255e3de91bada7b7d08e3d2cdb8d",
+    "shape/cgt/topk3":
+        "f39fe921a3d864439ca866cfa06b0a14b90076f72c715614376c0a5117489fe2",
+    "shape/cgt/randk5":
+        "373a89d195fcb2d2efee2c194f8b51afacfc361a50ca44f08515eccd178d8dcc",
+    "shape/cgt/quant-b1-q2":
+        "8ffa512df0c8c09f70f39c764c7d8e63e8d168563f2ff9e8f075978969507ffa",
+    "shape/cgt/quant-b2-q1":
+        "975d8d8bad4ede0d9e5b719de024a9f2895d99548282bb96ebeb262e77c73fa4",
+    "shape/cgt/normsign-rescaled-q2-r3":
+        "5a7bf8570983f181bfccd986a37929ad90508aadca36f5e8f253312e09f360ca",
+    "shape/efcgt/p1":
+        "9e5113eb6ec2ffc7aac523a72d55af82e5acd65bc11b3ce0d05938e0362fd9b2",
+    "shape/efcgt/p2":
+        "5647eab8d3a647f7cffe98bb86a8226315c7e8acd73eb7f6d0c37e742d7015c5",
+    "shape/efcgt/n37-undirected":
+        "38f39c3474776cc80aec6e40ec933f2774ccf65e49bc0e701a21a51ddf07b54c",
+    "shape/efcgt/topk3":
+        "e19664efc8c93b02b23b01997ac6624069bed1e1b10b92036a5db6b4b38886f6",
+    "shape/efcgt/randk5":
+        "2b9c2c9d0c74c67e9f1332776be087896781ec57efa43d11e96c1fdc9a386f40",
+    "shape/efcgt/quant-b1-q2":
+        "04b09864c7c2af3a7e3f32aca519c5044e41debdff67b5ef572f36a23ca13bb5",
+    "shape/efcgt/quant-b2-q1":
+        "db426c99374926ba7e6d743d22fb02bfc4cdcf43b1b6be41fe33f93b5ce3bcc9",
+    "shape/efcgt/normsign-rescaled-q2-r3":
+        "4c5d29aa756d70cd35a526cfa3087d4b4ac267997e63117fe4f25f9aa948ef6d",
+    "shape/cgt-ref/topk3":
+        "e2acd28e637e89801bd97e8c0dba2f8b273d86dd15a3d3ae0698f61d6f408018",
 }
 
 
@@ -191,6 +232,40 @@ MAXIMA = {
         ("nan", "nan"),
     "overflow-partial/efcgt/topk:k=1":
         ("nan", "nan"),
+    "shape/cgt/p1":
+        ("0x1.f2dd1b462e0f1p-48", "0x1.67001e109407ep-54"),
+    "shape/cgt/p2":
+        ("0x1.bf311b7fc2474p-48", "0x1.9ae366e2be9a1p-54"),
+    "shape/cgt/n37-undirected":
+        ("0x1.88859811ed1e9p-49", "0x1.40ab72f867d2dp-53"),
+    "shape/cgt/topk3":
+        ("0x1.6f750c687ff47p-50", "0x1.840b6d0eaf9aap-53"),
+    "shape/cgt/randk5":
+        ("0x1.ee33b0b500addp-50", "0x1.292eb118ae384p-53"),
+    "shape/cgt/quant-b1-q2":
+        ("0x1.d014214bf3386p-47", "0x1.7d31afd5bc52cp-53"),
+    "shape/cgt/quant-b2-q1":
+        ("0x1.54c7229ab6bc3p-46", "0x1.5aac60c8cbab9p-46"),
+    "shape/cgt/normsign-rescaled-q2-r3":
+        ("0x1.00c537b8c7d67p-48", "0x1.6c2f79526dac9p-53"),
+    "shape/efcgt/p1":
+        ("0x1.8140707c5bba6p-50", "0x1.85d201a0db8c0p-54"),
+    "shape/efcgt/p2":
+        ("0x1.2344fc34fb522p-50", "0x1.306d41496c75ap-53"),
+    "shape/efcgt/n37-undirected":
+        ("0x1.174f3d21f69ddp-49", "0x1.0b8c204220974p-53"),
+    "shape/efcgt/topk3":
+        ("0x1.8c72b0c6e5b2ep-51", "0x1.2030f8bb0d466p-53"),
+    "shape/efcgt/randk5":
+        ("0x1.51cab4c8188b6p-50", "0x1.347091b7787efp-53"),
+    "shape/efcgt/quant-b1-q2":
+        ("0x1.aceab4ff1410ep-49", "0x1.5e891658e3535p-53"),
+    "shape/efcgt/quant-b2-q1":
+        ("0x1.1156651379595p-46", "0x1.3d9119d504f5ep-46"),
+    "shape/efcgt/normsign-rescaled-q2-r3":
+        ("0x1.3d5a729f52613p-49", "0x1.26c6b6f398799p-53"),
+    "shape/cgt-ref/topk3":
+        ("0x1.9d64a00035af4p-52", "0x1.095ae61e0bc4cp-53"),
 }
 
 @pytest.fixture(scope="module")
@@ -201,6 +276,29 @@ def pb():
 @pytest.fixture(scope="module")
 def W():
     return build_weights_outdegree(build_ring(N, directed=True), 0.1)
+
+
+# shape case name -> (n, p, directed ring, compressor)
+SHAPES = {
+    "p1": (N, 1, True, "quant:b=2,q=2"),
+    "p2": (N, 2, True, "topk:k=2"),
+    "n37-undirected": (37, DIM, False, "quant:b=2,q=inf"),
+    "topk3": (N, DIM, True, "topk:k=3"),
+    "randk5": (N, DIM, True, "randk:k=5"),
+    "quant-b1-q2": (N, DIM, True, "quant:b=1,q=2"),
+    "quant-b2-q1": (N, DIM, True, "quant:b=2,q=1"),
+    "normsign-rescaled-q2-r3": (N, DIM, True, "normsign-rescaled:q=2,r=3"),
+}
+
+
+@lru_cache(maxsize=None)
+def _problem(n, p):
+    return generate_ridge(n, p, 0.01, 5.0, seed=405)
+
+
+@lru_cache(maxsize=None)
+def _weights(n, directed):
+    return build_weights_outdegree(build_ring(n, directed=directed), 0.1)
 
 
 def _digest(res, *extra: np.ndarray) -> str:
@@ -256,6 +354,13 @@ def _case(name, pb, W):
                               trace_every=7, record_states=True)
         res = exc.value.partial
         return res, (res.states_x, res.states_y)
+    if name.startswith("shape/"):
+        _, algo, shape = name.split("/")
+        n, p, directed, comp = SHAPES[shape]
+        hp = HyperParams(eta=0.004, gamma=0.5, alpha_x=0.5, alpha_y=0.5, beta_x=0.5, beta_y=0.5)
+        res = RUNNERS[algo](_problem(n, p), _weights(n, directed), hp, parse_compressor(comp),
+                            trace_every=1)
+        return res, _final(res)
     raise KeyError(name)
 
 
@@ -266,7 +371,9 @@ CASES = (["runner/gt/identity"]
          + [f"gamma1/{algo}/{comp}" for algo in ("cgt", "efcgt")
             for comp in ("quant:b=2,q=inf", "topk:k=1")]
          + ["alpha-column/cgt/quant:b=2,q=inf", "alpha-column/efcgt/topk:k=1",
-            "overflow-partial/cgt/quant:b=2,q=inf", "overflow-partial/efcgt/topk:k=1"])
+            "overflow-partial/cgt/quant:b=2,q=inf", "overflow-partial/efcgt/topk:k=1"]
+         + [f"shape/{algo}/{shape}" for algo in ("cgt", "efcgt") for shape in SHAPES]
+         + ["shape/cgt-ref/topk3"])
 
 
 @pytest.mark.parametrize("name", CASES)
