@@ -15,14 +15,18 @@ reference mode.
 The engine state Z, the reference states H and H_w = W H and the
 error-feedback accumulator E are (2, n, p) arrays: channel 0 is the decision
 x, channel 1 the tracker y, row i belongs to agent i.  ``NetworkState`` holds
-them in this layout from the update loop to the trace.  alpha and beta are
-Python floats when the x and y values agree and (2, 1, 1) columns otherwise,
-so each update, and each ``metrics`` reduction, is written once for both.
-A coefficient that is a scalar 1 (alpha, beta or gamma) multiplies nothing:
-``x * 1.0`` is ``x`` bit for bit for every double, ±0, ±inf and NaN included,
-and most presets run at alpha = beta = 1.  ``keep * H``, with keep = 1 - alpha,
-stays even at keep = 0: adding its ``0.0 * h`` turns a -0.0 into +0 where h is
-positive, and is NaN where h is infinite, so dropping the term is not exact.
+them in this layout from the update loop to the trace.  alpha, beta and
+keep = 1 - alpha are 0-d float64 arrays when the x and y values agree and
+(2, 1, 1) columns otherwise, so each update, and each ``metrics`` reduction,
+is written once for both.  eta and gamma are 0-d arrays too, each built once
+per run: numpy converts a Python-float operand on every call, and a 0-d array
+it uses as it is, while the product or quotient is the same binary64
+operation.  A coefficient that is exactly 1 (alpha, beta, gamma or keep) is
+None and multiplies nothing: ``x * 1.0`` is ``x`` bit for bit for every double,
+±0, ±inf and NaN included, and most presets run at alpha = beta = 1.
+``keep * H`` stays even at keep = 0: adding its ``0.0 * h`` turns a -0.0 into
++0 where h is positive, and is NaN where h is infinite, so dropping the term is
+not exact.
 
 The update loop only steps the state; ``_simulate`` checks it in blocks of c =
 max(1, _BLOCK_BYTES // (8 * floats kept per iteration)) iterations.  A block
@@ -161,7 +165,7 @@ class NetworkState:
         return self.Z[..., 1, :, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """Per-iteration error metrics and cumulative communication cost."""
 
@@ -251,14 +255,22 @@ def _warn_alpha_range(kind: CompressorKind, p: int, hp: HyperParams) -> None:
         )
 
 
-def _channels(vx: float, vy: float) -> float | np.ndarray:
-    """A per-channel coefficient: a float when x and y agree (no broadcast), else a column."""
-    return float(vx) if vx == vy else np.array([vx, vy], dtype=float)[:, None, None]
+def _channels(vx: float, vy: float) -> np.ndarray | None:
+    """A per-channel coefficient, built once per run.
+
+    None when x and y agree on exactly 1, a 0-d float64 array when they agree
+    otherwise (no broadcast), else a (2, 1, 1) column.  numpy converts a
+    Python-float operand on every call; a 0-d array gives the same binary64
+    products without that cost.
+    """
+    if vx == vy:
+        return None if vx == 1 else np.array(vx, dtype=float)
+    return np.array([vx, vy], dtype=float)[:, None, None]
 
 
-def _times(c: float | np.ndarray, a: np.ndarray) -> np.ndarray:
-    # c * a, or a itself when c is a scalar 1: x * 1.0 is x bit for bit for every double
-    return a if not isinstance(c, np.ndarray) and c == 1 else c * a
+def _times(c: np.ndarray | None, a: np.ndarray) -> np.ndarray:
+    # c * a, or a itself when c is None, an exact 1: x * 1.0 is x bit for bit for every double
+    return a if c is None else c * a
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -323,8 +335,11 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         w = W.matrix
         i_minus_w = None if efficient else np.eye(n) - w
         alpha = _channels(hp.alpha_x, hp.alpha_y)
-        keep = 1 - alpha
+        # keep = 1 - alpha per channel; None where alpha is so small that 1 - alpha rounds to 1
+        keep = _channels(1 - hp.alpha_x, 1 - hp.alpha_y)
         beta = _channels(hp.beta_x, hp.beta_y)
+        gamma = _channels(hp.gamma, hp.gamma)
+        eta = np.array(hp.eta)
         tags = [TAG_X_DIFF, TAG_Y_DIFF] + ([TAG_X_EF, TAG_Y_EF] if error_feedback else [])
 
         X = default_x0(pb, seed, init) if x0 is None else np.array(x0, dtype=float)
@@ -367,10 +382,10 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                 if not error_feedback:
                     Q = compress_rows_multi(kind, Z - H, u)
                     Z_hat = H + Q
-                    H = keep * H + _times(alpha, Z_hat)
+                    H = _times(keep, H) + _times(alpha, Z_hat)
                     if efficient:
                         Z_hat_w = H_w + w @ Q
-                        H_w = keep * H_w + _times(alpha, Z_hat_w)
+                        H_w = _times(keep, H_w) + _times(alpha, Z_hat_w)
                 else:
                     D = Z - H
                     DE = _times(beta, E) + D
@@ -384,8 +399,8 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                         H_w = H_w + _times(alpha, w @ Q)
 
                 mix = Z_hat - Z_hat_w if efficient else i_minus_w @ Z_hat
-                step = hp.eta * Z[1]
-                Z = Z - _times(hp.gamma, mix)
+                step = eta * Z[1]
+                Z = Z - _times(gamma, mix)
                 X, Y = Z[0], Z[1]
                 X -= step
                 grad_new = gradient_matrix(pb, X)

@@ -306,17 +306,30 @@ def _unscale(out: np.ndarray, scaled: tuple | None) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _coefficient(c: float) -> np.ndarray:
+    """The positive constant ``c`` as a read-only 0-d float64 array, built once per value.
+
+    numpy converts a Python-float operand on every call, and a 0-d array it uses
+    as it is; the product or quotient is the same binary64 operation.
+    """
+    a = np.array(c, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 def _quantize_rows(m: np.ndarray, kind: UnbiasedQuantize, u: np.ndarray) -> np.ndarray:
-    scale = 2.0 ** (kind.bits - 1)
+    scale = _coefficient(2.0 ** (kind.bits - 1))
     a = np.abs(m)
     norms = _row_norms(m, kind.q, a)
     scaled = _scale_huge_rows(m, norms, kind.q)
     if scaled:
         huge, e = scaled
         a[huge] = np.ldexp(a[huge], -e)
-    positive = norms > 0
-    all_positive = positive.all()
-    safe = (norms if all_positive else np.where(positive, norms, 1.0))[:, None]
+    # every norm positive, in one reduce: a NaN norm propagates through minimum, so its
+    # block takes the general path, and the initial inf keeps a (0, p) block working
+    all_positive = np.minimum.reduce(norms, initial=np.inf) > 0
+    safe = (norms if all_positive else np.where(norms > 0, norms, 1.0))[:, None]
     # scale * a would overflow for entries above DBL_MAX / scale; a power of two scales
     # exactly, so every level is the one scale * a / safe gives where that is finite
     level = np.floor(scale * (a / safe) + u)
@@ -330,12 +343,16 @@ def _quantize_rows(m: np.ndarray, kind: UnbiasedQuantize, u: np.ndarray) -> np.n
 
 def _keep_rows(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Zero all of each row but the columns ``keep`` names: (rows,) or (rows, k)."""
-    out = np.zeros(m.shape)
-    rows = np.arange(m.shape[0])
+    # one flat index per kept entry, row * p + column: one take and one put on the raveled
+    # arrays, where two row-and-column indexes cost more; values are copied, not computed
+    rows, p = m.shape
+    flat = np.arange(0, rows * p, p)
     if keep.ndim == 2:
-        rows = rows[:, None]
-    out[rows, keep] = m[rows, keep]
-    return out
+        flat = flat[:, None]
+    flat = flat + keep
+    out = np.zeros(rows * p)
+    out[flat] = m.ravel()[flat]
+    return out.reshape(rows, p)
 
 
 def check_dimension(kind: CompressorKind, p: int) -> None:
@@ -370,7 +387,7 @@ def _apply_rows(kind: CompressorKind, m: np.ndarray, u: np.ndarray | None) -> np
         norms = _row_norms(m, kind.q)
         scaled = _scale_huge_rows(m, norms, kind.q)
         if isinstance(kind, RescaledNormSign):
-            norms = norms / kind.r
+            norms = norms / _coefficient(kind.r)
         out = norms[:, None] * np.sign(m)
         return _unscale(out, scaled)
     raise CompressionError(f"unknown kind {kind!r}")

@@ -12,6 +12,16 @@ class ProblemError(ValueError):
     """Raised for invalid problem parameters or agent indices."""
 
 
+def _const(c: float) -> np.ndarray:
+    """``c`` as a read-only 0-d array."""
+    a = np.array(c)
+    a.setflags(write=False)
+    return a
+
+
+_TWO = _const(2.0)
+
+
 @dataclass(frozen=True)
 class RidgeProblem:
     """One (u_i, v_i) sample per agent with an L2 penalty.
@@ -41,6 +51,7 @@ class RidgeProblem:
         v.setflags(write=False)
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "_two_rho", _const(2.0 * self.rho))
 
     @property
     def n(self) -> int:
@@ -97,9 +108,11 @@ def local_gradient(pb: RidgeProblem, i: int, x: np.ndarray) -> np.ndarray:
 
 def gradient_matrix(pb: RidgeProblem, X: np.ndarray) -> np.ndarray:
     """Stacked local gradients: row i is grad f_i(X[i])."""
-    # np.add.reduce is the reduction .sum(axis=1) runs, without its Python-level wrapper
+    # np.add.reduce is the reduction .sum(axis=1) runs, without its Python-level wrapper.
+    # 2 and 2*rho are 0-d arrays, 2*rho built once per problem: numpy converts a Python-float
+    # operand on every call, and the products are the same binary64 ones
     res = np.add.reduce(pb.U * X, axis=1) - pb.v
-    return (2.0 * res)[:, None] * pb.U + (2.0 * pb.rho) * X
+    return (_TWO * res)[:, None] * pb.U + pb._two_rho * X
 
 
 def optimal_solution(pb: RidgeProblem) -> np.ndarray:

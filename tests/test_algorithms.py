@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -634,6 +635,18 @@ def test_metrics_block_equals_blocks_of_one(shape, order, with_ef):
         snap = NetworkState(*(None if a is None else a[i] for a in vars(state).values()))
         one = metrics(_one(snap), x_star, k=[ks[i]], residual_denom=1.5, bits_sent=[bits[i]])
         assert repr(one) == repr(got[i:i + 1]), i
+
+
+def test_trace_record_is_a_frozen_value():
+    def record(k):
+        return TraceRecord(k, 0.5, 0.25, 0.0, -0.0, 1e-300, 2.0, 0.0, 0.0, 64 * k)
+
+    rec = record(3)
+    assert rec == record(3) and hash(rec) == hash(record(3)) and rec != record(4)
+    assert dataclasses.replace(rec, k=4, bits_sent=256) == record(4)
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.k = 5
 
 
 def test_default_x0_modes(pb):

@@ -31,6 +31,7 @@ from cgtsim.compression import (
     _INNER_REPS,
     _apply_rows,
     _draw_block,
+    _keep_rows,
     _quantize_rows,
     _test_inputs,
 )
@@ -159,6 +160,62 @@ def test_quantize_rows_matches_the_recorded_formula_bit_for_bit(q, bits):
         for u in (np.random.default_rng(bits).random(m.shape), np.zeros(m.shape)):
             got, want = _quantize_rows(m, kind, u), _quantize_rows_as_recorded(m, kind, u)
             assert got.tobytes() == want.tobytes()
+
+
+def _keep_rows_two_index(m, keep):
+    # the scatter by row and column indexes: the reference for _keep_rows' flat-index one
+    out = np.zeros(m.shape)
+    rows = np.arange(m.shape[0])
+    if keep.ndim == 2:
+        rows = rows[:, None]
+    out[rows, keep] = m[rows, keep]
+    return out
+
+
+@pytest.mark.parametrize("rows", [20, 4000])
+@pytest.mark.parametrize("k", [1, 3, 20])
+def test_keep_rows_equals_the_two_index_scatter_bit_for_bit(rows, k):
+    p = 20
+    rng = np.random.default_rng(rows + k)
+    m = rng.standard_normal((rows, p))
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324]
+    hit = rng.random(m.shape) < 0.3
+    m[hit] = rng.choice(special, size=hit.sum())
+    cols = np.argsort(rng.random(m.shape), axis=1)[:, :k]
+    for keep in ([cols[:, 0], cols] if k == 1 else [cols]):
+        assert _keep_rows(m, keep).tobytes() == _keep_rows_two_index(m, keep).tobytes()
+        # a strided input too, which the engine never passes
+        wide = np.repeat(m, 2, axis=1)[:, ::2]
+        assert _keep_rows(wide, keep).tobytes() == _keep_rows_two_index(m, keep).tobytes()
+
+
+# arrays of every kind of double: +-0, +-inf, NaN, subnormals, +-1e308 and ordinary values
+_EDGE_DOUBLES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+                          -1e-310, 1e308, -1e308, 1.0, -3.5, 0.1, 7e-200, -123456.789])
+
+
+@pytest.mark.parametrize("c", [0.0, 0.05, 0.6, 5e-324, 1e-300, 1e308])
+def test_a_zero_d_coefficient_gives_the_python_float_bits(c):
+    # the engine and the compressors multiply and divide by 0-d float64 arrays built once,
+    # not by Python floats: the same binary64 operation in either operand order
+    x = np.concatenate([_EDGE_DOUBLES, np.random.default_rng(1).standard_normal(64)])
+    x = np.stack([x, -x[::-1]])
+    a = np.array(c)
+    with np.errstate(all="ignore"):
+        assert (x * a).tobytes() == (c * x).tobytes()
+        assert (a * x).tobytes() == (c * x).tobytes()
+        assert (x / a).tobytes() == (x / c).tobytes()
+        assert (a / x).tobytes() == (c / x).tobytes()
+
+
+@pytest.mark.parametrize("kind", [
+    Identity(), UnbiasedQuantize(bits=2, q=math.inf), UnbiasedQuantize(bits=1, q=2),
+    UnbiasedQuantize(bits=3, q=1), TopK(k=1), TopK(k=3), RandK(k=1), RandK(k=3),
+    NormSign(q=2), NormSign(q=math.inf), RescaledNormSign(q=1, r=3.0),
+])
+def test_an_empty_block_compresses_to_an_empty_block(kind):
+    out = _apply_rows(kind, np.zeros((0, 5)), np.zeros((0, 5)))
+    assert out.shape == (0, 5) and out.dtype == np.float64
 
 
 def test_quantizer_resets_an_underflowing_row_to_positive_zero():
