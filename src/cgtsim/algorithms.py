@@ -35,26 +35,28 @@ deterministic kind, else 2 or, with error feedback, 4 n*p per iteration, keyed
 as one draw per iteration would key them.  Each iteration's Z, H, H_w, E,
 gradient and step are kept by reference, not copied.  After c
 iterations, and once more at the end, the block is stacked and reduced in one
-call per quantity: the residuals of the divergence guard, the mean-dynamics
-drift and the tracking violation.  Each is reduced by numpy's own sums, never
-by BLAS, so the checks give the same bits at every BLAS thread count: the
-guard's residual is the trace's, ``_sum_sq``, and the two invariants' norms are
+call per quantity: the residuals of the divergence guard, the column sums of
+X and Y, the mean-dynamics drift and the tracking violation.  Each is reduced by numpy's own sums, never by BLAS, so the checks
+give the same bits at every BLAS thread count; the two invariants' norms are
 ``compression._row_norms``.  The first iteration whose residual is not
 finite or exceeds ``DIVERGENCE_LIMIT`` ends the run: the block is cut there,
 so the iterations the loop ran past it leave no trace, no state and no
 maximum.  The maxima fold that block's values up to the cut, and its trace
-points become records in one ``metrics`` call.  Every residual, maximum,
-record and state is bit for bit that of a check after each iteration.  This
-rests on an invariant of the engine: every iteration builds fresh arrays, and
-an array that reached a block (or ``states_x``/``states_y``) is never updated
-in place.
+points become records in one ``metrics`` call, which takes each point's
+residual and its column sums of X and Y (the mean, over n) from the block
+check: the guard's residual array is the trace's, and no sum is taken twice.
+The start's residual is the normaliser's own sum over itself, and its column
+sums one reduce at set-up.  Every residual, maximum, record and state is bit
+for bit that of a check after each iteration.  This rests on an invariant of
+the engine: every iteration builds fresh arrays, and an array that reached a
+block (or ``states_x``/``states_y``) is never updated in place.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -165,7 +167,7 @@ class NetworkState:
         return self.Z[..., 1, :, :]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceRecord:
     """Per-iteration error metrics and cumulative communication cost."""
 
@@ -179,6 +181,33 @@ class TraceRecord:
     ef_error_x: float
     ef_error_y: float
     bits_sent: int
+
+
+def _record_init():
+    # a frozen dataclass's own __init__ sets each field by name through object.__setattr__;
+    # the slots' member descriptors store the same values without that lookup
+    (set_k, set_residual, set_opt, set_consensus, set_tracking, set_cx, set_cy, set_efx,
+     set_efy, set_bits) = (getattr(TraceRecord, f.name).__set__ for f in fields(TraceRecord))
+
+    def __init__(self, k: int, residual: float, opt_error: float, consensus_error: float,
+                 tracking_error: float, compress_error_x: float, compress_error_y: float,
+                 ef_error_x: float, ef_error_y: float, bits_sent: int) -> None:
+        set_k(self, k)
+        set_residual(self, residual)
+        set_opt(self, opt_error)
+        set_consensus(self, consensus_error)
+        set_tracking(self, tracking_error)
+        set_cx(self, compress_error_x)
+        set_cy(self, compress_error_y)
+        set_efx(self, ef_error_x)
+        set_efy(self, ef_error_y)
+        set_bits(self, bits_sent)
+
+    __init__.__qualname__ = "TraceRecord.__init__"
+    return __init__
+
+
+TraceRecord.__init__ = _record_init()
 
 
 @dataclass
@@ -208,7 +237,9 @@ def _sum_sq(m: np.ndarray) -> np.ndarray:
 
 
 def metrics(state: NetworkState, x_star: np.ndarray, *, k: Sequence[int],
-            residual_denom: float = 1.0, bits_sent: Sequence[int]) -> list[TraceRecord]:
+            residual_denom: float = 1.0, bits_sent: Sequence[int],
+            residual: np.ndarray | None = None, z_sum: np.ndarray | None = None
+            ) -> list[TraceRecord]:
     """All trace fields for a block of c snapshots; residual uses the supplied denominator.
 
     Each array of ``state`` has shape (c, 2, n, p); ``k`` and ``bits_sent``
@@ -216,19 +247,29 @@ def metrics(state: NetworkState, x_star: np.ndarray, *, k: Sequence[int],
     ``a[None]`` views.  When each (n, p) slice is C- or F-contiguous, every
     record is bit for bit the one its snapshot gives alone: each sum runs over
     its slice in memory order.
+
+    ``residual`` (c,) and ``z_sum`` (c, 2, p), the column sums of X and Y, are
+    the block check's values for the same snapshots, which the engine passes so
+    that no sum is taken twice.  Omitted, each is computed here by the same
+    reduction, ``_sum_sq(X - x_star) / residual_denom`` and the sum over the
+    agent axis, so the records are the same bits either way.
     """
     Z = state.Z
-    # np.mean(axis=-2) is this reduce divided by n
-    z_bar = np.add.reduce(Z, axis=-2) / Z.shape[-2]
+    if z_sum is None:
+        z_sum = np.add.reduce(Z, axis=-2)
+    if residual is None:
+        residual = _sum_sq(state.X - x_star) / residual_denom
+    # np.mean(axis=-2) is the column sum divided by n
+    z_bar = z_sum / Z.shape[-2]
     opt = z_bar[:, 0] - x_star
-    residual = (_sum_sq(state.X - x_star) / residual_denom).tolist()
     opt_error = np.add.reduce(opt * opt, axis=-1).tolist()
     # each an (x, y) pair of per-snapshot lists: consensus and tracking, compression,
     # error feedback
     spread = _sum_sq(Z - z_bar[:, :, None, :]).T.tolist()
     comp = _sum_sq(Z - state.H).T.tolist()
     ef = _sum_sq(state.E).T.tolist() if state.E is not None else [[0.0] * len(k)] * 2
-    return list(map(TraceRecord, k, residual, opt_error, *spread, *comp, *ef, bits_sent))
+    return list(map(TraceRecord, k, residual.tolist(), opt_error, *spread, *comp, *ef,
+                    bits_sent))
 
 
 def default_x0(pb: RidgeProblem, seed: int, init: str = "zeros") -> np.ndarray:
@@ -294,14 +335,15 @@ def _check_block(kept: list[tuple], cs_x: np.ndarray, x_star: np.ndarray,
 
     ``kept`` holds (Z, H, H_w, E, grad, step) after each iteration and
     ``cs_x`` the column sums of X before the first.  Returns the three (m,)
-    arrays and the column sums of X after the last iteration.  Each value is
-    bit for bit the one the iteration's own arrays give: the residual is
-    ``metrics``' ``_sum_sq``, and the norms are ``compression._row_norms``'
-    pairwise sums, so no value depends on the BLAS thread count.
+    arrays and the (m, 2, p) column sums of X and Y after each iteration, which
+    the trace reads too.  Each value is bit for bit the one the iteration's own
+    arrays give: the residual is ``metrics``' ``_sum_sq``, and the norms are
+    ``compression._row_norms``' pairwise sums, so no value depends on the BLAS
+    thread count.
     """
     m = len(kept)
     if m == 0:  # a run of K = 0 iterations
-        return np.empty(0), np.empty(0), np.empty(0), cs_x
+        return np.empty(0), np.empty(0), np.empty(0), np.empty((0, 2, cs_x.shape[-1]))
     Zs = _stack([pt[0] for pt in kept])
     grads = _stack([pt[4] for pt in kept])
     cs = Zs.sum(axis=2)
@@ -313,7 +355,7 @@ def _check_block(kept: list[tuple], cs_x: np.ndarray, x_star: np.ndarray,
     # gradient-tracking identity: column sums of Y and of the gradients agree
     viol = np.abs(cs[:, 1] - grads.sum(axis=1)).max(axis=-1)
     track = viol / (1.0 + _row_norms(grads.reshape(m, -1), 2))
-    return _sum_sq(Zs[:, 0] - x_star) / denom, drift, track, cs[-1, 0]
+    return _sum_sq(Zs[:, 0] - x_star) / denom, drift, track, cs
 
 
 def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: CompressorKind,
@@ -353,7 +395,9 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         E = np.zeros((2, n, p)) if error_feedback else None
 
         x_star = optimal_solution(pb)
-        denom = float(_sum_sq(X - x_star))
+        # over the stacked, C-ordered start: x0's memory order does not change a sum
+        sq0 = _sum_sq(Z[0] - x_star)
+        denom = float(sq0)
         # every residual is divided by denom: an inf one makes each of them inf/inf = nan
         if not np.isfinite(denom):
             raise AlgorithmError(
@@ -371,7 +415,11 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         trace: list[TraceRecord] = []
         max_track = max_drift = 0.0
         zs = [Z] if record_states else None
-        cs_x = X.sum(axis=0)
+        # entry j of res_at and cs_at is the residual and the (2, p) column sums of X and Y of
+        # kept[j], the block's entry j below; in the first block entry 0 is the run's start,
+        # whose residual is the normaliser's own sum over denom
+        res_at = (sq0 / denom)[None]
+        cs_at = np.add.reduce(Z, axis=1)[None]
         done = 0  # iterations checked
         # entry j is (Z, H, H_w, E, grad, step) after iteration done + j, by reference; the
         # block's start, entry 0, is kept only in the first block, as the k = 0 trace point
@@ -409,7 +457,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                 grad = grad_new
                 kept.append((Z, H, H_w, E, grad, step))
 
-            residual, drift, track, cs_x = _check_block(kept[1:], cs_x, x_star, denom)
+            residual, drift, track, cs = _check_block(kept[1:], cs_at[-1, 0], x_star, denom)
             bad = np.flatnonzero(~np.isfinite(residual) | (residual > DIVERGENCE_LIMIT))
             diverged = bad.size > 0
             # the block is cut after its first bad iteration
@@ -419,11 +467,16 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
             end = done + m
             ks = [i for i in range(done + 1 if done else 0, end + 1)
                   if i % trace_every == 0 or i == K or (diverged and i == end)]
+            # the block's start, then its iterations; entry 0 of a later block is the last one's end
+            res_at = np.concatenate([res_at[-1:], residual])
+            cs_at = np.concatenate([cs_at[-1:], cs])
             if ks:
+                at = [i - done for i in ks]
                 # no name holds the stacked points, so they are freed before the next block
-                trace.extend(metrics(_stack_points([kept[i - done] for i in ks], error_feedback),
+                trace.extend(metrics(_stack_points([kept[j] for j in at], error_feedback),
                                      x_star, k=ks, residual_denom=denom,
-                                     bits_sent=[i * bits_per_iter for i in ks]))
+                                     bits_sent=[i * bits_per_iter for i in ks],
+                                     residual=res_at[at], z_sum=cs_at[at]))
             if zs is not None:
                 zs.extend(pt[0] for pt in kept[1:m + 1])
             Z, H, H_w, E, grad, _ = kept[m]

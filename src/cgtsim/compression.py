@@ -170,10 +170,15 @@ def compressor_label(kind: CompressorKind) -> str:
 # ---------------------------------------------------------------------------
 # keyed random streams (splitmix64 counter hash)
 
-_PHI = np.uint64(0x9E3779B97F4A7C15)
-_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_MUL2 = np.uint64(0x94D049BB133111EB)
+# each constant as a Python int, for the scalar fold, and as a uint64, for the array one
+_PHI_INT, _MUL1_INT, _MUL2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_PHI, _MUL1, _MUL2 = np.uint64(_PHI_INT), np.uint64(_MUL1_INT), np.uint64(_MUL2_INT)
 _MASK = (1 << 64) - 1
+# the shift counts as uint64 scalars, built once: numpy converts a Python int on every call
+_SHR30 = np.uint64(30)
+_SHR27 = np.uint64(27)
+_SHR31 = np.uint64(31)
+_SHR11 = np.uint64(11)
 
 TAG_X_DIFF = 1
 TAG_Y_DIFF = 2
@@ -184,12 +189,22 @@ TAG_INIT = 5
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     # updates a fresh uint64 array in place and returns it; wraparound is intentional
-    z ^= z >> np.uint64(30)
+    z ^= z >> _SHR30
     z *= _MUL1
-    z ^= z >> np.uint64(27)
+    z ^= z >> _SHR27
     z *= _MUL2
-    z ^= z >> np.uint64(31)
+    z ^= z >> _SHR31
     return z
+
+
+def _mix64_int(z: int) -> int:
+    # _mix64 on one Python int in [0, 2**64): the same steps, with the uint64 wraparound of
+    # each product written as a mask
+    z ^= z >> 30
+    z = (z * _MUL1_INT) & _MASK
+    z ^= z >> 27
+    z = (z * _MUL2_INT) & _MASK
+    return z ^ (z >> 31)
 
 
 def _u64(x: int | np.integer | np.ndarray) -> np.ndarray:
@@ -206,12 +221,23 @@ def _uniforms(m: int, *words: int | np.ndarray) -> np.ndarray:
     tag): each is folded in as ``h = mix64(h ^ (word + phi))`` from ``h = 0``,
     and array words broadcast against each other.  Double j of a key is the
     top 53 bits of ``mix64(h + (j + 1) phi)``.
+
+    The leading words that are not arrays (the seed, and every word of an
+    ``RngStream`` key) fold as Python ints, with each sum and product reduced
+    mod 2**64 by a mask: that is the uint64 wraparound, and ``_u64``'s mask of
+    the word itself changes nothing mod 2**64, so the key is the same bits
+    without a numpy call per step.  The fold continues on uint64 arrays from
+    the first array word.
     """
-    h = np.zeros(1, dtype=np.uint64)
-    for word in words:
+    h, i = 0, 0
+    while i < len(words) and not isinstance(words[i], np.ndarray):
+        h = _mix64_int(h ^ ((int(words[i]) + _PHI_INT) & _MASK))
+        i += 1
+    h = np.asarray([h], dtype=np.uint64)
+    for word in words[i:]:
         h = _mix64(h ^ (_u64(word) + _PHI))
     z = _mix64(h[..., None] + np.arange(1, m + 1, dtype=np.uint64) * _PHI)
-    z >>= np.uint64(11)
+    z >>= _SHR11
     return z * 2.0 ** -53  # a Python float scales uint64 to float64, exactly below 2**53
 
 
@@ -289,7 +315,11 @@ def _scale_huge_rows(m: np.ndarray, norms: np.ndarray, q: float) -> tuple | None
     """
     if q == math.inf:
         return None
-    huge = np.isinf(norms) & np.isfinite(m).all(axis=1)
+    huge = np.isinf(norms)
+    # a norm is inf only for overflowing input: test that first, over the norms alone
+    if not huge.any():
+        return None
+    huge &= np.isfinite(m).all(axis=1)
     if not huge.any():
         return None
     e = m.shape[1].bit_length()

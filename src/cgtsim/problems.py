@@ -116,9 +116,19 @@ def gradient_matrix(pb: RidgeProblem, X: np.ndarray) -> np.ndarray:
 
 
 def optimal_solution(pb: RidgeProblem) -> np.ndarray:
-    """The minimizer x* = (sum u_i u_i^T + n rho I)^-1 sum u_i v_i, in closed form."""
-    a = pb.U.T @ pb.U + pb.n * pb.rho * np.eye(pb.dim)
-    return np.linalg.solve(a, pb.U.T @ pb.v)
+    """The minimizer x* = (sum u_i u_i^T + n rho I)^-1 sum u_i v_i, in closed form.
+
+    Solved once per problem, on first use: the read-only result is kept on the
+    frozen problem, whose U, v and rho are read-only too, and every later call
+    returns that same array.
+    """
+    x_star = pb.__dict__.get("_x_star")
+    if x_star is None:
+        a = pb.U.T @ pb.U + pb.n * pb.rho * np.eye(pb.dim)
+        x_star = np.linalg.solve(a, pb.U.T @ pb.v)
+        x_star.setflags(write=False)
+        object.__setattr__(pb, "_x_star", x_star)
+    return x_star
 
 
 def constants(pb: RidgeProblem) -> ProblemConstants:

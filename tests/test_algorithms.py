@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import math
 import os
 import pickle
@@ -433,10 +434,12 @@ def test_block_checks_equal_per_iteration_checks(n, m):
     grads = [rng.standard_normal((n, p)) for _ in range(m)]
     steps = [eta * Z[1] for Z in Zs[:-1]]
     its = [(Zs[j + 1], None, None, None, grads[j], steps[j]) for j in range(m)]
-    residual, drift, track, cs_x = algorithms._check_block(its, Zs[0][0].sum(axis=0), x_star,
-                                                           denom)
+    residual, drift, track, cs_block = algorithms._check_block(its, Zs[0][0].sum(axis=0), x_star,
+                                                               denom)
+    assert cs_block.shape == (m, 2, p)
     for j in range(m):
         cs, cs_new = Zs[j].sum(axis=1), Zs[j + 1].sum(axis=1)
+        assert cs_block[j].tobytes() == cs_new.tobytes()
         diff = cs_new[0] - cs[0] + steps[j].sum(axis=0)
         want = math.sqrt(np.sum(diff * diff)) / n / (1.0 + math.sqrt(np.sum(cs[0] * cs[0])) / n)
         assert drift[j] == want
@@ -445,7 +448,7 @@ def test_block_checks_equal_per_iteration_checks(n, m):
         assert track[j] == viol / (1.0 + math.sqrt(np.sum(g * g)))
         r = Zs[j + 1][0] - x_star[None, :]
         assert residual[j] == float(np.sum(r * r)) / denom
-    assert cs_x.tobytes() == Zs[m].sum(axis=1)[0].tobytes()
+    assert cs_block[-1, 0].tobytes() == Zs[m].sum(axis=1)[0].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 10, 1000])
@@ -635,6 +638,74 @@ def test_metrics_block_equals_blocks_of_one(shape, order, with_ef):
         snap = NetworkState(*(None if a is None else a[i] for a in vars(state).values()))
         one = metrics(_one(snap), x_star, k=[ks[i]], residual_denom=1.5, bits_sent=[bits[i]])
         assert repr(one) == repr(got[i:i + 1]), i
+
+
+def _records_bytes(records):
+    """Every field of every record, as the bytes of one float64 array."""
+    return np.array([[getattr(r, f.name) for f in dataclasses.fields(TraceRecord)]
+                     for r in records], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 20])
+def test_trace_from_the_check_sums_equals_metrics_own(monkeypatch, p):
+    # the engine hands metrics the block check's residuals and column sums; each call's
+    # records must be the bytes metrics gives computing both itself, at every block of
+    # every runner: the k = 0 point, K = 0, trace_every 1, 3 and K, blocks of 3 and the
+    # default size, and a block cut by divergence
+    pb = generate_ridge(10, p, 0.01, 5.0, seed=SEED)
+    W_und = build_weights_outdegree(build_ring(10, directed=False), 0.1)
+    W_dir = build_weights_outdegree(build_ring(10, directed=True), 0.1)
+    block_metrics = algorithms.metrics
+    calls = []
+
+    def both(state, x_star, *, residual, z_sum, **kw):
+        got = block_metrics(state, x_star, residual=residual, z_sum=z_sum, **kw)
+        assert _records_bytes(got) == _records_bytes(block_metrics(state, x_star, **kw))
+        assert [r.k for r in got] == list(kw["k"])
+        calls.append(list(kw["k"]))
+        return got
+
+    monkeypatch.setattr(algorithms, "metrics", both)
+    kind = QUANT if p > 1 else UnbiasedQuantize(bits=2, q=2)
+    for name, runner in BLOCK_RUNNERS.items():
+        for block_bytes in (_block_bytes(pb, name, 3), algorithms._BLOCK_BYTES):
+            monkeypatch.setattr(algorithms, "_BLOCK_BYTES", block_bytes)
+            for K, trace_every in ((0, 1), (10, 1), (10, 3), (10, 10)):
+                calls.clear()
+                res = runner(pb, W_und, HyperParams(eta=0.05, gamma=0.6), kind, K,
+                             trace_every=trace_every, init="uniform")
+                assert calls[0][0] == 0 and [t.k for t in res.trace][-1] == K
+            calls.clear()
+            with pytest.raises(DivergenceError):
+                runner(pb, W_dir, HyperParams(eta=5.0, gamma=0.5), TopK(k=1), 5000,
+                       trace_every=3)
+            assert calls
+
+
+def test_x0_memory_order_does_not_change_a_run(pb, W_und):
+    # the normaliser, the start's trace point and the first mean drift all sum the
+    # stacked, C-ordered start, so a Fortran-ordered x0 gives the bytes of its C copy
+    # the start's residual differed at x0 seeds 4 and 5, and the drift maximum at seed 6,
+    # when the sums ran in x0's memory order
+    for x0_seed in range(3, 9):
+        x0 = np.random.default_rng(x0_seed).standard_normal((pb.n, pb.dim)) * 3
+        for runner in (run_cgt_efficient, run_efcgt_reference):
+            runs = [_fingerprint(runner(pb, W_und, HyperParams(eta=0.02, gamma=0.5), TopK(k=3),
+                                        30, seed=SEED, x0=x))
+                    for x in (x0, np.asfortranarray(x0))]
+            assert runs[0] == runs[1], x0_seed
+
+
+def test_trace_record_signature_is_its_ten_fields():
+    names = [f.name for f in dataclasses.fields(TraceRecord)]
+    assert len(names) == 10
+    params = inspect.signature(TraceRecord).parameters
+    assert list(params) == names
+    assert all(p.default is inspect.Parameter.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+               for p in params.values())
+    rec = TraceRecord(*range(10))
+    assert [getattr(rec, n) for n in names] == list(range(10))
+    assert TraceRecord(**dict(zip(names, range(10)))) == rec
 
 
 def test_trace_record_is_a_frozen_value():

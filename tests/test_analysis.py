@@ -1,9 +1,26 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cgtsim import analysis as an
-from cgtsim.algorithms import HyperParams, TraceRecord, run_cgt_reference
-from cgtsim.compression import CompressorProfile, Identity, TopK, analytic_profile
+from cgtsim import harness
+from cgtsim.algorithms import (
+    HyperParams,
+    TraceRecord,
+    run_cgt_efficient,
+    run_cgt_reference,
+    run_efcgt_efficient,
+    run_efcgt_reference,
+)
+from cgtsim.compression import (
+    CompressorProfile,
+    Identity,
+    TopK,
+    analytic_profile,
+    parse_compressor,
+)
 from cgtsim.problems import constants, generate_ridge
 from cgtsim.topology import build_ring, build_weights_outdegree, spectral_info
 
@@ -267,6 +284,45 @@ def test_empirical_rate_exact_geometric():
     fit = an.empirical_rate(trace)
     assert fit.rate == pytest.approx(0.9, abs=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+
+def _fit_window(trace, burn_frac=0.1):
+    """The iteration indices and log residuals empirical_rate fits (no zero residual)."""
+    start = math.ceil(burn_frac * len(trace))
+    return (np.array([t.k for t in trace[start:]], dtype=float),
+            np.log([t.residual for t in trace[start:]]))
+
+
+def _exact_slope(ks, ys):
+    """The least-squares slope of ys on ks, in exact rationals."""
+    ks, ys = [Fraction(k) for k in ks.tolist()], [Fraction(y) for y in ys.tolist()]
+    k_bar, y_bar = sum(ks) / len(ks), sum(ys) / len(ys)
+    return (sum((k - k_bar) * (y - y_bar) for k, y in zip(ks, ys))
+            / sum((k - k_bar) ** 2 for k in ks))
+
+
+def _preset_trace(name, K=300):
+    cfg = harness.preset(name, K=K)
+    runner = {"cgt": run_cgt_efficient, "cgt-ref": run_cgt_reference,
+              "efcgt": run_efcgt_efficient, "efcgt-ref": run_efcgt_reference}[cfg.algorithm]
+    return runner(harness.make_problem(cfg.problem), harness.make_topology(cfg.topology),
+                  cfg.hyper, parse_compressor(cfg.compressor), cfg.K, cfg.problem.seed,
+                  trace_every=cfg.trace_every, init=cfg.init).trace
+
+
+@pytest.mark.parametrize("source", ["geometric", "fig1-cgt", "fig3a-efcgt", "fig5-cgt-rescaled"])
+def test_empirical_rate_slope_is_the_exact_fit_rounded_once(source):
+    if source == "geometric":
+        trace = [_rec(k, 0.9**k * (1 + 0.01 * math.sin(k))) for k in range(101)]
+    else:
+        trace = _preset_trace(source)
+    ks, ys = _fit_window(trace)
+    exact = _exact_slope(ks, ys)
+    slope = an._ls_slope(ks, ys)
+    # the nearest double to the exact slope, so within half an ulp: below 1.2e-16 relative
+    assert slope == float(exact)
+    assert abs(Fraction(slope) - exact) <= abs(exact) * Fraction(1, 2**53)
+    assert an.empirical_rate(trace).rate == float(np.exp(slope))
 
 
 def test_empirical_rate_constant_residual():

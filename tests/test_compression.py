@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cgtsim import compression
 from cgtsim.compression import (
     CompressionError,
     CompressorProfile,
@@ -282,6 +283,88 @@ def test_a_row_whose_norm_passes_dbl_max_compresses_at_a_power_of_two_scale():
     # levels 1 and 2 of half the 2-norm, 1.06e308: the second passes DBL_MAX
     assert two_norm[0] == pytest.approx(1.5e308 / math.sqrt(2), rel=1e-15)
     assert two_norm[1] == math.inf
+
+
+def _scale_huge_rows_reference(m, norms, q):
+    # the overflow scale as it was before its early return: the finite-row mask over the
+    # whole block, on every call
+    if q == math.inf:
+        return None
+    huge = np.isinf(norms) & np.isfinite(m).all(axis=1)
+    if not huge.any():
+        return None
+    e = m.shape[1].bit_length()
+    norms[huge] = compression._row_norms(np.ldexp(m[huge], -e), q)
+    return huge, e
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_rows_that_overflow_among_others_keep_their_bytes(monkeypatch, q):
+    # rows 1 and 4 have a q-norm past DBL_MAX and row 3 an inf entry, among ordinary rows
+    # and a zero row; the early return for a block with no inf norm changes no byte
+    rng = np.random.default_rng(q)
+    m = rng.standard_normal((7, 20))
+    m[1] = 1e307 * np.sign(m[1])
+    m[4, ::2] = 1.7e308
+    m[3, 5] = -np.inf
+    m[6] = 0.0
+    kinds = [UnbiasedQuantize(bits=2, q=q), UnbiasedQuantize(bits=8, q=q), NormSign(q=q),
+             RescaledNormSign(q=q, r=3.0)]
+    u = _draw_block(kinds[0], 11, 7, 20, [0], 0, 1)[0]
+
+    def outputs(rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [_apply_rows(kind, m[rows], u[rows]).tobytes() for kind in kinds]
+
+    # the whole block, and its ordinary rows alone
+    got = [outputs(slice(None)), outputs([0, 2, 5])]
+    monkeypatch.setattr(compression, "_scale_huge_rows", _scale_huge_rows_reference)
+    assert got == [outputs(slice(None)), outputs([0, 2, 5])]
+    # the overflowing rows are quantized at the power-of-two scale: no NaN, not all zero
+    quant = np.frombuffer(got[0][0]).reshape(7, 20)
+    assert not np.isnan(quant[[1, 4]]).any() and quant[[1, 4]].any()
+
+
+def _mix64_reference(z):
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _uniforms_reference(m, *words):
+    # the key fold on uint64 arrays for every word, scalar or not
+    phi = np.uint64(0x9E3779B97F4A7C15)
+    h = np.zeros(1, dtype=np.uint64)
+    for word in words:
+        w = (np.atleast_1d(word).astype(np.uint64) if isinstance(word, np.ndarray)
+             else np.asarray([int(word) & (2**64 - 1)], dtype=np.uint64))
+        h = _mix64_reference(h ^ (w + phi))
+    z = _mix64_reference(h[..., None] + np.arange(1, m + 1, dtype=np.uint64) * phi)
+    z >>= np.uint64(11)
+    return z * 2.0 ** -53
+
+
+_KEY_WORDS = [
+    (), (0,), (5,), (2**64 - 1,), (2**64 + 7,), (-1,), (-(2**63),),
+    (123, 4, 56, 2), (np.int64(-3), np.uint64(2**64 - 1), np.int32(7), np.uint8(200)),
+    (2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1), (True, 3),
+    (np.array(9), 1, 2), (4, np.array(2**63), 5), (4, 5, np.array(-2)),
+    (np.arange(3), 1, 2, 3), (1, np.arange(4), 2, 3), (1, 2, np.arange(5)[:, None, None], 3),
+    (1, 2, 3, np.arange(3)), (2**64 - 1, np.arange(4), np.arange(3)[:, None], 2**64 - 1),
+    (7, np.array([2**64 - 1, 0], dtype=np.uint64), np.array([-1, 1]), 0),
+]
+
+
+@pytest.mark.parametrize("words", _KEY_WORDS)
+@pytest.mark.parametrize("m", [1, 20])
+def test_scalar_first_key_fold_equals_the_array_fold(words, m):
+    got = compression._uniforms(m, *words)
+    want = _uniforms_reference(m, *words)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_identity_returns_input_and_full_bit_cost():

@@ -114,6 +114,21 @@ def test_problem_refuses_non_finite_data_and_overflowing_penalty():
             generate_ridge(10, 20, 0.01, 1e308, seed=405)
 
 
+def test_optimal_solution_is_solved_once_and_read_only():
+    pb = generate_ridge(10, 20, 0.01, 5.0, seed=7)
+    x_star = optimal_solution(pb)
+    fresh = np.linalg.solve(pb.U.T @ pb.U + pb.n * pb.rho * np.eye(pb.dim), pb.U.T @ pb.v)
+    assert x_star.tobytes() == fresh.tobytes()
+    assert not x_star.flags.writeable
+    with pytest.raises(ValueError):
+        x_star[0] = 1.0
+    # a repeat call returns the kept array; an equal problem object solves its own
+    assert optimal_solution(pb) is x_star
+    other = RidgeProblem(U=pb.U.copy(), v=pb.v.copy(), rho=pb.rho)
+    assert optimal_solution(other) is not x_star
+    assert optimal_solution(other).tobytes() == fresh.tobytes()
+
+
 def test_optimal_solution_large_penalty_shrinks_to_zero():
     pb = RidgeProblem(U=np.array([[1.0, -0.5], [0.2, 0.9]]), v=np.array([3.0, -1.0]), rho=1e9)
     x_star = optimal_solution(pb)
