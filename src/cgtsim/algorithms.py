@@ -56,7 +56,8 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,8 +168,7 @@ class NetworkState:
         return self.Z[..., 1, :, :]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Per-iteration error metrics and cumulative communication cost."""
 
     k: int
@@ -181,33 +181,6 @@ class TraceRecord:
     ef_error_x: float
     ef_error_y: float
     bits_sent: int
-
-
-def _record_init():
-    # a frozen dataclass's own __init__ sets each field by name through object.__setattr__;
-    # the slots' member descriptors store the same values without that lookup
-    (set_k, set_residual, set_opt, set_consensus, set_tracking, set_cx, set_cy, set_efx,
-     set_efy, set_bits) = (getattr(TraceRecord, f.name).__set__ for f in fields(TraceRecord))
-
-    def __init__(self, k: int, residual: float, opt_error: float, consensus_error: float,
-                 tracking_error: float, compress_error_x: float, compress_error_y: float,
-                 ef_error_x: float, ef_error_y: float, bits_sent: int) -> None:
-        set_k(self, k)
-        set_residual(self, residual)
-        set_opt(self, opt_error)
-        set_consensus(self, consensus_error)
-        set_tracking(self, tracking_error)
-        set_cx(self, compress_error_x)
-        set_cy(self, compress_error_y)
-        set_efx(self, ef_error_x)
-        set_efy(self, ef_error_y)
-        set_bits(self, bits_sent)
-
-    __init__.__qualname__ = "TraceRecord.__init__"
-    return __init__
-
-
-TraceRecord.__init__ = _record_init()
 
 
 @dataclass

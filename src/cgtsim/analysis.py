@@ -407,13 +407,13 @@ def _integers(xs: np.ndarray) -> tuple[list[int], int]:
 def _ls_slope(ks: np.ndarray, ys: np.ndarray) -> float:
     """The least-squares slope of ys on ks, exact and then rounded once to the nearest double.
 
+    The ys are finite: ``empirical_rate`` refuses an inf residual.
+
     The centred closed form sum((k - k_bar)(y - y_bar)) / sum((k - k_bar)**2)
     equals (n sum(k y) - sum(k) sum(y)) / (n sum(k**2) - sum(k)**2); on the
     inputs written as integers times powers of two that is a quotient of
     Python integers, and integer true division rounds correctly.
     """
-    if not np.isfinite(ys).all():  # an inf residual: nan, as the float formula gives
-        return math.nan
     k, ek = _integers(ks)
     y, ey = _integers(ys)
     n, sk = len(k), sum(k)
@@ -435,7 +435,12 @@ def empirical_rate(trace, burn_frac: float = 0.1) -> RateFit:
     presets at K = 2000, ``np.polyfit``'s scaled-Vandermonde SVD solve was up
     to 7.0e-16 relative off the exact slope, and the same closed form in
     floating point up to 1.8e-16.
+
+    Refused with ``AnalysisError``: a ``burn_frac`` outside [0, 1), NaN
+    included, and an inf residual in the fit window.
     """
+    if not 0.0 <= burn_frac < 1.0:
+        raise AnalysisError(f"burn_frac must be in [0, 1), got {burn_frac}")
     ks = np.array([t.k for t in trace], dtype=float)
     rs = np.array([t.residual for t in trace], dtype=float)
     if ks.size < 3:
@@ -448,6 +453,8 @@ def empirical_rate(trace, burn_frac: float = 0.1) -> RateFit:
         ks, rs = ks[:cut], rs[:cut]
     if ks.size < 2:
         raise AnalysisError("not enough positive residuals in the fit window")
+    if np.isinf(rs).any():
+        raise AnalysisError("inf residual in the fit window")
     logs = np.log(rs)
     slope = _ls_slope(ks, logs)
     # np.mean is this reduce over the size, and np.sum this reduce

@@ -305,21 +305,19 @@ def _row_norms(m: np.ndarray, q: float, a: np.ndarray | None = None) -> np.ndarr
 
 
 def _scale_huge_rows(m: np.ndarray, norms: np.ndarray, q: float) -> tuple | None:
-    """Rescale the norms of the finite rows of m whose q-norm passes DBL_MAX.
+    """Rescale the norms of the rows of m whose q-norm is inf.
 
     Each such row's entry of ``norms`` becomes the q-norm of the row times
-    2**-e, with 2**e > p, which is finite; a caller computes the row's output at
-    that exact power-of-two scale and multiplies it by 2**e (``_unscale``).
-    Returns the rows' mask and e, or None when there are none, as always at
-    q = inf, where the norm is an entry.
+    2**-e, with 2**e > p, which is finite for a finite row; a caller computes the
+    row's output at that exact power-of-two scale and multiplies it by 2**e
+    (``_unscale``).  A row with an inf entry keeps norm inf under the scale, so
+    its output keeps the inf/NaN pattern it has unscaled.  Returns the rows' mask
+    and e, or None when there are none, as always at q = inf, where the norm is
+    an entry.
     """
     if q == math.inf:
         return None
     huge = np.isinf(norms)
-    # a norm is inf only for overflowing input: test that first, over the norms alone
-    if not huge.any():
-        return None
-    huge &= np.isfinite(m).all(axis=1)
     if not huge.any():
         return None
     e = m.shape[1].bit_length()

@@ -305,11 +305,7 @@ def trace_csv(trace: list[TraceRecord]) -> str:
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for t in trace:
-        out.write(",".join([
-            str(t.k), _fmt(t.residual), _fmt(t.opt_error), _fmt(t.consensus_error),
-            _fmt(t.tracking_error), _fmt(t.compress_error_x), _fmt(t.compress_error_y),
-            _fmt(t.ef_error_x), _fmt(t.ef_error_y), str(t.bits_sent),
-        ]) + "\n")
+        out.write(",".join([str(t.k), *map(_fmt, t[1:-1]), str(t.bits_sent)]) + "\n")
     return out.getvalue()
 
 

@@ -342,6 +342,28 @@ def test_empirical_rate_needs_points():
         an.empirical_rate([_rec(0, 1.0), _rec(1, 0.9)])
 
 
+def test_empirical_rate_refuses_an_inf_residual_in_the_fit_window():
+    # it gave RateFit(nan, nan) and numpy's "invalid value encountered in subtract"
+    trace = [_rec(k, r) for k, r in enumerate([1.0, 0.5, 0.25, math.inf, 0.1])]
+    with pytest.raises(an.AnalysisError, match="inf residual"):
+        an.empirical_rate(trace, burn_frac=0.0)
+    # an inf outside the window is not fitted: burned off, or past the first zero
+    halving = [_rec(k, 0.5**k) for k in range(1, 6)]
+    for window, burn_frac in (([_rec(0, math.inf)] + halving, 0.1),
+                              (halving + [_rec(6, 0.0), _rec(7, math.inf)], 0.0)):
+        fit = an.empirical_rate(window, burn_frac=burn_frac)
+        assert fit.rate == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("burn_frac", [-0.8, -1e-300, 1.0, 1.5, math.inf, -math.inf, math.nan])
+def test_empirical_rate_refuses_burn_frac_outside_zero_one(burn_frac):
+    # -0.8 fitted the window of 0.2, sliced from the end, and nan raised a bare ValueError
+    trace = [_rec(k, 0.9**k) for k in range(20)]
+    with pytest.raises(an.AnalysisError, match="burn_frac"):
+        an.empirical_rate(trace, burn_frac=burn_frac)
+    assert an.empirical_rate(trace, burn_frac=0.0).rate == pytest.approx(0.9, abs=1e-12)
+
+
 def test_certificate_text_round_trip_fields(setup):
     pb, consts, spec = setup
     sp = an.sufficient_params(consts, spec, analytic_profile(Identity(), pb.dim),

@@ -367,6 +367,17 @@ def test_trace_csv_17_digit_floats():
     assert "0.33333333333333331" in text
 
 
+def test_csv_header_is_the_trace_record_fields_in_order():
+    # trace_csv writes a row by position, so a reordered field must fail here, not
+    # misalign the columns
+    from cgtsim.algorithms import TraceRecord
+    assert harness.CSV_HEADER.split(",") == [*TraceRecord._fields[:-1], "bits_cumulative"]
+    rec = TraceRecord(7, *(2.0**-i for i in range(1, 9)), 640)
+    row = next(csv.DictReader(io.StringIO(trace_csv([rec]))))
+    assert [row[name] for name in harness.CSV_HEADER.split(",")] == [
+        "7", *(repr(v) for v in rec[1:-1]), "640"]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -536,7 +547,7 @@ def test_inf_trace_cells_at_the_overflow_edge_are_the_correctly_rounded_squares(
     res = run_from_config(cfg)
     first = res.trace[0]
     assert (first.tracking_error, first.compress_error_y) == (math.inf, math.inf)
-    assert all(math.isfinite(v) for r in res.trace[1:] for v in dataclasses.astuple(r))
+    assert all(math.isfinite(v) for r in res.trace[1:] for v in tuple(r))
     assert np.isfinite(res.final.Z).all() and res.trace[-1].residual < 1
 
 
