@@ -347,8 +347,9 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
     # numpy does not warn about it as well
     with np.errstate(over="ignore", invalid="ignore"):
         n, p = pb.n, pb.dim
-        w = W.matrix
-        i_minus_w = None if efficient else np.eye(n) - w
+        # the one dense operand this form multiplies by, built here and dropped at the end
+        w = W.matrix if efficient else None
+        i_minus_w = None if efficient else W.i_minus_w
         alpha = _channels(hp.alpha_x, hp.alpha_y)
         # keep = 1 - alpha per channel; None where alpha is so small that 1 - alpha rounds to 1
         keep = _channels(1 - hp.alpha_x, 1 - hp.alpha_y)

@@ -426,10 +426,11 @@ def _ls_slope(ks: np.ndarray, ys: np.ndarray) -> float:
 def empirical_rate(trace, burn_frac: float = 0.1) -> RateFit:
     """Per-iteration contraction factor from a log-linear fit of the residuals.
 
-    Discards the first ``burn_frac`` of the trace, truncates at the last
-    positive residual, and fits log(residual) against the iteration index by
-    least squares in the centred closed form ``slope = sum((k - k_bar)(y -
-    y_bar)) / sum((k - k_bar)**2)``, ``fitted = slope (k - k_bar) + y_bar``.
+    Discards the first ``burn_frac`` of the trace, truncates before the first
+    residual at or below 1e-300 (zero or denormal), and fits log(residual)
+    against the iteration index by least squares in the centred closed form
+    ``slope = sum((k - k_bar)(y - y_bar)) / sum((k - k_bar)**2)``, ``fitted =
+    slope (k - k_bar) + y_bar``.
     The slope is computed exactly from the float inputs and rounded once
     (``_ls_slope``), so no double is closer to the exact fit.  On the 14
     presets at K = 2000, ``np.polyfit``'s scaled-Vandermonde SVD solve was up
@@ -437,7 +438,8 @@ def empirical_rate(trace, burn_frac: float = 0.1) -> RateFit:
     floating point up to 1.8e-16.
 
     Refused with ``AnalysisError``: a ``burn_frac`` outside [0, 1), NaN
-    included, and an inf residual in the fit window.
+    included, and an inf or NaN residual in the fit window, the residuals kept
+    by that burn-in and that truncation.
     """
     if not 0.0 <= burn_frac < 1.0:
         raise AnalysisError(f"burn_frac must be in [0, 1), got {burn_frac}")
@@ -447,10 +449,12 @@ def empirical_rate(trace, burn_frac: float = 0.1) -> RateFit:
         raise AnalysisError("need at least 3 trace points to fit a rate")
     start = int(math.ceil(burn_frac * ks.size))
     ks, rs = ks[start:], rs[start:]
-    positive = rs > 1e-300
-    if not positive.all():
-        cut = int(np.argmin(positive))  # first nonpositive/denormal entry
+    tiny = rs <= 1e-300  # False at NaN, so a NaN does not cut the window
+    if tiny.any():
+        cut = int(np.argmax(tiny))  # first nonpositive/denormal entry
         ks, rs = ks[:cut], rs[:cut]
+    if np.isnan(rs).any():
+        raise AnalysisError("nan residual in the fit window")
     if ks.size < 2:
         raise AnalysisError("not enough positive residuals in the fit window")
     if np.isinf(rs).any():

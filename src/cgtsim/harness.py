@@ -565,11 +565,12 @@ def verify_suite(seed: int = 7) -> list[CheckResult]:
     # mixing contraction on random matrices
     W = make_topology(TopologySpec(n=10, directed=True))
     info = spectral_info(W)
+    m = W.matrix  # built on each access
     worst = 0.0
     for _ in range(20):
         omega = rng.standard_normal((10, 5))
         bar = omega.mean(axis=0)
-        lhs = np.linalg.norm(W.matrix @ omega - bar)
+        lhs = np.linalg.norm(m @ omega - bar)
         rhs = info.rho_w * np.linalg.norm(omega - bar)
         worst = max(worst, lhs - rhs)
     record("mixing contraction (rho_w)", worst <= 1e-9, f"max violation {worst:.2e}")

@@ -6,12 +6,17 @@ row 0 rolled by i.  A directed ring has the one offset 1, an undirected ring
 the offsets 1 and n - 1 (one offset at n = 2).  :func:`build_weights_outdegree`
 is the one builder: a scalar ``p`` on each edge and a positive self weight
 1 - Deg_out*p.  The Laplacian scheme I - aL is that stencil with p = a.
+
+A :class:`WeightMatrix` holds only that stencil, a few scalars at any n.  Its
+dense forms ``matrix`` and ``i_minus_w`` (8 n^2 bytes each) are built on each
+access and belong to the caller, so an n = 1000 run holds the one operand its
+form multiplies by for as long as the run, not for as long as the record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,28 +50,54 @@ def build_ring(n: int, directed: bool = True) -> Ring:
     return Ring(n, directed)
 
 
+def _circulant(n: int, offsets: tuple[int, ...], diag: float, off: float) -> np.ndarray:
+    """Read-only n x n array: ``diag`` on the diagonal, ``off`` at (i, (i+k) mod n)
+    for each offset k, +0.0 elsewhere."""
+    m = np.zeros((n, n))
+    rows = np.arange(n)
+    m[rows, rows] = diag
+    for k in offsets:
+        m[rows, (rows + k) % n] = off
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
     """Nonnegative doubly stochastic circulant: ``self_weight`` on the diagonal and
-    ``weight`` at (i, (i+k) mod n) for each offset k; ``matrix`` is its dense form."""
+    ``weight`` at (i, (i+k) mod n) for each offset k, no k a multiple of n.
+
+    The record holds no array.  ``matrix`` and ``i_minus_w`` build a fresh
+    read-only dense form on each access, so a caller reads one once and keeps it
+    as long as it needs it.  The doubly stochastic check runs when the record is
+    made, on a dense form it then drops, so a size whose dense W cannot be
+    allocated fails there with ``MemoryError``.
+    """
 
     n: int
     offsets: tuple[int, ...]
     self_weight: float
     weight: float
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = np.zeros((self.n, self.n))
-        rows = np.arange(self.n)
-        m[rows, rows] = self.self_weight
-        for k in self.offsets:
-            m[rows, (rows + k) % self.n] = self.weight
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        ok, detail = check_doubly_stochastic(m)
+        # an offset k = 0 mod n would overwrite the diagonal, so I - W would not be
+        # the stencil of 1 - self_weight and -weight
+        if any(k % self.n == 0 for k in self.offsets):
+            raise TopologyError(f"offsets must not be multiples of n={self.n}, got {self.offsets}")
+        ok, detail = check_doubly_stochastic(self.matrix)
         if not ok:
             raise TopologyError(f"not doubly stochastic: {detail}")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense W, built on each access."""
+        return _circulant(self.n, self.offsets, self.self_weight, self.weight)
+
+    @property
+    def i_minus_w(self) -> np.ndarray:
+        """The dense I - W, built on each access: bit for bit ``np.eye(n) - matrix``,
+        +0.0 where W is 0."""
+        return _circulant(self.n, self.offsets, 1.0 - self.self_weight, 0.0 - self.weight)
 
 
 def check_doubly_stochastic(m: np.ndarray) -> tuple[bool, str]:
@@ -152,8 +183,7 @@ def spectral_norm(m: np.ndarray) -> float:
 
 def spectral_info(w: WeightMatrix) -> SpectralInfo:
     """Compute (rho_w, s, ||I-W||) for a ring's W, checked doubly stochastic when built."""
-    m, n = w.matrix, w.n
-    dev = m - np.full((n, n), 1.0 / n)
-    rho_w = spectral_norm(dev)
-    norm_iw = spectral_norm(np.eye(n) - m)
+    n = w.n
+    rho_w = spectral_norm(w.matrix - np.full((n, n), 1.0 / n))
+    norm_iw = spectral_norm(w.i_minus_w)
     return SpectralInfo(rho_w=rho_w, s=1.0 - rho_w, norm_IminusW=norm_iw)

@@ -30,7 +30,8 @@ SEED = 9
 
 def in_weights(W, i):
     """Nonzero mixing weights agent i applies to received payloads."""
-    return [(j, W.matrix[i, j]) for j in range(W.n) if W.matrix[i, j] != 0.0]
+    m = W.matrix  # built on each access
+    return [(j, m[i, j]) for j in range(W.n) if m[i, j] != 0.0]
 
 
 def run_agent_view_cgt(pb, W, hp, kind, K, seed):

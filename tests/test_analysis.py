@@ -355,6 +355,19 @@ def test_empirical_rate_refuses_an_inf_residual_in_the_fit_window():
         assert fit.rate == pytest.approx(0.5, abs=1e-12)
 
 
+def test_empirical_rate_refuses_a_nan_residual_in_the_fit_window():
+    # it cut the window at the nan and gave RateFit(0.5, 1.0) from the first two points
+    trace = [_rec(k, r) for k, r in enumerate([1.0, 0.5, math.nan, 0.25, 0.125, 0.0625])]
+    with pytest.raises(an.AnalysisError, match="nan residual"):
+        an.empirical_rate(trace, burn_frac=0.0)
+    # a nan outside the window is not fitted: burned off, or past the first zero
+    halving = [_rec(k, 0.5**k) for k in range(1, 6)]
+    for window, burn_frac in (([_rec(0, math.nan)] + halving, 0.1),
+                              (halving + [_rec(6, 0.0), _rec(7, math.nan)], 0.0)):
+        fit = an.empirical_rate(window, burn_frac=burn_frac)
+        assert fit.rate == pytest.approx(0.5, abs=1e-12)
+
+
 @pytest.mark.parametrize("burn_frac", [-0.8, -1e-300, 1.0, 1.5, math.inf, -math.inf, math.nan])
 def test_empirical_rate_refuses_burn_frac_outside_zero_one(burn_frac):
     # -0.8 fitted the window of 0.2, sliced from the end, and nan raised a bare ValueError

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -252,3 +253,58 @@ def test_lazy_mixing_contraction(gamma):
 def test_weight_matrix_rejects_non_stochastic():
     with pytest.raises(TopologyError, match="not doubly stochastic"):
         WeightMatrix(n=3, offsets=(1,), self_weight=0.8, weight=0.3)
+
+
+def _parent_dense(W):
+    """W and I - W as the record built them when it held its dense form: the stencil
+    written into zeros, and np.eye(n) minus that."""
+    n = W.n
+    m = np.zeros((n, n))
+    rows = np.arange(n)
+    m[rows, rows] = W.self_weight
+    for k in W.offsets:
+        m[rows, (rows + k) % n] = W.weight
+    return m, np.eye(n) - m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 37, 1000])
+@pytest.mark.parametrize("directed", [True, False])
+def test_dense_forms_equal_the_held_matrix_bytes(n, directed):
+    # byte for byte, so the +0.0 of I - W where W is 0 and each last bit count
+    ring = build_ring(n, directed=directed)
+    for W in [build_weights_outdegree(ring, p) for p in (0.1, 0.25, 1e-300)] + [
+            WeightMatrix(n, ring.offsets, 1.0, 0.0)]:
+        want_m, want_iw = _parent_dense(W)
+        for got, want in ((W.matrix, want_m), (W.i_minus_w, want_iw)):
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), W
+
+
+def test_weight_matrix_holds_no_array():
+    for W in (build_weights_outdegree(build_ring(10, directed=False), 0.1),
+              WeightMatrix(n=6, offsets=(1, 2, 3, 4, 5), self_weight=1 / 6, weight=1 / 6)):
+        held = list(vars(W).values())  # every field and any attribute set on the record
+        assert not any(isinstance(v, np.ndarray) for v in held), held
+        assert W.matrix is not W.matrix  # built on each access, never cached
+
+
+def test_weight_matrix_at_n_2000_leaves_no_dense_form():
+    ring = build_ring(2000, directed=False)
+    tracemalloc.start()
+    try:
+        W = build_weights_outdegree(ring, 0.1)  # its check builds a 30.5 MiB W and drops it
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert W.n == 2000
+    assert held < 0.1 * 2**20
+
+
+@pytest.mark.parametrize("offsets,self_weight,weight", [((0,), 0.0, 1.0), ((3,), 0.0, 1.0),
+                                                        ((1, 6), 0.5, 0.5)])
+def test_weight_matrix_refuses_an_offset_onto_the_diagonal(offsets, self_weight, weight):
+    # an offset 0 mod n overwrites the diagonal: each of these passed the doubly
+    # stochastic check, but I - W was not the stencil of 1 - self_weight and -weight
+    with pytest.raises(TopologyError, match=r"^offsets must not be multiples of n=3"):
+        WeightMatrix(n=3, offsets=offsets, self_weight=self_weight, weight=weight)
