@@ -259,15 +259,34 @@ def spectral_radius(m: np.ndarray) -> float:
     iterate's norm ratio overshoots the radius for any practical iteration
     budget.  The norm-growth form resolves the radius to near machine
     precision because the 2^j-th root washes out the transient.
+
+    Each squaring's norm is ``math.sqrt(flat.dot(flat))`` on a flat view of
+    the C-ordered iterate: the ddot and square root ``np.linalg.norm`` computes
+    for a real array, without its wrapper.  The iterate is divided in place, the
+    IEEE division of each entry that ``cur / nrm`` makes, and squared into a
+    second buffer made once, the dgemm ``cur @ cur`` calls.  So every estimate
+    has the bits of the loop that calls ``np.linalg.norm`` and allocates the
+    quotient and the square.
+
+    Raises :class:`AnalysisError` for a negative entry, for a matrix that is
+    not finite or whose Frobenius norm overflows, and when ``_MAX_SQUARINGS``
+    squarings leave the estimate moving by more than ``_RADIUS_TOL``.
     """
     m = np.asarray(m, dtype=float)
     if np.any(m < 0):
         raise AnalysisError("spectral radius routine expects a nonnegative matrix")
+    cur = m.copy()  # C-ordered, as is its square buffer
+    nxt = np.empty_like(cur)
+    flat = cur.reshape(-1)
+    # each later iterate has norm at most 1, so only the input's own norm can be nan or inf
+    with np.errstate(over="ignore"):
+        nrm = math.sqrt(flat.dot(flat))
+    if not nrm < math.inf:
+        raise AnalysisError(f"spectral radius needs a finite matrix with a finite norm, "
+                            f"got ||M||_F = {nrm!r}")
     acc = 0.0
     est = math.inf
-    cur = m.copy()
     for j in range(_MAX_SQUARINGS):
-        nrm = float(np.linalg.norm(cur))
         if nrm == 0.0:
             return 0.0
         acc += math.log(nrm) / (2.0 ** j)
@@ -275,9 +294,13 @@ def spectral_radius(m: np.ndarray) -> float:
         if j > 0 and abs(new_est - est) <= _RADIUS_TOL * max(1.0, new_est):
             return new_est
         est = new_est
-        cur = cur / nrm
-        cur = cur @ cur
-    return est
+        np.divide(cur, nrm, out=cur)
+        np.matmul(cur, cur, out=nxt)
+        cur, nxt = nxt, cur
+        flat = cur.reshape(-1)
+        nrm = math.sqrt(flat.dot(flat))
+    raise AnalysisError(f"spectral radius did not converge in {_MAX_SQUARINGS} squarings: the "
+                        f"estimate {est!r} still moved by more than {_RADIUS_TOL:g} (relative)")
 
 
 def certify(system: ErrorSystem) -> Certificate:

@@ -155,12 +155,29 @@ def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value by power iteration on M^T M.
 
     Deterministic: the start vector comes from a fixed-seed generator, so
-    repeated calls are bit-identical.  Each step does one product ``b @ v``:
-    it gives the Rayleigh quotient of this step and the iterate of the next,
-    so the result is bit-identical to computing the same product twice.
+    repeated calls are bit-identical.  Each step is four BLAS calls on two
+    vectors made once: ``w.dot(w)`` and ``v.dot(w)`` are the ddot that
+    ``w @ w`` and ``v @ w`` call, ``b.dot(v, out=w)`` is the dgemv that
+    ``b @ v`` calls on the C-ordered b, and ``np.divide(w, nw, out=v)`` makes
+    the IEEE division of each entry that ``w / nw`` makes.  So every iterate
+    has the bits of the loop that allocates ``w / nw`` and ``b @ v`` each step.
+    One product per step gives the Rayleigh quotient of this step and the
+    iterate of the next.
+
+    Raises :class:`TopologyError` rather than return an unresolved number:
+    when ``||M^T M||_F^2`` is not finite (a non-finite M, or one so large
+    that a step's ``w . w`` could overflow and zero the iterate), and when
+    ``_POWER_MAX_ITER`` steps leave the estimate moving by more than
+    ``_POWER_TOL``.
     """
     m = np.asarray(m, dtype=float)
-    b = m.T @ m
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+        b = m.T @ m
+        flat = b.reshape(-1)
+        gram = float(flat.dot(flat))
+    if not gram < math.inf:
+        raise TopologyError(f"spectral norm needs a finite matrix with ||M^T M||_F^2 finite, "
+                            f"got ||M^T M||_F^2 = {gram!r}")
     n = b.shape[0]
     rng = np.random.default_rng(0x5EED)
     v = rng.standard_normal(n)
@@ -168,22 +185,23 @@ def spectral_norm(m: np.ndarray) -> float:
     w = b @ v
     lam = 0.0
     for _ in range(_POWER_MAX_ITER):
-        nw = math.sqrt(w @ w)  # np.linalg.norm's formula for a real vector
+        nw = math.sqrt(w.dot(w))  # np.linalg.norm's formula for a real vector
         if nw == 0.0:
             return 0.0
-        v = w / nw
-        w = b @ v
-        lam_new = float(v @ w)
+        np.divide(w, nw, out=v)
+        b.dot(v, out=w)
+        lam_new = float(v.dot(w))
         if abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
+            return math.sqrt(max(lam_new, 0.0))
         lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+    raise TopologyError(f"spectral norm's power iteration did not converge in {_POWER_MAX_ITER} "
+                        f"steps: its estimate {lam!r} of ||M||^2 still moved by more than "
+                        f"{_POWER_TOL:g} (relative)")
 
 
 def spectral_info(w: WeightMatrix) -> SpectralInfo:
     """Compute (rho_w, s, ||I-W||) for a ring's W, checked doubly stochastic when built."""
     n = w.n
-    rho_w = spectral_norm(w.matrix - np.full((n, n), 1.0 / n))
+    rho_w = spectral_norm(w.matrix - 1.0 / n)
     norm_iw = spectral_norm(w.i_minus_w)
     return SpectralInfo(rho_w=rho_w, s=1.0 - rho_w, norm_IminusW=norm_iw)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,68 @@ def test_spectral_radius_matches_eigensolve_on_random_nonnegative():
 def test_spectral_radius_rejects_negative():
     with pytest.raises(an.AnalysisError):
         an.spectral_radius(np.array([[0.1, -0.2], [0.0, 0.1]]))
+
+
+def _allocating_spectral_radius(m):
+    """The squaring loop as written before it reused two buffers: ``np.linalg.norm``
+    and a fresh ``cur / nrm`` and ``cur @ cur`` each squaring."""
+    m = np.asarray(m, dtype=float)
+    acc = 0.0
+    est = math.inf
+    cur = m.copy()
+    for j in range(an._MAX_SQUARINGS):
+        nrm = float(np.linalg.norm(cur))
+        if nrm == 0.0:
+            return 0.0
+        acc += math.log(nrm) / (2.0 ** j)
+        new_est = math.exp(acc)
+        if j > 0 and abs(new_est - est) <= an._RADIUS_TOL * max(1.0, new_est):
+            return new_est
+        est = new_est
+        cur = cur / nrm
+        cur = cur @ cur
+    return est
+
+
+@pytest.mark.parametrize("size", [2, 5, 7, 20])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_spectral_radius_equals_the_allocating_loop_bytes(size, scale):
+    rng = np.random.default_rng(size)
+    for k in range(5):
+        m = rng.uniform(0, 1, (size, size)) * scale
+        if k == 4:
+            m[rng.uniform(size=m.shape) < 0.5] = 0.0
+        for mm in (m, np.asfortranarray(m), m.T):
+            assert an.spectral_radius(mm).hex() == _allocating_spectral_radius(mm).hex()
+
+
+def test_spectral_radius_of_both_chains_equals_the_allocating_loop_bytes(setup):
+    pb, consts, spec = setup
+    for chain in (an.sufficient_params, an.sufficient_params_ef):
+        for kind in (Identity(), TopK(k=1)):
+            sp = chain(consts, spec, analytic_profile(kind, pb.dim), 1.0, 1.0, n=pb.n)
+            want = _allocating_spectral_radius(sp.system.M)
+            assert sp.certificate.rho_M.hex() == want.hex()
+
+
+@pytest.mark.parametrize("m", [np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 0.5]]),
+                               np.array([[0.5, np.nan], [0.0, 0.5]]), 1e200 * np.eye(2)])
+def test_spectral_radius_refuses_a_matrix_without_a_finite_norm(m):
+    # NaN input returned nan and inf input nan with a divide warning; at 1e200 I the
+    # norm overflowed, the iterate was divided to 0 and the radius read 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(an.AnalysisError, match=r"^spectral radius needs a finite matrix"):
+            an.spectral_radius(m)
+
+
+def test_spectral_radius_refuses_an_unconverged_estimate(monkeypatch):
+    m = np.array([[0.5, 0.1], [0.1, 0.5]])
+    assert an.spectral_radius(m) == pytest.approx(0.6, abs=1e-12)  # the default budget resolves it
+    monkeypatch.setattr(an, "_MAX_SQUARINGS", 3)
+    with pytest.raises(an.AnalysisError, match=r"^spectral radius did not converge in 3 "
+                                               r"squarings: the estimate "):
+        an.spectral_radius(m)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgtsim import cli, compression, harness, problems
+from cgtsim import cli, compression, harness, problems, topology
 from cgtsim.algorithms import DivergenceError
 from cgtsim.harness import (
     ConfigError,
@@ -835,6 +835,20 @@ def test_cli_certify_refuses_zero_spectral_gap_by_name(tmp_path, capsys, method,
                    "--out", str(tmp_path / "out")])
     assert (rc, capsys.readouterr().err) == (
         1, "config error: certification infeasible: spectral gap s must be positive, got s=0.0\n")
+
+
+def test_cli_certify_refuses_an_unconverged_spectral_norm(tmp_path, capsys, monkeypatch):
+    # a budget too small for fig1's ring stands in for a directed ring of about 520 or more
+    # agents at p = 0.1, which the default 100000 steps do not resolve
+    monkeypatch.setattr(topology, "_POWER_MAX_ITER", 20)
+    rc = cli.main(["certify", str(write_cfg(tmp_path, harness.config_text(preset("fig1-cgt")))),
+                   "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert re.fullmatch(r"config error: spectral norm's power iteration did not converge in 20 "
+                        r"steps: its estimate \S+ of \|\|M\|\|\^2 still moved by more than 1e-12 "
+                        r"\(relative\)\n", captured.err), captured.err
+    assert not (tmp_path / "out" / "fig1-cgt.cert.txt").exists()
 
 
 @pytest.mark.parametrize("section,builder", [("topology", "build_weights_outdegree"),

@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from cgtsim import topology
 from cgtsim.harness import TopologySpec, make_topology
 from cgtsim.topology import (
     TopologyError,
@@ -308,3 +310,69 @@ def test_weight_matrix_refuses_an_offset_onto_the_diagonal(offsets, self_weight,
     # stochastic check, but I - W was not the stencil of 1 - self_weight and -weight
     with pytest.raises(TopologyError, match=r"^offsets must not be multiples of n=3"):
         WeightMatrix(n=3, offsets=offsets, self_weight=self_weight, weight=weight)
+
+
+def _allocating_spectral_norm(m):
+    """The power iteration as written before its steps reused two vectors: a fresh
+    ``w / nw`` and ``b @ v`` each step, and the estimate returned once it settles."""
+    m = np.asarray(m, dtype=float)
+    b = m.T @ m
+    rng = np.random.default_rng(0x5EED)
+    v = rng.standard_normal(b.shape[0])
+    v /= np.linalg.norm(v)
+    w = b @ v
+    lam = 0.0
+    for _ in range(topology._POWER_MAX_ITER):
+        nw = math.sqrt(w @ w)
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        w = b @ v
+        lam_new = float(v @ w)
+        if abs(lam_new - lam) <= topology._POWER_TOL * max(1.0, abs(lam_new)):
+            lam = lam_new
+            break
+        lam = lam_new
+    return float(np.sqrt(max(lam, 0.0)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 37, 100])
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("p", [0.1, 0.2, 1e-300])
+def test_spectral_info_equals_the_allocating_loop_bytes(n, directed, p):
+    W = build_weights_outdegree(build_ring(n, directed=directed), p)
+    info = spectral_info(W)
+    rho_w = _allocating_spectral_norm(W.matrix - np.full((n, n), 1.0 / n))
+    want = (rho_w, 1.0 - rho_w, _allocating_spectral_norm(np.eye(n) - W.matrix))
+    assert [x.hex() for x in (info.rho_w, info.s, info.norm_IminusW)] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (5, 5), (7, 7), (20, 20), (64, 64), (257, 257),
+                                   (9, 4), (4, 9), (100, 30), (30, 100)])
+def test_spectral_norm_equals_the_allocating_loop_bytes(shape):
+    rng = np.random.default_rng(2029)
+    for _ in range(2):
+        m = rng.standard_normal(shape)
+        for mm in (m, np.asfortranarray(m), m * 1e-8, m * 1e8, m[::-1, ::2]):
+            assert spectral_norm(mm).hex() == _allocating_spectral_norm(mm).hex()
+
+
+@pytest.mark.parametrize("m", [np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                               np.array([[1.0, -np.inf], [0.0, 1.0]]), 1e200 * np.eye(2),
+                               1e80 * np.eye(3)])
+def test_spectral_norm_refuses_a_matrix_it_cannot_iterate_on(m):
+    # a NaN matrix ran the whole step budget and returned nan; at 1e80 I every step's
+    # w . w overflowed, zeroed the iterate and returned 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TopologyError, match=r"^spectral norm needs a finite matrix"):
+            spectral_norm(m)
+
+
+def test_spectral_norm_refuses_an_unconverged_estimate(monkeypatch):
+    W = build_weights_outdegree(build_ring(10, directed=True), 0.1)
+    assert spectral_info(W).s > 0  # the default budget resolves it
+    monkeypatch.setattr(topology, "_POWER_MAX_ITER", 20)
+    with pytest.raises(TopologyError, match=r"^spectral norm's power iteration did not "
+                                            r"converge in 20 steps: its estimate "):
+        spectral_info(W)
