@@ -56,7 +56,6 @@ from .compression import (
     compressor_label,
     empirical_profile,
     estimate_contraction,
-    estimate_variance_ratio,
     parse_compressor,
     profile_for,
 )

@@ -166,17 +166,16 @@ def _check_eta_gamma(mu: float, L: float, gamma: float, eta: float) -> None:
 
 
 def _system(rows: list[list[float]], c: ErrorConstants, gamma: float, eta: float,
-            epsilon: np.ndarray | None) -> ErrorSystem:
-    """Check the rows of M and pair them with the test vector (ones by default) and theta."""
+            epsilon: np.ndarray) -> ErrorSystem:
+    """Check the rows of M and pair them with the test vector and theta."""
     m = np.array(rows)
     if not np.all(np.isfinite(m)) or np.any(m < 0):
         raise AnalysisError("transition matrix has negative or non-finite entries")
-    eps = np.ones(len(m)) if epsilon is None else np.asarray(epsilon, dtype=float)
-    return ErrorSystem(M=m, epsilon=eps, theta=1.0 - 0.5 * eta * c.mu, gamma=gamma, eta=eta)
+    return ErrorSystem(M=m, epsilon=np.asarray(epsilon, dtype=float),
+                       theta=1.0 - 0.5 * eta * c.mu, gamma=gamma, eta=eta)
 
 
-def build_A(c: ErrorConstants, gamma: float, eta: float,
-            epsilon: np.ndarray | None = None) -> ErrorSystem:
+def build_A(c: ErrorConstants, gamma: float, eta: float, epsilon: np.ndarray) -> ErrorSystem:
     """5x5 transition matrix for plain compressed gradient tracking at (gamma, eta).
 
     Row/column order: optimization, consensus, tracking, x-compression,
@@ -198,8 +197,7 @@ def build_A(c: ErrorConstants, gamma: float, eta: float,
     ], c, gamma, eta, epsilon)
 
 
-def build_B(c: ErrorConstants, gamma: float, eta: float,
-            epsilon: np.ndarray | None = None) -> ErrorSystem:
+def build_B(c: ErrorConstants, gamma: float, eta: float, epsilon: np.ndarray) -> ErrorSystem:
     """7x7 transition matrix with error feedback at (gamma, eta).
 
     Rows 1-5 as in :func:`build_A`; rows 6-7 are the x/y error-feedback
@@ -230,13 +228,11 @@ def build_B(c: ErrorConstants, gamma: float, eta: float,
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(ErrorSystem):
+    """The error system with its spectral radius and the verdict of M eps <= theta eps."""
+
     rho_M: float
     componentwise_ok: bool
-    theta: float
-    gamma: float
-    eta: float
-    epsilon: np.ndarray
 
     def to_text(self) -> str:
         out = io.StringIO()
@@ -311,9 +307,8 @@ def certify(system: ErrorSystem) -> Certificate:
     lhs = system.M @ eps
     rhs = system.theta * eps
     ok = bool(np.all(lhs <= rhs + _CERT_SLACK * (1.0 + eps)))
-    rho = spectral_radius(system.M)
-    return Certificate(rho_M=rho, componentwise_ok=ok, theta=system.theta,
-                       gamma=system.gamma, eta=system.eta, epsilon=eps)
+    return Certificate(system.M, eps, system.theta, system.gamma, system.eta,
+                       spectral_radius(system.M), ok)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +319,9 @@ _SLACK = 1.01
 
 @dataclass(frozen=True)
 class SufficientParams:
-    """Certified (epsilon, gamma, eta) triple plus the system they certify."""
+    """A chain's raw test vector and the certificate of the system its (gamma, eta) build."""
 
-    epsilon: np.ndarray  # raw chain values; system.epsilon adds the L^2 weights
-    gamma: float
-    eta: float
-    system: ErrorSystem
+    epsilon: np.ndarray  # raw chain values; certificate.epsilon adds the L^2 weights
     certificate: Certificate
 
     def to_text(self) -> str:
@@ -344,8 +336,7 @@ def _certified(eps: np.ndarray, system: ErrorSystem) -> SufficientParams:
     cert = certify(system)
     if not cert.componentwise_ok:
         raise AnalysisError("sufficient-parameter chain failed its own certificate")
-    return SufficientParams(epsilon=eps, gamma=system.gamma, eta=system.eta, system=system,
-                            certificate=cert)
+    return SufficientParams(epsilon=eps, certificate=cert)
 
 
 def sufficient_params(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
@@ -374,7 +365,7 @@ def sufficient_params(prob: ProblemConstants, spec: SpectralInfo, profile: Compr
               s * e3 / (12 * kappa * (2 * n * e1 + 2 * e2 + e3))) * gamma / prob.L
     eta = min(eta, 0.99 * _step_bound(prob.mu, prob.L)[0])
     test_vec = np.array([e1, e2, prob.L**2 * e3, e4, prob.L**2 * e5])
-    return _certified(np.array([e1, e2, e3, e4, e5]), build_A(c, gamma, eta, epsilon=test_vec))
+    return _certified(np.array([e1, e2, e3, e4, e5]), build_A(c, gamma, eta, test_vec))
 
 
 def sufficient_params_ef(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
@@ -405,8 +396,7 @@ def sufficient_params_ef(prob: ProblemConstants, spec: SpectralInfo, profile: Co
     eta = min(eta, 0.99 * _step_bound(prob.mu, prob.L)[0])
     L2 = prob.L**2
     test_vec = np.array([e1, e2, L2 * e3, e4, L2 * e5, e6, L2 * e7])
-    return _certified(np.array([e1, e2, e3, e4, e5, e6, e7]),
-                      build_B(c, gamma, eta, epsilon=test_vec))
+    return _certified(np.array([e1, e2, e3, e4, e5, e6, e7]), build_B(c, gamma, eta, test_vec))
 
 
 # ---------------------------------------------------------------------------

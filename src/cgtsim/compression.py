@@ -359,8 +359,12 @@ def _quantize_rows(m: np.ndarray, kind: UnbiasedQuantize, u: np.ndarray) -> np.n
     all_positive = np.minimum.reduce(norms, initial=np.inf) > 0
     safe = (norms if all_positive else np.where(norms > 0, norms, 1.0))[:, None]
     # scale * a would overflow for entries above DBL_MAX / scale; a power of two scales
-    # exactly, so every level is the one scale * a / safe gives where that is finite
-    level = np.floor(scale * (a / safe) + u)
+    # exactly, so every t is the one scale * a / safe gives where that is finite
+    t = scale * (a / safe)
+    # the level is floor(t + u) exactly: the sum t + u rounds, up to the next integer at
+    # times, but t - floor(t) and 1 - u (u a multiple of 2**-53 in [0, 1)) are exact
+    level = np.floor(t)
+    level += (t - level) >= (1.0 - u)
     out = (safe / scale) * np.sign(m) * level
     # a zero-norm row maps to +0.0: the formula alone gives -0.0 for the negative entries
     # of a row whose 2-norm underflows to 0
@@ -581,15 +585,9 @@ _INNER_REPS = 50
 _BLOCK_ROWS = 1000  # (input, repetition) rows per estimator kernel call
 
 
-def estimate_variance_ratio(kind: CompressorKind, p: int, trials: int = 10_000,
-                            rng: int | np.random.Generator = 0) -> float:
-    """Empirical max over inputs of E||C(x) - x||^2 / ||x||^2."""
-    return estimate_contraction(kind, 1.0, p, trials, rng)
-
-
 def estimate_contraction(kind: CompressorKind, r: float, p: int, trials: int = 10_000,
                          rng: int | np.random.Generator = 0) -> float:
-    """Empirical max over inputs of E||C(x)/r - x||^2 / ||x||^2."""
+    """Empirical max over inputs of E||C(x)/r - x||^2 / ||x||^2; at r = 1 the variance ratio."""
     if trials < 1000:
         raise CompressionError(f"need trials >= 1000, got {trials}")
     if r <= 0:
@@ -623,7 +621,7 @@ def empirical_profile(kind: CompressorKind, p: int, trials: int = 10_000,
     unbiased form r = C + 1, delta = 1/(C + 1), which is valid for the dithered
     quantizer.
     """
-    c_hat = 1.05 * estimate_variance_ratio(kind, p, trials, rng)
+    c_hat = 1.05 * estimate_contraction(kind, 1.0, p, trials, rng)
     if c_hat < 1.0:
         return CompressorProfile(C=c_hat, delta=1.0 - c_hat if c_hat > 0 else 1.0,
                                  r=1.0, provenance="empirical")

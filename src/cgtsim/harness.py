@@ -76,8 +76,8 @@ from .topology import build_ring, build_weights_outdegree, check_doubly_stochast
 
 OUT_DIR_ENV = "CGTSIM_OUT_DIR"
 
-CSV_HEADER = ("k,residual,opt_error,consensus_error,tracking_error,"
-              "compress_error_x,compress_error_y,ef_error_x,ef_error_y,bits_cumulative")
+# the trace's fields in order, with bits_sent written as the running total it is
+CSV_HEADER = ",".join([*TraceRecord._fields[:-1], "bits_cumulative"])
 
 # method -> runner; each lambda finds its run_* here when a run starts, so a
 # patched or traced runner is the one called
@@ -469,42 +469,39 @@ def _preset(name: str, topo: TopologySpec, algorithm: str, comp: str, hp: HyperP
                             compressor=comp, hyper=hp, K=K, trace_every=10, prefix=name)
 
 
-PRESETS: dict[str, ExperimentConfig] = {
-    "fig1-cgt": _preset("fig1-cgt", _RING_UND, "cgt", "quant:b=2,q=inf",
-                        HyperParams(eta=0.09, gamma=1.0, alpha_x=1.0, alpha_y=1.0)),
-    "fig2-cgt-directed": _preset("fig2-cgt-directed", _RING_DIR, "cgt", "quant:b=2,q=inf",
-                                 HyperParams(eta=0.0047, gamma=1.0, alpha_x=1.0, alpha_y=1.0),
-                                 K=50_000),
-    "fig3a-cgt": _preset("fig3a-cgt", _RING_UND, "cgt", "topk:k=1",
-                         HyperParams(eta=0.11, gamma=0.6, alpha_x=1.0, alpha_y=1.0)),
-    "fig3a-efcgt": _preset("fig3a-efcgt", _RING_UND, "efcgt", "topk:k=1",
-                           HyperParams(eta=0.12, gamma=0.6, alpha_x=1.0, alpha_y=1.0)),
-    "fig3b-cgt": _preset("fig3b-cgt", _RING_DIR, "cgt", "topk:k=1",
-                         HyperParams(eta=0.00034, gamma=0.5, alpha_x=1.0, alpha_y=1.0)),
-    "fig3b-efcgt": _preset("fig3b-efcgt", _RING_DIR, "efcgt", "topk:k=1",
-                           HyperParams(eta=0.0043, gamma=1.0, alpha_x=1.0, alpha_y=1.0)),
-    "fig4a-cgt": _preset("fig4a-cgt", _RING_UND, "cgt", "randk:k=1",
-                         HyperParams(eta=0.11, gamma=0.1, alpha_x=1.0, alpha_y=1.0)),
-    "fig4a-efcgt": _preset("fig4a-efcgt", _RING_UND, "efcgt", "randk:k=1",
-                           HyperParams(eta=0.11, gamma=0.1, alpha_x=1.0, alpha_y=1.0)),
-    "fig4b-cgt": _preset("fig4b-cgt", _RING_DIR, "cgt", "randk:k=1",
-                         HyperParams(eta=0.0001, gamma=0.2, alpha_x=1.0, alpha_y=1.0)),
-    "fig4b-efcgt": _preset("fig4b-efcgt", _RING_DIR, "efcgt", "randk:k=1",
-                           HyperParams(eta=0.0012, gamma=0.3, alpha_x=1.0, alpha_y=1.0)),
-    "fig5-cgt-normsign": _preset("fig5-cgt-normsign", _RING_DIR, "cgt", "normsign:q=inf",
-                                 HyperParams(eta=0.01, gamma=1.0, alpha_x=0.05, alpha_y=0.05)),
-    "fig5-efcgt-normsign": _preset("fig5-efcgt-normsign", _RING_DIR, "efcgt", "normsign:q=inf",
-                                   HyperParams(eta=0.02, gamma=1.0, alpha_x=0.05, alpha_y=0.05,
-                                               beta_x=0.01, beta_y=0.01)),
-    "fig5-cgt-rescaled": _preset("fig5-cgt-rescaled", _RING_DIR, "cgt",
-                                 "normsign-rescaled:q=inf,r=20",
-                                 HyperParams(eta=0.0007, gamma=0.2, alpha_x=1.0, alpha_y=1.0)),
+PRESETS: dict[str, ExperimentConfig] = {cfg.prefix: cfg for cfg in (
+    _preset("fig1-cgt", _RING_UND, "cgt", "quant:b=2,q=inf",
+            HyperParams(eta=0.09, gamma=1.0, alpha_x=1.0, alpha_y=1.0)),
+    _preset("fig2-cgt-directed", _RING_DIR, "cgt", "quant:b=2,q=inf",
+            HyperParams(eta=0.0047, gamma=1.0, alpha_x=1.0, alpha_y=1.0), K=50_000),
+    _preset("fig3a-cgt", _RING_UND, "cgt", "topk:k=1",
+            HyperParams(eta=0.11, gamma=0.6, alpha_x=1.0, alpha_y=1.0)),
+    _preset("fig3a-efcgt", _RING_UND, "efcgt", "topk:k=1",
+            HyperParams(eta=0.12, gamma=0.6, alpha_x=1.0, alpha_y=1.0)),
+    _preset("fig3b-cgt", _RING_DIR, "cgt", "topk:k=1",
+            HyperParams(eta=0.00034, gamma=0.5, alpha_x=1.0, alpha_y=1.0)),
+    _preset("fig3b-efcgt", _RING_DIR, "efcgt", "topk:k=1",
+            HyperParams(eta=0.0043, gamma=1.0, alpha_x=1.0, alpha_y=1.0)),
+    _preset("fig4a-cgt", _RING_UND, "cgt", "randk:k=1",
+            HyperParams(eta=0.11, gamma=0.1, alpha_x=1.0, alpha_y=1.0)),
+    _preset("fig4a-efcgt", _RING_UND, "efcgt", "randk:k=1",
+            HyperParams(eta=0.11, gamma=0.1, alpha_x=1.0, alpha_y=1.0)),
+    _preset("fig4b-cgt", _RING_DIR, "cgt", "randk:k=1",
+            HyperParams(eta=0.0001, gamma=0.2, alpha_x=1.0, alpha_y=1.0)),
+    _preset("fig4b-efcgt", _RING_DIR, "efcgt", "randk:k=1",
+            HyperParams(eta=0.0012, gamma=0.3, alpha_x=1.0, alpha_y=1.0)),
+    _preset("fig5-cgt-normsign", _RING_DIR, "cgt", "normsign:q=inf",
+            HyperParams(eta=0.01, gamma=1.0, alpha_x=0.05, alpha_y=0.05)),
+    _preset("fig5-efcgt-normsign", _RING_DIR, "efcgt", "normsign:q=inf",
+            HyperParams(eta=0.02, gamma=1.0, alpha_x=0.05, alpha_y=0.05,
+                        beta_x=0.01, beta_y=0.01)),
+    _preset("fig5-cgt-rescaled", _RING_DIR, "cgt", "normsign-rescaled:q=inf,r=20",
+            HyperParams(eta=0.0007, gamma=0.2, alpha_x=1.0, alpha_y=1.0)),
     # the rescaled operator is contractive, so plain error feedback applies;
     # the beta damping is the fix for the non-contractive norm-sign only
-    "fig5-efcgt-rescaled": _preset("fig5-efcgt-rescaled", _RING_DIR, "efcgt",
-                                   "normsign-rescaled:q=inf,r=20",
-                                   HyperParams(eta=0.0019, gamma=0.4, alpha_x=1.0, alpha_y=1.0)),
-}
+    _preset("fig5-efcgt-rescaled", _RING_DIR, "efcgt", "normsign-rescaled:q=inf,r=20",
+            HyperParams(eta=0.0019, gamma=0.4, alpha_x=1.0, alpha_y=1.0)),
+)}
 
 
 def preset(name: str, K: int | None = None, trace_every: int | None = None,
@@ -583,7 +580,7 @@ def verify_suite(seed: int = 7) -> list[CheckResult]:
     prof = analytic_profile(NormSign(q=2), 20)
     record("norm-sign profile (q=2)", prof is not None and prof.C == 19.0 and prof.delta == 0.05,
            repr(prof))
-    ratio = compression.estimate_variance_ratio(TopK(k=1), 20, trials=1000, rng=seed)
+    ratio = compression.estimate_contraction(TopK(k=1), 1.0, 20, trials=1000, rng=seed)
     record("top-1 variance ratio within bound", ratio <= 0.95 * (1 + 1e-9), f"{ratio:.6f}")
 
     # identities on short runs
@@ -624,7 +621,7 @@ def verify_suite(seed: int = 7) -> list[CheckResult]:
         assert profile is not None
         try:
             params = analysis.sufficient_params(consts, spec, profile, 1.0, 1.0, n=pb.n)
-            eig = float(np.max(np.abs(np.linalg.eigvals(params.system.M))))
+            eig = float(np.max(np.abs(np.linalg.eigvals(params.certificate.M))))
             okc = params.certificate.componentwise_ok and abs(eig - params.certificate.rho_M) <= 1e-9
             record(f"certificate ({label})", okc,
                    f"rho={params.certificate.rho_M:.12f} eig={eig:.12f}")

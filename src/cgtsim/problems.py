@@ -76,7 +76,8 @@ def generate_ridge(n: int, p: int, rho: float, noise_std: float, seed: int) -> R
     """Draw u_i uniform on [-1, 1]^p and v_i = u_i^T x~_i + noise.
 
     The generating parameters x~_i are constant vectors at evenly spaced
-    levels i/(n-1) in [0, 1] (level 0.5 for a single agent).
+    levels i/(n-1) in [0, 1] (level 0.5 for a single agent).  :class:`RidgeProblem`
+    refuses a penalty rho <= 0.
     """
     if n < 1 or p < 1:
         raise ProblemError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
@@ -85,8 +86,6 @@ def generate_ridge(n: int, p: int, rho: float, noise_std: float, seed: int) -> R
     if not (math.isfinite(rho) and math.isfinite(noise_std)):
         raise ProblemError(f"rho and noise_std must be finite, got rho={rho!r}, "
                            f"noise_std={noise_std!r}")
-    if rho <= 0:
-        raise ProblemError(f"penalty rho must be positive, got {rho!r}")
     if noise_std < 0:
         raise ProblemError(f"noise_std must be nonnegative, got {noise_std!r}")
     rng = np.random.default_rng(seed)

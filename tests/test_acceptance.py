@@ -233,7 +233,7 @@ def test_criterion_8_compressor_bounds():
     for q in (1, 2, math.inf):
         for p in (2, 5, 20):
             prof = cg.analytic_profile(cg.NormSign(q=q), p)
-            var = cg.estimate_variance_ratio(cg.NormSign(q=q), p, trials=10_000, rng=SEED)
+            var = cg.estimate_contraction(cg.NormSign(q=q), 1.0, p, trials=10_000, rng=SEED)
             con = cg.estimate_contraction(cg.NormSign(q=q), prof.r, p, trials=10_000, rng=SEED)
             good = var <= prof.C * fp and con <= (1 - prof.delta) * fp
             ok &= good
@@ -243,7 +243,7 @@ def test_criterion_8_compressor_bounds():
     # top-k: deterministic, no statistical slack
     for k, p in ((1, 20), (3, 20), (2, 5)):
         prof = cg.analytic_profile(cg.TopK(k=k), p)
-        var = cg.estimate_variance_ratio(cg.TopK(k=k), p, trials=10_000, rng=SEED)
+        var = cg.estimate_contraction(cg.TopK(k=k), 1.0, p, trials=10_000, rng=SEED)
         good = var <= (1 - k / p) * fp
         ok &= good
         if not good:
@@ -285,7 +285,7 @@ def test_criterion_9_certificates(pb, W_und):
                           ("ef", an.sufficient_params_ef)):
             sp = fn(consts, spec, prof, 1.0, 1.0, n=pb.n)
             cert = sp.certificate
-            eig = float(np.max(np.abs(np.linalg.eigvals(sp.system.M))))
+            eig = float(np.max(np.abs(np.linalg.eigvals(sp.certificate.M))))
             good = (cert.componentwise_ok
                     and cert.rho_M <= cert.theta + 1e-10
                     and abs(cert.rho_M - eig) <= 1e-9)
@@ -309,8 +309,8 @@ def test_criterion_10_one_step_error_recursion(pb, W_und):
     # 1e-12 relative allowance covers floating-point evaluation noise)
     prof = cg.analytic_profile(TOP1, pb.dim)
     sp = an.sufficient_params(consts, spec, prof, 1.0, 1.0, n=pb.n)
-    A = sp.system.M
-    hp = cg.HyperParams(eta=sp.eta, gamma=sp.gamma)
+    A = sp.certificate.M
+    hp = cg.HyperParams(eta=sp.certificate.eta, gamma=sp.certificate.gamma)
     res = cg.run_cgt_reference(pb, W_und, hp, TOP1, 60, SEED, x0=x0, trace_every=1)
     worst = 0.0
     for k in range(60):
@@ -326,8 +326,8 @@ def test_criterion_10_one_step_error_recursion(pb, W_und):
     # errors of slack at five sampled iterations
     prof = cg.analytic_profile(RAND1, pb.dim)
     sp = an.sufficient_params(consts, spec, prof, 1.0, 1.0, n=pb.n)
-    A = sp.system.M
-    hp = cg.HyperParams(eta=sp.eta, gamma=sp.gamma)
+    A = sp.certificate.M
+    hp = cg.HyperParams(eta=sp.certificate.eta, gamma=sp.certificate.gamma)
     sample_ks = [1, 3, 7, 15, 30]
     n_seeds = 200
     diffs = {k: [] for k in sample_ks}

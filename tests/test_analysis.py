@@ -108,7 +108,7 @@ def test_spectral_radius_of_both_chains_equals_the_allocating_loop_bytes(setup):
     for chain in (an.sufficient_params, an.sufficient_params_ef):
         for kind in (Identity(), TopK(k=1)):
             sp = chain(consts, spec, analytic_profile(kind, pb.dim), 1.0, 1.0, n=pb.n)
-            want = _allocating_spectral_radius(sp.system.M)
+            want = _allocating_spectral_radius(sp.certificate.M)
             assert sp.certificate.rho_M.hex() == want.hex()
 
 
@@ -180,7 +180,7 @@ def test_build_A_small_eta_limit(setup):
     profile = analytic_profile(TopK(k=1), pb.dim)
     eta = 1e-12
     c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
-    system = an.build_A(c, 0.5, eta)
+    system = an.build_A(c, 0.5, eta, np.ones(5))
     m = system.M
     rt2 = (1 - 0.5 * spec.s) ** 2
     # first row tends to (1, 0, 0, 0, 0); diagonals to the displayed limits
@@ -202,7 +202,7 @@ def test_build_A_nonnegative_for_valid_inputs(setup):
         gamma = float(rng.uniform(0.01, 1.0))
         eta = float(rng.uniform(1e-8, 1e-3))
         c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
-        assert np.all(an.build_A(c, gamma, eta).M >= 0)
+        assert np.all(an.build_A(c, gamma, eta, np.ones(5)).M >= 0)
 
 
 def test_build_A_rejects_large_eta(setup):
@@ -210,7 +210,7 @@ def test_build_A_rejects_large_eta(setup):
     profile = analytic_profile(Identity(), pb.dim)
     c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
     with pytest.raises(an.AnalysisError, match="eta"):
-        an.build_A(c, 1.0, 1.0 / consts.mu)
+        an.build_A(c, 1.0, 1.0 / consts.mu, np.ones(5))
 
 
 def test_build_A_monotone_in_compression_constant(setup):
@@ -220,7 +220,7 @@ def test_build_A_monotone_in_compression_constant(setup):
     for cval in [0.0, 0.5, 2.0, 10.0]:
         profile = CompressorProfile(C=cval, delta=0.5, r=1.0)
         c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
-        m = an.build_A(c, gamma, eta).M
+        m = an.build_A(c, gamma, eta, np.ones(5)).M
         if prev is not None:
             assert np.all(m >= prev - 1e-15)
         prev = m
@@ -230,7 +230,7 @@ def test_build_B_delta_one_error_feedback_rows(setup):
     pb, consts, spec = setup
     profile = analytic_profile(Identity(), pb.dim)
     c = an.efcgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
-    m = an.build_B(c, 0.5, 1e-6).M
+    m = an.build_B(c, 0.5, 1e-6, np.ones(7)).M
     assert np.allclose(m[5], [0, 0, 0, 0, 0, 0.5, 0])
     assert np.allclose(m[6], [0, 0, 0, 0, 0, 0, 0.5])
     assert np.all(m >= 0)
@@ -257,9 +257,9 @@ def test_sufficient_params_certifies(setup, kind):
     pb, consts, spec = setup
     profile = analytic_profile(kind, pb.dim)
     sp = an.sufficient_params(consts, spec, profile, 1.0, 1.0, n=pb.n)
-    assert sp.gamma > 0 and sp.eta > 0 and np.all(sp.epsilon > 0)
+    assert sp.certificate.gamma > 0 and sp.certificate.eta > 0 and np.all(sp.epsilon > 0)
     assert sp.certificate.componentwise_ok
-    eig = float(np.max(np.abs(np.linalg.eigvals(sp.system.M))))
+    eig = float(np.max(np.abs(np.linalg.eigvals(sp.certificate.M))))
     assert sp.certificate.rho_M == pytest.approx(eig, abs=1e-9)
     assert sp.certificate.rho_M <= sp.certificate.theta + 1e-10
 
@@ -271,7 +271,7 @@ def test_sufficient_params_ef_certifies(setup, kind):
     sp = an.sufficient_params_ef(consts, spec, profile, 1.0, 1.0, n=pb.n)
     assert sp.certificate.componentwise_ok
     assert len(sp.epsilon) == 7
-    eig = float(np.max(np.abs(np.linalg.eigvals(sp.system.M))))
+    eig = float(np.max(np.abs(np.linalg.eigvals(sp.certificate.M))))
     assert sp.certificate.rho_M == pytest.approx(eig, abs=1e-9)
     assert sp.certificate.rho_M <= sp.certificate.theta + 1e-10
 
@@ -310,8 +310,8 @@ def test_one_step_error_recursion_top1(setup):
     profile = analytic_profile(TopK(k=1), pb.dim)
     sp = an.sufficient_params(consts, spec, profile, 1.0, 1.0, n=pb.n)
     c = an.cgt_constants(consts, spec, profile, 1.0, 1.0, n=pb.n)
-    m = an.build_A(c, sp.gamma, sp.eta).M
-    hp = HyperParams(eta=sp.eta, gamma=sp.gamma)
+    m = an.build_A(c, sp.certificate.gamma, sp.certificate.eta, np.ones(5)).M
+    hp = HyperParams(eta=sp.certificate.eta, gamma=sp.certificate.gamma)
     rng = np.random.default_rng(0)
     x0 = rng.uniform(0, 1, (pb.n, pb.dim))
     res = run_cgt_reference(pb, W, hp, TopK(k=1), 40, seed=0, x0=x0, trace_every=1)
@@ -334,7 +334,7 @@ def test_certified_run_rate_within_theorem_envelope(setup):
     W = build_weights_outdegree(build_ring(10, directed=False), 0.1)
     profile = analytic_profile(TopK(k=1), pb.dim)
     sp = an.sufficient_params(consts, spec, profile, 1.0, 1.0, n=pb.n)
-    hp = HyperParams(eta=sp.eta, gamma=sp.gamma)
+    hp = HyperParams(eta=sp.certificate.eta, gamma=sp.certificate.gamma)
     rng = np.random.default_rng(2)
     x0 = rng.uniform(0, 1, (pb.n, pb.dim))
     res = run_cgt_reference(pb, W, hp, TopK(k=1), 400, seed=0, x0=x0, trace_every=1)
@@ -447,4 +447,4 @@ def test_certificate_text_round_trip_fields(setup):
     text = sp.to_text()
     assert "verdict = certified" in text
     assert "epsilon-chain" in text
-    assert f"{sp.gamma:.17g}" in text
+    assert f"{sp.certificate.gamma:.17g}" in text

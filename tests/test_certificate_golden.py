@@ -105,5 +105,5 @@ def test_ring_certificate_digest(case):
     pb = make_problem(ProblemSpec(n=100, dim=20, seed=int(seed.removeprefix("seed"))))
     sp = CHAINS[chain](constants(pb), _spec(direction), analytic_profile(TopK(k=1), pb.dim),
                        1.0, 1.0, n=pb.n)
-    blob = sp.to_text().encode() + sp.system.M.tobytes() + sp.system.epsilon.tobytes()
+    blob = sp.to_text().encode() + sp.certificate.M.tobytes() + sp.certificate.epsilon.tobytes()
     assert _sha(blob) == RING_GOLDEN[case]

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from cgtsim.compression import (
     compressor_label,
     empirical_profile,
     estimate_contraction,
-    estimate_variance_ratio,
     parse_compressor,
 )
 from cgtsim.compression import (
@@ -117,8 +117,16 @@ def test_quantizer_with_zero_dither_recovers_exactly_representable():
     assert np.array_equal(out[0], [1.0, -0.5])
 
 
-def _quantize_rows_as_recorded(m, kind, u):
-    # the quantizer's formula as first written: a check of every later rewrite, bit for bit
+def _exact_level(t, u):
+    # floor(t + u) entry by entry in exact rational arithmetic; inf and NaN pass through
+    return np.array([math.floor(Fraction(a) + Fraction(b)) if math.isfinite(a) else a
+                     for a, b in zip(t.ravel().tolist(), u.ravel().tolist())],
+                    dtype=float).reshape(t.shape)
+
+
+def _quantize_rows_as_recorded(m, kind, u, level=lambda t, u: np.floor(t + u)):
+    # the quantizer's formula as first written: a check of every later rewrite, bit for bit.
+    # Its float floor(t + u) rounds the sum first; ``level`` replaces that step
     scale = 2.0 ** (kind.bits - 1)
     if kind.q == math.inf:
         norms = np.abs(m).max(axis=1)
@@ -127,8 +135,7 @@ def _quantize_rows_as_recorded(m, kind, u):
     else:
         norms = np.sqrt((m * m).sum(axis=1))
     safe = np.where(norms > 0, norms, 1.0)[:, None]
-    level = np.floor(scale * np.abs(m) / safe + u)
-    out = (safe / scale) * np.sign(m) * level
+    out = (safe / scale) * np.sign(m) * level(scale * np.abs(m) / safe, u)
     out[norms == 0] = 0.0
     return out
 
@@ -157,10 +164,26 @@ _QUANT_ROWS = np.vstack([
 def test_quantize_rows_matches_the_recorded_formula_bit_for_bit(q, bits):
     kind = UnbiasedQuantize(bits=bits, q=q)
     m = _QUANT_ROWS
+    # at 53 bits the recorded float floor(t + u) rounds t + u, so the oracle takes the exact level
+    level = {"level": _exact_level} if bits == 53 else {}
     with np.errstate(invalid="ignore"):
         for u in (np.random.default_rng(bits).random(m.shape), np.zeros(m.shape)):
-            got, want = _quantize_rows(m, kind, u), _quantize_rows_as_recorded(m, kind, u)
+            got, want = _quantize_rows(m, kind, u), _quantize_rows_as_recorded(m, kind, u, **level)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bits", [40, 52, 53])
+def test_quantize_rows_level_is_the_exact_floor_of_t_plus_u(bits):
+    # the row [1, 0.3] has inf-norm 1, so t = 2**(bits-1) * |x| and the output is level / 2**(b-1);
+    # half the dithers lie within 2**-33 of 1, where t + u rounds up to the next integer
+    rng = np.random.default_rng(bits)
+    u = np.concatenate([rng.random(4000), 1.0 - rng.integers(1, 2**20, 4000) * 2.0**-53])
+    u = u.reshape(-1, 2)
+    m = np.tile([1.0, 0.3], (len(u), 1))
+    scale = 2.0 ** (bits - 1)
+    out = _quantize_rows(m, UnbiasedQuantize(bits=bits, q=math.inf), u)
+    assert np.all(np.abs(out) <= 1.0)
+    assert (out * scale).tobytes() == _exact_level(scale * m, u).tobytes()
 
 
 def _keep_rows_two_index(m, keep):
@@ -539,8 +562,8 @@ def test_analytic_profiles_table_values():
 
 
 def test_estimate_variance_identity_and_full_topk_are_zero():
-    assert estimate_variance_ratio(Identity(), 6, trials=1000) == 0.0
-    assert estimate_variance_ratio(TopK(k=6), 6, trials=1000) == 0.0
+    assert estimate_contraction(Identity(), 1.0, 6, trials=1000) == 0.0
+    assert estimate_contraction(TopK(k=6), 1.0, 6, trials=1000) == 0.0
     assert estimate_contraction(RandK(k=6), 1.0, 6, trials=1000) == 0.0
 
 
@@ -548,7 +571,7 @@ def test_estimate_variance_identity_and_full_topk_are_zero():
 @pytest.mark.parametrize("p", [2, 5, 20])
 def test_normsign_bounds_hold_empirically(q, p):
     prof = analytic_profile(NormSign(q=q), p)
-    ratio = estimate_variance_ratio(NormSign(q=q), p, trials=2000, rng=0)
+    ratio = estimate_contraction(NormSign(q=q), 1.0, p, trials=2000, rng=0)
     assert ratio <= prof.C * (1 + 1e-12)
     contr = estimate_contraction(NormSign(q=q), prof.r, p, trials=2000, rng=0)
     assert contr <= (1 - prof.delta) * (1 + 1e-12)
@@ -602,7 +625,7 @@ def test_empirical_profile_quantizer_is_contractive_here():
 
 def test_estimate_requires_enough_trials():
     with pytest.raises(CompressionError):
-        estimate_variance_ratio(Identity(), 4, trials=10)
+        estimate_contraction(Identity(), 1.0, 4, trials=10)
 
 
 def test_profile_validation():

@@ -6,9 +6,17 @@ the engine is homogeneous, and a power of two scales a double exactly while it
 stays normal.  So a run of the scaled problem must give the same residuals,
 bits and divergence, every squared error times 4**s and every final state times
 2**s, byte for byte.
+
+A second relation scales the problem and not the start: U and v by 2**s, rho by
+4**s and eta by 4**-s.  Every objective f_i, and so mu, L and every gradient,
+is then 4**s times the old one with the same minimizer x*, and eta times a
+gradient is unchanged.  So the states X repeat bit for bit, the trackers Y are
+4**s times the old ones, and each squared error of a y quantity is 16**s times
+the old one.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +31,10 @@ from cgtsim.algorithms import (
     run_efcgt_reference,
     run_gt,
 )
-from cgtsim.compression import parse_compressor
-from cgtsim.problems import RidgeProblem, generate_ridge
-from cgtsim.topology import build_ring, build_weights_outdegree
+from cgtsim.analysis import sufficient_params, sufficient_params_ef
+from cgtsim.compression import analytic_profile, parse_compressor
+from cgtsim.problems import RidgeProblem, constants, generate_ridge, optimal_solution
+from cgtsim.topology import build_ring, build_weights_outdegree, spectral_info
 
 SCALES = (-40, 7, 300)
 K = 100
@@ -102,3 +111,62 @@ def test_power_of_two_scaling_is_exact(setting, form):
         for s in SCALES:
             _check_scaled(base, _outcome(lambda: run(_scaled_problem(pb, s), x0 * 2.0**s)), s)
     assert diverged >= 1
+
+
+RESCALES = (-20, 7, 30)
+RESCALED_KINDS = ("identity", "quant:b=2,q=inf", "quant:b=8,q=2", "topk:k=3", "randk:k=5",
+                  "normsign:q=inf", "normsign-rescaled:q=2,r=3")
+# the trace fields of X quantities, and those that are sums of squares of y quantities
+X_FIELDS = ("residual", "opt_error", "consensus_error", "compress_error_x", "ef_error_x")
+Y_SQUARED = ("tracking_error", "compress_error_y", "ef_error_y")
+
+
+def _rescaled_problem(pb, s):
+    return RidgeProblem(U=pb.U * 2.0**s, v=pb.v * 2.0**s, rho=pb.rho * 4.0**s)
+
+
+def _check_rescaled(base, scaled, s):
+    (msg, res), (msg_s, res_s) = base, scaled
+    assert msg is None and msg_s is None
+    assert [t.k for t in res_s.trace] == [t.k for t in res.trace]
+    assert [t.bits_sent for t in res_s.trace] == [t.bits_sent for t in res.trace]
+    for field in X_FIELDS:
+        assert _column(res_s.trace, field) == _column(res.trace, field), field
+    for field in Y_SQUARED:
+        assert _column(res_s.trace, field) == _column(res.trace, field, 16.0**s), field
+    assert res_s.max_mean_drift.hex() == res.max_mean_drift.hex()
+    assert res_s.final.X.tobytes() == res.final.X.tobytes()
+    assert res_s.final.Y.tobytes() == (res.final.Y * 4.0**s).tobytes()
+
+
+@pytest.mark.parametrize("form", ["gt", *FORMS])
+def test_rescaled_objective_and_step_repeat_the_run(setting, form):
+    pb, W, x0 = setting
+    for text in [None] if form == "gt" else RESCALED_KINDS:
+        def run(problem, hp):
+            if form == "gt":
+                return run_gt(problem, W, hp, K, 5, x0=x0)
+            return FORMS[form](problem, W, hp, parse_compressor(text), K, 5, x0=x0)
+
+        base = _outcome(lambda: run(pb, CONVERGING))
+        for s in RESCALES:
+            hp = replace(CONVERGING, eta=CONVERGING.eta * 4.0**-s)
+            scaled = _outcome(lambda: run(_rescaled_problem(pb, s), hp))
+            _check_rescaled(base, scaled, s)
+
+
+@pytest.mark.parametrize("s", RESCALES)
+def test_rescaled_objective_scales_the_constants_and_both_chains(setting, s):
+    pb, W, _ = setting
+    scaled = _rescaled_problem(pb, s)
+    consts, consts_s = constants(pb), constants(scaled)
+    assert (consts_s.mu, consts_s.L) == (consts.mu * 4.0**s, consts.L * 4.0**s)
+    assert optimal_solution(scaled).tobytes() == optimal_solution(pb).tobytes()
+    spec = spectral_info(W)
+    profile = analytic_profile(parse_compressor("topk:k=3"), pb.dim)
+    for chain in (sufficient_params, sufficient_params_ef):
+        cert = chain(consts, spec, profile, 1.0, 1.0, n=pb.n).certificate
+        cert_s = chain(consts_s, spec, profile, 1.0, 1.0, n=pb.n).certificate
+        assert cert_s.eta == cert.eta * 4.0**-s
+        assert (cert_s.gamma, cert_s.theta) == (cert.gamma, cert.theta)
+        assert cert_s.componentwise_ok == cert.componentwise_ok
