@@ -138,7 +138,7 @@ def efcgt_constants(prob: ProblemConstants, spec: SpectralInfo, profile: Compres
                       "(0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorSystem:
     """Nonnegative transition matrix with its test vector and contraction target."""
 
@@ -227,7 +227,7 @@ def build_B(c: ErrorConstants, gamma: float, eta: float, epsilon: np.ndarray) ->
     ], c, gamma, eta, epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate(ErrorSystem):
     """The error system with its spectral radius and the verdict of M eps <= theta eps."""
 
@@ -317,7 +317,7 @@ def certify(system: ErrorSystem) -> Certificate:
 _SLACK = 1.01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SufficientParams:
     """A chain's raw test vector and the certificate of the system its (gamma, eta) build."""
 

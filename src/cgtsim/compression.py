@@ -8,8 +8,8 @@ The streams are a counter hash that one function, ``_uniforms``, folds, so any
 draw can be made out of order.  The engine draws the uniforms of each of its
 checked blocks of consecutive iterations in one ``_draw_block`` call, with the
 same keys and therefore the same bits as one draw per iteration.  The hash
-rounds run in place, on the fresh array each fold creates; no caller's array
-is ever written.
+rounds run in place on the fresh array each fold creates, and rebind a scalar
+word's uint64; no caller's array is ever written.
 """
 
 from __future__ import annotations
@@ -170,9 +170,8 @@ def compressor_label(kind: CompressorKind) -> str:
 # ---------------------------------------------------------------------------
 # keyed random streams (splitmix64 counter hash)
 
-# each constant as a Python int, for the scalar fold, and as a uint64, for the array one
-_PHI_INT, _MUL1_INT, _MUL2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-_PHI, _MUL1, _MUL2 = np.uint64(_PHI_INT), np.uint64(_MUL1_INT), np.uint64(_MUL2_INT)
+_PHI, _MUL1, _MUL2 = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
+                      np.uint64(0x94D049BB133111EB))
 _MASK = (1 << 64) - 1
 # the shift counts as uint64 scalars, built once: numpy converts a Python int on every call
 _SHR30 = np.uint64(30)
@@ -187,8 +186,9 @@ TAG_Y_EF = 4
 TAG_INIT = 5
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # updates a fresh uint64 array in place and returns it; wraparound is intentional
+def _mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
+    # updates a fresh uint64 array in place, or rebinds a uint64 scalar, and returns it;
+    # wraparound is intentional
     z ^= z >> _SHR30
     z *= _MUL1
     z ^= z >> _SHR27
@@ -197,21 +197,11 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mix64_int(z: int) -> int:
-    # _mix64 on one Python int in [0, 2**64): the same steps, with the uint64 wraparound of
-    # each product written as a mask
-    z ^= z >> 30
-    z = (z * _MUL1_INT) & _MASK
-    z ^= z >> 27
-    z = (z * _MUL2_INT) & _MASK
-    return z ^ (z >> 31)
-
-
-def _u64(x: int | np.integer | np.ndarray) -> np.ndarray:
+def _u64(x: int | np.integer | np.ndarray) -> np.ndarray | np.uint64:
     if isinstance(x, np.ndarray):
         return np.atleast_1d(x).astype(np.uint64)
     # int() first: a NumPy integer folds as the equal Python int
-    return np.asarray([int(x) & _MASK], dtype=np.uint64)
+    return np.uint64(int(x) & _MASK)
 
 
 def _uniforms(m: int, *words: int | np.ndarray) -> np.ndarray:
@@ -222,20 +212,16 @@ def _uniforms(m: int, *words: int | np.ndarray) -> np.ndarray:
     and array words broadcast against each other.  Double j of a key is the
     top 53 bits of ``mix64(h + (j + 1) phi)``.
 
-    The leading words that are not arrays (the seed, and every word of an
-    ``RngStream`` key) fold as Python ints, with each sum and product reduced
-    mod 2**64 by a mask: that is the uint64 wraparound, and ``_u64``'s mask of
-    the word itself changes nothing mod 2**64, so the key is the same bits
-    without a numpy call per step.  The fold continues on uint64 arrays from
-    the first array word.
+    The chain is a uint64 scalar until the first array word; ``np.atleast_1d``
+    gives an all-scalar key the shape (1, m).  The word loop runs under
+    ``np.errstate``: a uint64 scalar's wraparound warns where an array's does
+    not, and the wraparound is the hash.
     """
-    h, i = 0, 0
-    while i < len(words) and not isinstance(words[i], np.ndarray):
-        h = _mix64_int(h ^ ((int(words[i]) + _PHI_INT) & _MASK))
-        i += 1
-    h = np.asarray([h], dtype=np.uint64)
-    for word in words[i:]:
-        h = _mix64(h ^ (_u64(word) + _PHI))
+    h = np.uint64(0)
+    with np.errstate(over="ignore"):
+        for word in words:
+            h = _mix64(h ^ (_u64(word) + _PHI))
+    h = np.atleast_1d(h)
     z = _mix64(h[..., None] + np.arange(1, m + 1, dtype=np.uint64) * _PHI)
     z >>= _SHR11
     return z * 2.0 ** -53  # a Python float scales uint64 to float64, exactly below 2**53
@@ -269,12 +255,6 @@ def _check_input(x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise CompressionError("input has NaN or Inf entries")
     return x
-
-
-def _need_rng(kind: CompressorKind, rng: RngStream | None) -> RngStream:
-    if rng is None:
-        raise CompressionError(f"{type(kind).__name__} needs an RngStream")
-    return rng
 
 
 def _row_norms(m: np.ndarray, q: float, a: np.ndarray | None = None) -> np.ndarray:
@@ -435,7 +415,9 @@ def compress(kind: CompressorKind, x: np.ndarray, rng: RngStream | None = None) 
     x = _check_input(x)
     u = None
     if isinstance(kind, _STOCHASTIC_KINDS):
-        u = _need_rng(kind, rng).uniform(x.size)[None, :]
+        if rng is None:
+            raise CompressionError(f"{type(kind).__name__} needs an RngStream")
+        u = rng.uniform(x.size)[None, :]
     return _apply_rows(kind, x[None, :], u)[0]
 
 
@@ -530,21 +512,19 @@ def analytic_profile(kind: CompressorKind, p: int) -> CompressorProfile | None:
 
     The b-bit quantizer has no closed-form C here, so callers fall back to
     :func:`empirical_profile` for it.  A top-k or random-k with k > p is
-    refused, as the kernels refuse it; k = p is the identity's exact profile.
+    refused, as the kernels refuse it.  The general formulas give the
+    identity's profile (C, delta, r) = (0, 1, 1) where the operator is the
+    identity: a top-k or random-k at k = p, and norm-sign at p = 1.
     """
     check_dimension(kind, p)
     if isinstance(kind, Identity):
         return CompressorProfile(C=0.0, delta=1.0, r=1.0)
     if isinstance(kind, (TopK, RandK)):
-        if kind.k == p:
-            return CompressorProfile(C=0.0, delta=1.0, r=1.0)
         delta = kind.k / p
         return CompressorProfile(C=1.0 - delta, delta=delta, r=1.0)
     if isinstance(kind, NormSign):
         c = float((p - 1) ** 2) if kind.q == 1 else float(p - 1)
         delta = 1.0 / p**2 if kind.q == math.inf else 1.0 / p
-        if p == 1:
-            return CompressorProfile(C=0.0, delta=1.0, r=1.0)
         return CompressorProfile(C=c, delta=delta, r=float(p))
     if isinstance(kind, RescaledNormSign):
         base = analytic_profile(NormSign(q=kind.q), p)

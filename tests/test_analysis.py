@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -274,6 +275,24 @@ def test_sufficient_params_ef_certifies(setup, kind):
     eig = float(np.max(np.abs(np.linalg.eigvals(sp.certificate.M))))
     assert sp.certificate.rho_M == pytest.approx(eig, abs=1e-9)
     assert sp.certificate.rho_M <= sp.certificate.theta + 1e-10
+
+
+def test_analysis_records_compare_and_hash_by_identity():
+    # each record holds arrays, so == is identity: equal-valued results compare unequal
+    # without raising, and each hashes
+    cfg = harness.preset("fig3a-cgt")
+    pb, W = harness.make_problem(cfg.problem), harness.make_topology(cfg.topology)
+    args = (constants(pb), spectral_info(W), analytic_profile(TopK(k=1), pb.dim),
+            cfg.hyper.alpha_x, cfg.hyper.alpha_y, pb.n)
+    a, b = an.sufficient_params(*args), an.sufficient_params(*args)
+    assert a.to_text() == b.to_text()
+    cert, c = a.certificate, an.cgt_constants(*args)
+    systems = [an.build_A(c, cert.gamma, cert.eta, cert.epsilon) for _ in range(2)]
+    for x, y in ((a, b), (cert, b.certificate), systems):
+        assert x == x and x != y
+        assert len({x, y, x}) == 2
+    moved = dataclasses.replace(cert, theta=0.5)
+    assert moved.theta == 0.5 and moved.M is cert.M and moved != cert
 
 
 def test_sufficient_params_infeasible_tiny_delta(setup):

@@ -561,6 +561,18 @@ def test_analytic_profiles_table_values():
     assert analytic_profile(UnbiasedQuantize(bits=2, q=math.inf), p) is None
 
 
+def test_analytic_profile_of_an_identity_operator_is_the_identity_profile():
+    # top-k and random-k at k = p, and norm-sign at p = 1 (with its rescaled form at r = p),
+    # are the identity: the general formulas give its profile
+    ident = CompressorProfile(C=0.0, delta=1.0, r=1.0)
+    for p in range(1, 41):
+        assert analytic_profile(TopK(k=p), p) == ident
+        assert analytic_profile(RandK(k=p), p) == ident
+    for q in (1, 2, math.inf):
+        assert analytic_profile(NormSign(q=q), 1) == ident
+        assert analytic_profile(RescaledNormSign(q=q, r=1.0), 1) == ident
+
+
 def test_estimate_variance_identity_and_full_topk_are_zero():
     assert estimate_contraction(Identity(), 1.0, 6, trials=1000) == 0.0
     assert estimate_contraction(TopK(k=6), 1.0, 6, trials=1000) == 0.0
