@@ -28,6 +28,14 @@ None and multiplies nothing: ``x * 1.0`` is ``x`` bit for bit for every double,
 +0 where h is positive, and is NaN where h is infinite, so dropping the term is
 not exact.
 
+Mixing, the communication step, is one ``_mix(op, Q)`` call per iteration on a
+(b, n, p) stack.  ``op`` is the one dense operand a run builds: W in the
+communication-efficient forms, which mix W Q (b = 2) or, with error feedback,
+W Q and W Q-hat as one stack (b = 4), and I - W in the reference forms, which
+mix (I - W) Z-hat (b = 2).  Where each channel's own product runs OpenBLAS's
+blocked kernel (p >= 2 and n*n*p > 10**6), ``_mix`` multiplies the stack as one
+dgemm; elsewhere it is numpy's ``op @ Q``.  Its bytes are those of ``op @ Q``.
+
 The update loop only steps the state; ``_simulate`` checks it in blocks of c =
 max(1, _BLOCK_BYTES // (8 * floats kept per iteration)) iterations.  A block
 starts with one draw of every uniform its iterations compress with: none for a
@@ -331,6 +339,30 @@ def _check_block(kept: list[tuple], cs_x: np.ndarray, x_star: np.ndarray,
     return _sum_sq(Zs[:, 0] - x_star) / denom, drift, track, cs
 
 
+# the per-channel size n*n*p above which _mix multiplies a stack in one product; see _mix
+_MIX_MERGE_SIZE = 10**6
+
+
+def _mix(op: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``op @ Q`` for a C-ordered (b, n, p) stack, as a C-ordered (b, n, p) array.
+
+    numpy multiplies each (n, p) channel by its own dgemm, and OpenBLAS packs
+    the n x n ``op`` anew in each; above the bound the stack is one (n, b*p)
+    dgemm, which packs it once.  The bytes are those of ``op @ Q`` either way.
+    """
+    b, n, p = Q.shape
+    # Merged only where each channel's own product already runs OpenBLAS's blocked
+    # kernel, whose sum for an entry does not depend on the product's width.  Below
+    # the bound the two differ: at p = 1 numpy calls gemv, not gemm, and at
+    # n*n*p <= 10**6 OpenBLAS's small-matrix kernel (SkylakeX) orders each sum by the
+    # width, from n = 16 up.  Measured at n = 10-1600, p = 1-50, b = 2 and 4, at 1 and 2
+    # BLAS threads; tests/test_mix.py fails if a numpy or OpenBLAS upgrade moves the bound.
+    if p < 2 or n * n * p <= _MIX_MERGE_SIZE:
+        return op @ Q
+    out = op @ Q.transpose(1, 0, 2).reshape(n, b * p)
+    return np.ascontiguousarray(out.reshape(n, b, p).transpose(1, 0, 2))
+
+
 def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: CompressorKind,
               K: int, seed: int, *, efficient: bool, error_feedback: bool,
               algorithm: str, x0: np.ndarray | None = None, init: str = "zeros",
@@ -347,9 +379,8 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
     # numpy does not warn about it as well
     with np.errstate(over="ignore", invalid="ignore"):
         n, p = pb.n, pb.dim
-        # the one dense operand this form multiplies by, built here and dropped at the end
-        w = W.matrix if efficient else None
-        i_minus_w = None if efficient else W.i_minus_w
+        # the one dense operand this form mixes by, W or I - W, built here and dropped at the end
+        op = W.matrix if efficient else W.i_minus_w
         alpha = _channels(hp.alpha_x, hp.alpha_y)
         # keep = 1 - alpha per channel; None where alpha is so small that 1 - alpha rounds to 1
         keep = _channels(1 - hp.alpha_x, 1 - hp.alpha_y)
@@ -406,7 +437,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                     Z_hat = H + Q
                     H = _times(keep, H) + _times(alpha, Z_hat)
                     if efficient:
-                        Z_hat_w = H_w + w @ Q
+                        Z_hat_w = H_w + _mix(op, Q)
                         H_w = _times(keep, H_w) + _times(alpha, Z_hat_w)
                 else:
                     D = Z - H
@@ -417,10 +448,12 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                     Z_hat = H + Qh
                     H = H + _times(alpha, Q)
                     if efficient:
-                        Z_hat_w = H_w + w @ Qh
-                        H_w = H_w + _times(alpha, w @ Q)
+                        # W Q and W Q-hat, mixed as one 4-channel stack
+                        WQ, WQh = _mix(op, out).reshape(2, 2, n, p)
+                        Z_hat_w = H_w + WQh
+                        H_w = H_w + _times(alpha, WQ)
 
-                mix = Z_hat - Z_hat_w if efficient else i_minus_w @ Z_hat
+                mix = Z_hat - Z_hat_w if efficient else _mix(op, Z_hat)
                 step = eta * Z[1]
                 Z = Z - _times(gamma, mix)
                 X, Y = Z[0], Z[1]
