@@ -37,27 +37,29 @@ blocked kernel (p >= 2 and n*n*p > 10**6), ``_mix`` multiplies the stack as one
 dgemm; elsewhere it is numpy's ``op @ Q``.  Its bytes are those of ``op @ Q``.
 
 The update loop only steps the state; ``_simulate`` checks it in blocks of c =
-max(1, _BLOCK_BYTES // (8 * floats kept per iteration)) iterations.  A block
-starts with one draw of every uniform its iterations compress with: none for a
-deterministic kind, else 2 or, with error feedback, 4 n*p per iteration, keyed
-as one draw per iteration would key them.  Each iteration's Z, H, H_w, E,
-gradient and step are kept by reference, not copied.  After c
-iterations, and once more at the end, the block is stacked and reduced in one
-call per quantity: the residuals of the divergence guard, the column sums of
-X and Y, the mean-dynamics drift and the tracking violation.  Each is reduced by numpy's own sums, never by BLAS, so the checks
-give the same bits at every BLAS thread count; the two invariants' norms are
-``compression._row_norms``.  The first iteration whose residual is not
-finite or exceeds ``DIVERGENCE_LIMIT`` ends the run: the block is cut there,
-so the iterations the loop ran past it leave no trace, no state and no
-maximum.  The maxima fold that block's values up to the cut, and its trace
-points become records in one ``metrics`` call, which takes each point's
-residual and its column sums of X and Y (the mean, over n) from the block
-check: the guard's residual array is the trace's, and no sum is taken twice.
-The start's residual is the normaliser's own sum over itself, and its column
-sums one reduce at set-up.  Every residual, maximum, record and state is bit
-for bit that of a check after each iteration.  This rests on an invariant of
-the engine: every iteration builds fresh arrays, and an array that reached a
-block (or ``states_x``/``states_y``) is never updated in place.
+max(1, _BLOCK_BYTES // (8 * floats kept per iteration)) iterations.  The start
+is the k = 0 record, written once at set-up from the normaliser's own sum over
+itself and one reduce for its column sums; a block holds only its own
+iterations.  A block starts with one draw of every uniform its iterations
+compress with: none for a deterministic kind, else 2 or, with error feedback, 4
+n*p per iteration, keyed as one draw per iteration would key them.  Each
+iteration's Z, H, H_w, E, gradient and step are kept by reference, not copied.
+After c iterations, and once more at the end, the block is stacked and reduced
+in one call per quantity: the residuals of the divergence guard, the column
+sums of X and Y, the mean-dynamics drift and the tracking violation.  Each is
+reduced by numpy's own sums, never by BLAS, so the checks give the same bits at
+every BLAS thread count; the two invariants' norms are
+``compression._row_norms``.  The first iteration whose residual is not finite
+or exceeds ``DIVERGENCE_LIMIT`` ends the run: the block is cut there, so the
+iterations the loop ran past it leave no trace, no state and no maximum.  The
+maxima fold that block's values up to the cut, and its trace points become
+records in one ``metrics`` call, which takes each point's residual and its
+column sums of X and Y (the mean, over n) from the block check: the guard's
+residual array is the trace's, and no sum is taken twice.  Every residual,
+maximum, record and state is bit for bit that of a check after each iteration.
+This rests on an invariant of the engine: every iteration builds fresh arrays,
+and an array that reached a block (or ``states_x``/``states_y``) is never
+updated in place.
 """
 
 from __future__ import annotations
@@ -218,28 +220,19 @@ def _sum_sq(m: np.ndarray) -> np.ndarray:
 
 
 def metrics(state: NetworkState, x_star: np.ndarray, *, k: Sequence[int],
-            residual_denom: float = 1.0, bits_sent: Sequence[int],
-            residual: np.ndarray | None = None, z_sum: np.ndarray | None = None
+            bits_sent: Sequence[int], residual: np.ndarray, z_sum: np.ndarray
             ) -> list[TraceRecord]:
-    """All trace fields for a block of c snapshots; residual uses the supplied denominator.
+    """All trace fields for a block of c snapshots, from their residuals and column sums.
 
     Each array of ``state`` has shape (c, 2, n, p); ``k`` and ``bits_sent``
     hold one value per snapshot.  A single snapshot is a block of one: pass
-    ``a[None]`` views.  When each (n, p) slice is C- or F-contiguous, every
-    record is bit for bit the one its snapshot gives alone: each sum runs over
-    its slice in memory order.
-
-    ``residual`` (c,) and ``z_sum`` (c, 2, p), the column sums of X and Y, are
-    the block check's values for the same snapshots, which the engine passes so
-    that no sum is taken twice.  Omitted, each is computed here by the same
-    reduction, ``_sum_sq(X - x_star) / residual_denom`` and the sum over the
-    agent axis, so the records are the same bits either way.
+    ``a[None]`` views.  ``residual`` (c,) and ``z_sum`` (c, 2, p), the column
+    sums of X and Y, are the block check's values for the same snapshots, or
+    the start's from set-up, so no sum is taken twice.  When each (n, p) slice
+    is C- or F-contiguous, every record is bit for bit the one its snapshot
+    gives alone: each sum runs over its slice in memory order.
     """
     Z = state.Z
-    if z_sum is None:
-        z_sum = np.add.reduce(Z, axis=-2)
-    if residual is None:
-        residual = _sum_sq(state.X - x_star) / residual_denom
     # np.mean(axis=-2) is the column sum divided by n
     z_bar = z_sum / Z.shape[-2]
     opt = z_bar[:, 0] - x_star
@@ -314,17 +307,15 @@ def _check_block(kept: list[tuple], cs_x: np.ndarray, x_star: np.ndarray,
                  denom: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Residual, mean drift and tracking violation of each of a block's m iterations.
 
-    ``kept`` holds (Z, H, H_w, E, grad, step) after each iteration and
-    ``cs_x`` the column sums of X before the first.  Returns the three (m,)
-    arrays and the (m, 2, p) column sums of X and Y after each iteration, which
-    the trace reads too.  Each value is bit for bit the one the iteration's own
-    arrays give: the residual is ``metrics``' ``_sum_sq``, and the norms are
-    ``compression._row_norms``' pairwise sums, so no value depends on the BLAS
-    thread count.
+    ``kept`` holds (Z, H, H_w, E, grad, step) after each of the block's m >= 1
+    iterations and ``cs_x`` the column sums of X before the first.  Returns the
+    three (m,) arrays and the (m, 2, p) column sums of X and Y after each
+    iteration, which the trace reads too.  Each value is bit for bit the one
+    the iteration's own arrays give: the residual is ``_sum_sq``, as the
+    start's is, and the norms are ``compression._row_norms``' pairwise sums, so
+    no value depends on the BLAS thread count.
     """
     m = len(kept)
-    if m == 0:  # a run of K = 0 iterations
-        return np.empty(0), np.empty(0), np.empty(0), np.empty((0, 2, cs_x.shape[-1]))
     Zs = _stack([pt[0] for pt in kept])
     grads = _stack([pt[4] for pt in kept])
     cs = Zs.sum(axis=2)
@@ -417,19 +408,18 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         kept_floats = (2 * (2 + efficient + error_feedback) + 2) * n * p
         block = max(1, _BLOCK_BYTES // (8 * kept_floats))
 
-        trace: list[TraceRecord] = []
+        # the start is the k = 0 record: its residual is the normaliser's own sum over denom,
+        # and its column sums one reduce
+        cs = np.add.reduce(Z, axis=1)[None]
+        trace = metrics(_stack_points([(Z, H, H_w, E)], error_feedback), x_star, k=[0],
+                        bits_sent=[0], residual=(sq0 / denom)[None], z_sum=cs)
         max_track = max_drift = 0.0
         zs = [Z] if record_states else None
-        # entry j of res_at and cs_at is the residual and the (2, p) column sums of X and Y of
-        # kept[j], the block's entry j below; in the first block entry 0 is the run's start,
-        # whose residual is the normaliser's own sum over denom
-        res_at = (sq0 / denom)[None]
-        cs_at = np.add.reduce(Z, axis=1)[None]
         done = 0  # iterations checked
-        # entry j is (Z, H, H_w, E, grad, step) after iteration done + j, by reference; the
-        # block's start, entry 0, is kept only in the first block, as the k = 0 trace point
-        kept = [(Z, H, H_w, E, grad, None)]
-        while True:
+        diverged = False
+        while done < K:
+            # entry j is (Z, H, H_w, E, grad, step) after iteration done + j + 1, by reference
+            kept = []
             # one draw of the block's uniforms, one entry per iteration
             for u in _draw_block(kind, seed, n, p, tags, done, min(done + block, K)):
                 if not error_feedback:
@@ -464,7 +454,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                 grad = grad_new
                 kept.append((Z, H, H_w, E, grad, step))
 
-            residual, drift, track, cs = _check_block(kept[1:], cs_at[-1, 0], x_star, denom)
+            residual, drift, track, cs = _check_block(kept, cs[-1, 0], x_star, denom)
             bad = np.flatnonzero(~np.isfinite(residual) | (residual > DIVERGENCE_LIMIT))
             diverged = bad.size > 0
             # the block is cut after its first bad iteration
@@ -472,25 +462,20 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
             max_drift = float(np.max(drift[:m], initial=max_drift))
             max_track = float(np.max(track[:m], initial=max_track))
             end = done + m
-            ks = [i for i in range(done + 1 if done else 0, end + 1)
+            ks = [i for i in range(done + 1, end + 1)
                   if i % trace_every == 0 or i == K or (diverged and i == end)]
-            # the block's start, then its iterations; entry 0 of a later block is the last one's end
-            res_at = np.concatenate([res_at[-1:], residual])
-            cs_at = np.concatenate([cs_at[-1:], cs])
             if ks:
-                at = [i - done for i in ks]
+                at = [i - done - 1 for i in ks]
                 # no name holds the stacked points, so they are freed before the next block
                 trace.extend(metrics(_stack_points([kept[j] for j in at], error_feedback),
-                                     x_star, k=ks, residual_denom=denom,
-                                     bits_sent=[i * bits_per_iter for i in ks],
-                                     residual=res_at[at], z_sum=cs_at[at]))
+                                     x_star, k=ks, bits_sent=[i * bits_per_iter for i in ks],
+                                     residual=residual[at], z_sum=cs[at]))
             if zs is not None:
-                zs.extend(pt[0] for pt in kept[1:m + 1])
-            Z, H, H_w, E, grad, _ = kept[m]
+                zs.extend(pt[0] for pt in kept[:m])
+            Z, H, H_w, E, grad, _ = kept[m - 1]
             done = end
-            if diverged or done == K:
+            if diverged:
                 break
-            kept = [None]
     states_x, states_y = (None, None) if zs is None else np.stack(zs, axis=1)
     res = RunResult(trace=trace, final=NetworkState(Z, H, H_w, E),
                     compressor=compressor_label(kind), algorithm=algorithm,

@@ -98,20 +98,19 @@ def main(argv: list[str] | None = None) -> int:
             print(harness.verify_report(checks))
             return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY
 
-        if args.verb == "certify":
-            cfg = harness.parse_config_file(args.config)
-            path = harness.output_file(args.out, f"{cfg.prefix}.cert.txt")
-            report = harness.certificate_report(cfg)
-            harness.write_output(path, report)
-            print(report, end="")
-            print(f"certificate: {path}")
-            return EXIT_OK
+        # certify: the subparsers are required and admit only the five verbs
+        cfg = harness.parse_config_file(args.config)
+        path = harness.output_file(args.out, f"{cfg.prefix}.cert.txt")
+        report = harness.certificate_report(cfg)
+        harness.write_output(path, report)
+        print(report, end="")
+        print(f"certificate: {path}")
+        return EXIT_OK
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     finally:
         warnings.formatwarning = formatwarning
-    raise AssertionError(f"unhandled verb {args.verb!r}")
 
 
 if __name__ == "__main__":

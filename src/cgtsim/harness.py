@@ -153,6 +153,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"topology.n ({self.topology.n}) must equal problem.n ({self.problem.n})"
             )
+        if not 0 <= self.problem.seed < 2**64:  # the keyed streams reduce seeds mod 2**64
+            raise ConfigError(f"problem.seed: must be in [0, 2**64), got {self.problem.seed!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm.method: {self.algorithm!r} not in {ALGORITHMS}")
         if self.K < 1:
@@ -504,18 +506,15 @@ PRESETS: dict[str, ExperimentConfig] = {cfg.prefix: cfg for cfg in (
 )}
 
 
-def preset(name: str, K: int | None = None, trace_every: int | None = None,
-           seed: int | None = None) -> ExperimentConfig:
-    """Look up a preset; K/trace_every/seed may be overridden (horizons are
-    not tabulated in the source material, so the defaults are conventions)."""
+def preset(name: str, K: int | None = None, seed: int | None = None) -> ExperimentConfig:
+    """Look up a preset; K and seed may be overridden (horizons are not
+    tabulated in the source material, so the defaults are conventions)."""
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r}; known presets: {known} ({PRESET_NOTE})")
     cfg = PRESETS[name]
     if K is not None:
         cfg = replace(cfg, K=K)
-    if trace_every is not None:
-        cfg = replace(cfg, trace_every=trace_every)
     if seed is not None:
         cfg = replace(cfg, problem=replace(cfg.problem, seed=seed))
     return cfg

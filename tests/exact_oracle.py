@@ -28,9 +28,11 @@ from fractions import Fraction
 _MASK = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
 
-# the stream tags of the x and y differences: the keys are (seed, agent, iteration, tag)
+# the stream tags of the x and y differences and of the uniform start: the keys are
+# (seed, agent, iteration, tag)
 TAG_X = 1
 TAG_Y = 2
+TAG_INIT = 5
 
 TRACE_FIELDS = ("k", "residual", "opt_error", "consensus_error", "tracking_error",
                 "compress_error_x", "compress_error_y", "ef_error_x", "ef_error_y",
@@ -104,8 +106,11 @@ def _solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     return [m[r][p] / m[r][r] for r in range(p)]
 
 
-def run_cgt_efficient(U, v, rho, W, gamma, eta, kind, K, seed, alpha=1.0, x0=None):
-    """The exact trace and decisions of K iterations from x0 (zeros by default).
+def run_cgt_efficient(U, v, rho, W, gamma, eta, kind, K, seed, alpha=1.0, init="zeros"):
+    """The exact trace and decisions of K iterations from the ``init`` start.
+
+    ``init`` is ``"zeros"`` or ``"uniform"``, whose x_i is the p uniforms of
+    the key (seed, i, 0, TAG_INIT).
 
     ``U`` is (n, p), ``v`` (n,), ``W`` (n, n), each given as nested floats or
     arrays.  Returns ``(trace, decisions)``: ``trace`` is a list of K + 1
@@ -129,7 +134,12 @@ def run_cgt_efficient(U, v, rho, W, gamma, eta, kind, K, seed, alpha=1.0, x0=Non
           for c in range(p)] for r in range(p)]
     x_star = _solve(a, [sum((U[i][r] * v[i] for i in range(n)), F(0)) for r in range(p)])
 
-    x = [[F(0)] * p for _ in range(n)] if x0 is None else [[F(float(e)) for e in row] for row in x0]
+    if init == "zeros":
+        x = [[F(0)] * p for _ in range(n)]
+    elif init == "uniform":
+        x = [uniforms(p, seed, i, 0, TAG_INIT) for i in range(n)]
+    else:
+        raise ValueError(f"unknown init {init!r}")
     y = [grad(i, x[i]) for i in range(n)]
     zero = [[F(0)] * p for _ in range(n)]
     h = {"x": [r[:] for r in zero], "y": [r[:] for r in zero]}

@@ -6,6 +6,7 @@ problem with the default seed) and the parameter-table step sizes.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ def _decay_fit(trace, burn_frac=0.2, floor=1e-16):
 def preset_runs():
     runs = {}
     for name, K in PRESET_HORIZONS.items():
-        cfg = harness.preset(name, K=K, trace_every=max(1, K // 2000), seed=SEED)
+        cfg = replace(harness.preset(name, K=K, seed=SEED), trace_every=max(1, K // 2000))
         runs[name] = harness.run_from_config(cfg)
     return runs
 

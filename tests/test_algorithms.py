@@ -338,12 +338,13 @@ def test_trace_blocks_do_not_change_results(pb, W_und, W_dir, monkeypatch, name,
         return block_metrics(state, x_star, **kw)
 
     def run_in_blocks(run, c):
-        # each metrics call holds exactly the trace points of one c-iteration block,
-        # iterations j*c + 1 .. (j + 1)*c, the first block with the k = 0 point
+        # the k = 0 point is the start's own call; each later metrics call holds exactly
+        # the trace points of one c-iteration block, iterations j*c + 1 .. (j + 1)*c
         calls.clear()
         out = _run_or_partial(run)
-        ks = [k for call in calls for k in call]
-        assert calls == [list(g) for _, g in groupby(ks, key=lambda k: max(k - 1, 0) // c)]
+        ks = [k for call in calls[1:] for k in call]
+        assert calls[0] == [0]
+        assert calls[1:] == [list(g) for _, g in groupby(ks, key=lambda k: (k - 1) // c)]
         return out
 
     monkeypatch.setattr(algorithms, "metrics", counted)
@@ -453,16 +454,15 @@ def test_block_checks_equal_per_iteration_checks(n, m):
 @pytest.mark.parametrize("n", [1, 10, 1000])
 def test_guard_residual_is_the_trace_residual(n):
     # the divergence guard stops on the number the trace records: on the same snapshots,
-    # _check_block's residual and metrics' residual agree bit for bit
+    # _check_block's residual is the reference's trace residual bit for bit
     p, m, denom = 20, 16, 3.0
     rng = np.random.default_rng(n)
     x_star = rng.standard_normal(p)
     Zs = rng.standard_normal((m, 2, n, p)) * 10.0 ** rng.integers(-3, 4, (m, 1, 1, 1))
     its = [(Z, None, None, None, Z[1], Z[1]) for Z in Zs]
     residual, _, _, _ = algorithms._check_block(its, np.zeros(p), x_star, denom)
-    records = metrics(NetworkState(Zs, Zs), x_star, k=range(m), residual_denom=denom,
-                      bits_sent=[0] * m)
-    assert residual.tolist() == [t.residual for t in records]
+    assert residual.tolist() == [_metrics_reference(NetworkState(Z, Z), x_star,
+                                                    residual_denom=denom).residual for Z in Zs]
 
 
 _CHECK_BLOCK_BYTES = """
@@ -549,12 +549,18 @@ def _one(state):
     return NetworkState(*(None if a is None else a[None] for a in vars(state).values()))
 
 
+def _snapshot(block, i):
+    """Snapshot i of a block of snapshots."""
+    return NetworkState(*(None if a is None else a[i] for a in vars(block).values()))
+
+
 def test_metrics_fixed_points(pb):
     x_star = optimal_solution(pb)
     n, p = pb.n, pb.dim
     X = np.tile(x_star, (n, 1))
     state = NetworkState(Z=np.stack([X, np.zeros((n, p))]), H=np.stack([X, np.zeros((n, p))]))
-    rec = metrics(_one(state), x_star, k=[5], residual_denom=2.0, bits_sent=[7])[0]
+    rec = metrics(_one(state), x_star, k=[5], bits_sent=[7],
+                  **_reference_sums(_one(state), x_star, 2.0))[0]
     assert rec.residual == 0.0
     # the row mean of identical rows can differ from the row by an ulp
     assert rec.consensus_error <= 1e-25
@@ -563,31 +569,41 @@ def test_metrics_fixed_points(pb):
     assert rec.compress_error_x == 0.0
     rng = np.random.default_rng(0)
     state = NetworkState(Z=rng.standard_normal((2, n, p)), H=rng.standard_normal((2, n, p)))
-    rec = metrics(_one(state), x_star, k=[0], bits_sent=[0])[0]
+    rec = metrics(_one(state), x_star, k=[0], bits_sent=[0],
+                  **_reference_sums(_one(state), x_star))[0]
     for field in ("residual", "opt_error", "consensus_error", "tracking_error",
                   "compress_error_x", "compress_error_y"):
         val = getattr(rec, field)
         assert np.isfinite(val) and val >= 0
 
 
+def _sq(m):
+    return float(np.sum(m * m))
+
+
+def _reference_sums(block, x_star, residual_denom=1.0):
+    """The residuals and column sums of X and Y that ``metrics`` takes for a block, as the
+    reference below forms them: its np.sum over each snapshot, and np.mean's column sums."""
+    return dict(residual=np.array([_sq(X - x_star[None, :]) / residual_denom
+                                   for X in block.X]),
+                z_sum=block.Z.sum(axis=-2))
+
+
 def _metrics_reference(state, x_star, *, k=0, residual_denom=1.0, bits_sent=0):
     """The np.mean / np.sum form of ``metrics``, kept as the oracle for its reductions."""
-    def sq(m):
-        return float(np.sum(m * m))
-
     x_bar = state.X.mean(axis=0)
     y_bar = state.Y.mean(axis=0)
     zero = 0.0
     return TraceRecord(
         k=k,
-        residual=sq(state.X - x_star[None, :]) / residual_denom,
-        opt_error=sq(x_bar - x_star),
-        consensus_error=sq(state.X - x_bar[None, :]),
-        tracking_error=sq(state.Y - y_bar[None, :]),
-        compress_error_x=sq(state.X - state.H[0]),
-        compress_error_y=sq(state.Y - state.H[1]),
-        ef_error_x=sq(state.E[0]) if state.E is not None else zero,
-        ef_error_y=sq(state.E[1]) if state.E is not None else zero,
+        residual=_sq(state.X - x_star[None, :]) / residual_denom,
+        opt_error=_sq(x_bar - x_star),
+        consensus_error=_sq(state.X - x_bar[None, :]),
+        tracking_error=_sq(state.Y - y_bar[None, :]),
+        compress_error_x=_sq(state.X - state.H[0]),
+        compress_error_y=_sq(state.Y - state.H[1]),
+        ef_error_x=_sq(state.E[0]) if state.E is not None else zero,
+        ef_error_y=_sq(state.E[1]) if state.E is not None else zero,
         bits_sent=bits_sent,
     )
 
@@ -607,8 +623,8 @@ def test_metrics_equal_mean_and_sum_reference(shape, order):
         state = NetworkState(Z=draw(), H=draw(), E=draw() if with_ef else None)
         x_star = rng.standard_normal(p)
         kw = dict(k=trial, residual_denom=float(rng.uniform(0.5, 2.0)), bits_sent=3 * trial)
-        got = metrics(_one(state), x_star, k=[kw["k"]], residual_denom=kw["residual_denom"],
-                      bits_sent=[kw["bits_sent"]])[0]
+        got = metrics(_one(state), x_star, k=[kw["k"]], bits_sent=[kw["bits_sent"]],
+                      **_reference_sums(_one(state), x_star, kw["residual_denom"]))[0]
         want = _metrics_reference(state, x_star, **kw)
         for field in TraceRecord._fields:
             assert getattr(got, field) == getattr(want, field), field
@@ -632,10 +648,11 @@ def test_metrics_block_equals_blocks_of_one(shape, order, with_ef):
     state = NetworkState(Z=draw(), H=draw(), E=draw() if with_ef else None)
     x_star = rng.standard_normal(p)
     ks, bits = [0, 7, 9], [0, 70, 90]
-    got = metrics(state, x_star, k=ks, residual_denom=1.5, bits_sent=bits)
+    got = metrics(state, x_star, k=ks, bits_sent=bits, **_reference_sums(state, x_star, 1.5))
     for i in range(c):
-        snap = NetworkState(*(None if a is None else a[i] for a in vars(state).values()))
-        one = metrics(_one(snap), x_star, k=[ks[i]], residual_denom=1.5, bits_sent=[bits[i]])
+        snap = _snapshot(state, i)
+        one = metrics(_one(snap), x_star, k=[ks[i]], bits_sent=[bits[i]],
+                      **_reference_sums(_one(snap), x_star, 1.5))
         assert repr(one) == repr(got[i:i + 1]), i
 
 
@@ -647,38 +664,69 @@ def _records_bytes(records):
 
 @pytest.mark.parametrize("p", [1, 2, 20])
 def test_trace_from_the_check_sums_equals_metrics_own(monkeypatch, p):
-    # the engine hands metrics the block check's residuals and column sums; each call's
-    # records must be the bytes metrics gives computing both itself, at every block of
-    # every runner: the k = 0 point, K = 0, trace_every 1, 3 and K, blocks of 3 and the
+    # the engine hands metrics the block check's residuals and column sums, and the start's
+    # from set-up; every record must be the bytes of the np.mean / np.sum reference on the
+    # snapshot it is made from, which is the recorded state of its iteration, at every block
+    # of every runner: the k = 0 point, K = 0, trace_every 1, 3 and K, blocks of 3 and the
     # default size, and a block cut by divergence
     pb = generate_ridge(10, p, 0.01, 5.0, seed=SEED)
     W_und = build_weights_outdegree(build_ring(10, directed=False), 0.1)
     W_dir = build_weights_outdegree(build_ring(10, directed=True), 0.1)
+    x_star = optimal_solution(pb)
     block_metrics = algorithms.metrics
-    calls = []
+    snaps = []
 
-    def both(state, x_star, *, residual, z_sum, **kw):
-        got = block_metrics(state, x_star, residual=residual, z_sum=z_sum, **kw)
-        assert _records_bytes(got) == _records_bytes(block_metrics(state, x_star, **kw))
+    def recorded(state, x_star, **kw):
+        got = block_metrics(state, x_star, **kw)
         assert [r.k for r in got] == list(kw["k"])
-        calls.append(list(kw["k"]))
+        snaps.extend(zip(got, (_snapshot(state, i) for i in range(len(got)))))
         return got
 
-    monkeypatch.setattr(algorithms, "metrics", both)
+    def check(res, denom):
+        assert [rec for rec, _ in snaps] == res.trace
+        for rec, snap in snaps:
+            want = _metrics_reference(snap, x_star, k=rec.k, residual_denom=denom,
+                                      bits_sent=rec.bits_sent)
+            assert _records_bytes([rec]) == _records_bytes([want]), rec.k
+            assert snap.X.tobytes() == res.states_x[rec.k].tobytes()
+            assert snap.Y.tobytes() == res.states_y[rec.k].tobytes()
+
+    monkeypatch.setattr(algorithms, "metrics", recorded)
     kind = QUANT if p > 1 else UnbiasedQuantize(bits=2, q=2)
+    denom = _sq(default_x0(pb, SEED, "uniform") - x_star)
     for name, runner in BLOCK_RUNNERS.items():
         for block_bytes in (_block_bytes(pb, name, 3), algorithms._BLOCK_BYTES):
             monkeypatch.setattr(algorithms, "_BLOCK_BYTES", block_bytes)
             for K, trace_every in ((0, 1), (10, 1), (10, 3), (10, 10)):
-                calls.clear()
+                snaps.clear()
                 res = runner(pb, W_und, HyperParams(eta=0.05, gamma=0.6), kind, K,
-                             trace_every=trace_every, init="uniform")
-                assert calls[0][0] == 0 and [t.k for t in res.trace][-1] == K
-            calls.clear()
-            with pytest.raises(DivergenceError):
+                             trace_every=trace_every, init="uniform", record_states=True)
+                assert res.trace[0].k == 0 and res.trace[-1].k == K
+                check(res, denom)
+            snaps.clear()
+            with pytest.raises(DivergenceError) as exc:
                 runner(pb, W_dir, HyperParams(eta=5.0, gamma=0.5), TopK(k=1), 5000,
-                       trace_every=3)
-            assert calls
+                       trace_every=3, record_states=True)
+            check(exc.value.partial, _sq(default_x0(pb, SEED) - x_star))
+
+
+@pytest.mark.parametrize("name", list(BLOCK_RUNNERS))
+def test_a_run_of_no_iterations_is_its_start(pb, W_und, name):
+    # K = 0 checks no block: the run returns the start's record and the start state
+    res = BLOCK_RUNNERS[name](pb, W_und, HyperParams(eta=0.05), QUANT, 0,
+                              init="uniform", record_states=True)
+    X0 = default_x0(pb, SEED, "uniform")
+    x_star = optimal_solution(pb)
+    zeros = np.zeros((2, pb.n, pb.dim))
+    start = NetworkState(np.stack([X0, gradient_matrix(pb, X0)]), zeros,
+                         zeros if name in ("cgt", "efcgt") else None,
+                         zeros if name.startswith("efcgt") else None)
+    want = _metrics_reference(start, x_star, residual_denom=_sq(X0 - x_star[None, :]))
+    assert _records_bytes(res.trace) == _records_bytes([want]) and len(res.trace) == 1
+    for got, a in zip(vars(res.final).values(), vars(start).values()):
+        assert (got is None and a is None) or got.tobytes() == a.tobytes()
+    assert res.states_x.tobytes() == X0[None].tobytes()
+    assert (res.max_tracking_violation, res.max_mean_drift) == (0.0, 0.0)
 
 
 def test_x0_memory_order_does_not_change_a_run(pb, W_und):

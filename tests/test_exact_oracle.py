@@ -6,6 +6,7 @@ the same double inputs, and check the keyed uniforms against an independent
 splitmix64.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -25,15 +26,24 @@ KINDS = {"identity": Identity(), "top1": TopK(k=1), "rand1": RandK(k=1)}
 REL = Fraction(1, 10**9)
 
 
-@pytest.fixture(scope="module")
-def instance():
+@functools.cache
+def _instance():
     pb = generate_ridge(N, P, 0.05, 1.0, seed=SEED)
     W = build_weights_outdegree(build_ring(N, directed=False), 0.1)
     return pb, W
 
 
+@functools.cache
+def _exact_run(kind_name, init):
+    """The oracle's trace and decisions, computed once per module."""
+    pb, W = _instance()
+    return oracle.run_cgt_efficient(pb.U, pb.v, pb.rho, W.matrix, GAMMA, ETA, kind_name, K,
+                                    SEED, init=init)
+
+
 def test_oracle_tags_are_the_engine_tags():
-    assert (oracle.TAG_X, oracle.TAG_Y) == (compression.TAG_X_DIFF, compression.TAG_Y_DIFF)
+    assert ((oracle.TAG_X, oracle.TAG_Y, oracle.TAG_INIT)
+            == (compression.TAG_X_DIFF, compression.TAG_Y_DIFF, compression.TAG_INIT))
 
 
 def _exact(u: float, i: int) -> bool:
@@ -83,15 +93,12 @@ def _float_decisions(monkeypatch, kind_name):
     return seen
 
 
-@pytest.mark.parametrize("kind_name", list(KINDS))
-def test_float_trace_is_within_1e9_of_the_exact_one_up_to_a_flip(instance, monkeypatch,
-                                                                   kind_name):
-    pb, W = instance
+def _assert_within_1e9_up_to_a_flip(monkeypatch, kind_name, init="zeros"):
+    pb, W = _instance()
     float_decisions = _float_decisions(monkeypatch, kind_name)
     run = run_cgt_efficient(pb, W, HyperParams(eta=ETA, gamma=GAMMA), KINDS[kind_name], K,
-                            seed=SEED, trace_every=1)
-    exact, decisions = oracle.run_cgt_efficient(pb.U, pb.v, pb.rho, W.matrix, GAMMA, ETA,
-                                                kind_name, K, SEED)
+                            seed=SEED, trace_every=1, init=init)
+    exact, decisions = _exact_run(kind_name, init)
     assert len(float_decisions) == len(decisions) == K
     # the decision of iteration k makes point k + 1: points up to the first flip agree
     flips = [k for k in range(K) if float_decisions[k] != decisions[k]]
@@ -108,3 +115,25 @@ def test_float_trace_is_within_1e9_of_the_exact_one_up_to_a_flip(instance, monke
             else:
                 assert abs(Fraction(got) - true) <= REL * abs(true), (rec.k, field, got,
                                                                       float(true))
+
+
+@pytest.mark.parametrize("kind_name", list(KINDS))
+def test_float_trace_is_within_1e9_of_the_exact_one_up_to_a_flip(monkeypatch, kind_name):
+    _assert_within_1e9_up_to_a_flip(monkeypatch, kind_name)
+
+
+# the bytes of one checked iteration of efficient C-GT: Z, H and H_w (2*N*P floats each),
+# the gradient and the step (N*P each)
+_ITERATION_BYTES = 8 * 8 * N * P
+
+
+@pytest.mark.parametrize("kind_name,init,c",
+                         [(name, "zeros", c) for name in KINDS for c in (1, 3)]
+                         + [("top1", "uniform", c) for c in (None, 1, 3)])
+def test_float_trace_across_blocks_and_from_a_uniform_start_is_within_1e9(monkeypatch,
+                                                                          kind_name, init, c):
+    # the default block (c = None) at N = 3, P = 2 is 1365 iterations, so a K = 40 run is
+    # one block; blocks of 1 and 3 put the trace across 40 and 14 block boundaries
+    if c is not None:
+        monkeypatch.setattr(algorithms, "_BLOCK_BYTES", c * _ITERATION_BYTES)
+    _assert_within_1e9_up_to_a_flip(monkeypatch, kind_name, init)

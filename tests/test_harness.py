@@ -312,9 +312,8 @@ def test_compare_rejects_mismatched_topology(tmp_path):
 def test_compare_overlay_error_feedback_wins(tmp_path):
     # directed-ring top-1 pair: the error-feedback run reaches any given
     # residual level in fewer iterations, as the merged overlay shows
-    from dataclasses import replace
-    a = preset("fig3b-cgt", K=8000, trace_every=40)
-    b = replace(preset("fig3b-efcgt", K=8000, trace_every=40), prefix="fig3b-efcgt")
+    a = dataclasses.replace(preset("fig3b-cgt", K=8000), trace_every=40)
+    b = dataclasses.replace(preset("fig3b-efcgt", K=8000), trace_every=40, prefix="fig3b-efcgt")
     path = compare([a, b], out_dir=tmp_path, prefix="fig3b-overlay")
     lines = path.read_text().splitlines()
     assert lines[0] == "k,cgt:topk:k=1,efcgt:topk:k=1"
@@ -352,8 +351,13 @@ def test_preset_listing_mentions_omitted_baseline():
 
 
 def test_preset_overrides():
-    p = preset("fig1-cgt", K=100, trace_every=5, seed=3)
-    assert p.K == 100 and p.trace_every == 5 and p.problem.seed == 3
+    p = preset("fig1-cgt", K=100, seed=3)
+    assert p.K == 100 and p.problem.seed == 3
+    # the keyed streams reduce a seed mod 2**64, so one outside [0, 2**64) is refused
+    assert preset("fig1-cgt", seed=2**64 - 1).problem.seed == 2**64 - 1
+    with pytest.raises(ConfigError) as exc:
+        preset("fig1-cgt", seed=2**64)
+    assert str(exc.value) == "problem.seed: must be in [0, 2**64), got 18446744073709551616"
     with pytest.raises(ConfigError, match="unknown preset"):
         preset("fig9-lead")
 
@@ -615,6 +619,14 @@ def test_cli_preset_override_refused_before_the_output_directory(tmp_path, capsy
     assert not out.exists()
 
 
+def test_cli_preset_seed_refused_before_the_output_directory(tmp_path, capsys):
+    out = tmp_path / "run-out"
+    rc = cli.main(["preset", "fig1-cgt", "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "config error: problem.seed: must be in [0, 2**64), got -1\n"
+    assert not out.exists()
+
+
 def test_cli_compare(tmp_path, capsys):
     a = write_cfg(tmp_path, CONFIG_TEXT, "a.cfg")
     b_text = CONFIG_TEXT.replace("method = cgt", "method = efcgt").replace("prefix = smoke", "prefix = smoke2")
@@ -779,7 +791,7 @@ def _set_line(text, key, value):
 @pytest.mark.parametrize("key,value,section", [
     ("p", "0.6", "topology"),
     ("rho", "-1", "problem"),
-    ("seed", "-3", "problem"),
+    ("seed", "-3", "problem.seed"),
     ("dim", "0", "problem"),
 ])
 def test_parse_config_builds_topology_and_problem(key, value, section):
