@@ -55,11 +55,12 @@ iterations the loop ran past it leave no trace, no state and no maximum.  The
 maxima fold that block's values up to the cut, and its trace points become
 records in one ``metrics`` call, which takes each point's residual and its
 column sums of X and Y (the mean, over n) from the block check: the guard's
-residual array is the trace's, and no sum is taken twice.  Every residual,
-maximum, record and state is bit for bit that of a check after each iteration.
-This rests on an invariant of the engine: every iteration builds fresh arrays,
-and an array that reached a block (or ``states_x``/``states_y``) is never
-updated in place.
+residual array is the trace's, and no sum is taken twice.  The block's Z is
+stacked once, by the check: the trace points and the recorded states read
+rows of that stack.  Every residual, maximum, record and state is bit for bit
+that of a check after each iteration.  This rests on an invariant of the
+engine: every iteration builds fresh arrays, and an array that reached a
+block (or ``states_x``/``states_y``) is never updated in place.
 """
 
 from __future__ import annotations
@@ -296,24 +297,18 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
 
 
-def _stack_points(points: list[tuple], error_feedback: bool) -> NetworkState:
-    """The Z, H and E of a block's trace points, stacked as ``metrics`` reads them."""
-    E = _stack([pt[3] for pt in points]) if error_feedback else None
-    return NetworkState(_stack([pt[0] for pt in points]), _stack([pt[1] for pt in points]),
-                        E=E)
-
-
-def _check_block(kept: list[tuple], cs_x: np.ndarray, x_star: np.ndarray,
-                 denom: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _check_block(kept: list[tuple], cs_x: np.ndarray, x_star: np.ndarray, denom: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Residual, mean drift and tracking violation of each of a block's m iterations.
 
     ``kept`` holds (Z, H, H_w, E, grad, step) after each of the block's m >= 1
     iterations and ``cs_x`` the column sums of X before the first.  Returns the
-    three (m,) arrays and the (m, 2, p) column sums of X and Y after each
-    iteration, which the trace reads too.  Each value is bit for bit the one
-    the iteration's own arrays give: the residual is ``_sum_sq``, as the
-    start's is, and the norms are ``compression._row_norms``' pairwise sums, so
-    no value depends on the BLAS thread count.
+    three (m,) arrays, the (m, 2, p) column sums of X and Y after each
+    iteration and the block's C-ordered (m, 2, n, p) Z stack, which the trace
+    and the recorded states read too.  Each value is bit for bit the one the
+    iteration's own arrays give: the residual is ``_sum_sq``, as the start's
+    is, and the norms are ``compression._row_norms``' pairwise sums, so no
+    value depends on the BLAS thread count.
     """
     m = len(kept)
     Zs = _stack([pt[0] for pt in kept])
@@ -327,7 +322,7 @@ def _check_block(kept: list[tuple], cs_x: np.ndarray, x_star: np.ndarray,
     # gradient-tracking identity: column sums of Y and of the gradients agree
     viol = np.abs(cs[:, 1] - grads.sum(axis=1)).max(axis=-1)
     track = viol / (1.0 + _row_norms(grads.reshape(m, -1), 2))
-    return _sum_sq(Zs[:, 0] - x_star) / denom, drift, track, cs
+    return _sum_sq(Zs[:, 0] - x_star) / denom, drift, track, cs, Zs
 
 
 # the per-channel size n*n*p above which _mix multiplies a stack in one product; see _mix
@@ -411,10 +406,10 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         # the start is the k = 0 record: its residual is the normaliser's own sum over denom,
         # and its column sums one reduce
         cs = np.add.reduce(Z, axis=1)[None]
-        trace = metrics(_stack_points([(Z, H, H_w, E)], error_feedback), x_star, k=[0],
-                        bits_sent=[0], residual=(sq0 / denom)[None], z_sum=cs)
+        trace = metrics(NetworkState(Z[None], H[None], E=None if E is None else E[None]),
+                        x_star, k=[0], bits_sent=[0], residual=(sq0 / denom)[None], z_sum=cs)
         max_track = max_drift = 0.0
-        zs = [Z] if record_states else None
+        zs = [Z[None]] if record_states else None
         done = 0  # iterations checked
         diverged = False
         while done < K:
@@ -454,7 +449,7 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                 grad = grad_new
                 kept.append((Z, H, H_w, E, grad, step))
 
-            residual, drift, track, cs = _check_block(kept, cs[-1, 0], x_star, denom)
+            residual, drift, track, cs, Zs = _check_block(kept, cs[-1, 0], x_star, denom)
             bad = np.flatnonzero(~np.isfinite(residual) | (residual > DIVERGENCE_LIMIT))
             diverged = bad.size > 0
             # the block is cut after its first bad iteration
@@ -466,17 +461,21 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                   if i % trace_every == 0 or i == K or (diverged and i == end)]
             if ks:
                 at = [i - done - 1 for i in ks]
-                # no name holds the stacked points, so they are freed before the next block
-                trace.extend(metrics(_stack_points([kept[j] for j in at], error_feedback),
-                                     x_star, k=ks, bits_sent=[i * bits_per_iter for i in ks],
-                                     residual=residual[at], z_sum=cs[at]))
+                # no name holds the points' H and E stacks, so they are freed before the next block
+                trace.extend(metrics(
+                    NetworkState(Zs[at], _stack([kept[j][1] for j in at]),
+                                 E=_stack([kept[j][3] for j in at]) if error_feedback else None),
+                    x_star, k=ks, bits_sent=[i * bits_per_iter for i in ks],
+                    residual=residual[at], z_sum=cs[at]))
             if zs is not None:
-                zs.extend(pt[0] for pt in kept[:m])
+                zs.append(Zs[:m])
             Z, H, H_w, E, grad, _ = kept[m - 1]
             done = end
             if diverged:
                 break
-    states_x, states_y = (None, None) if zs is None else np.stack(zs, axis=1)
+    # per channel, so that numpy lays out each (K+1, n, p) result in C order
+    states_x, states_y = (None, None) if zs is None else (
+        np.concatenate([z[:, c] for z in zs]) for c in (0, 1))
     res = RunResult(trace=trace, final=NetworkState(Z, H, H_w, E),
                     compressor=compressor_label(kind), algorithm=algorithm,
                     max_tracking_violation=max_track, max_mean_drift=max_drift,

@@ -198,8 +198,13 @@ def _mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
 
 
 def _u64(x: int | np.integer | np.ndarray) -> np.ndarray | np.uint64:
+    # a key word is an integer: a float or complex one is refused, not truncated
     if isinstance(x, np.ndarray):
+        if x.dtype.kind not in "iu":
+            raise CompressionError(f"key words must be integers, got an array of dtype {x.dtype}")
         return np.atleast_1d(x).astype(np.uint64)
+    if not isinstance(x, (int, np.integer)):
+        raise CompressionError(f"key words must be integers, got {x!r}")
     # int() first: a NumPy integer folds as the equal Python int
     return np.uint64(int(x) & _MASK)
 

@@ -153,6 +153,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"topology.n ({self.topology.n}) must equal problem.n ({self.problem.n})"
             )
+        if not problems._is_int(self.problem.seed):
+            raise ConfigError(f"problem.seed: must be an integer, got {self.problem.seed!r}")
         if not 0 <= self.problem.seed < 2**64:  # the keyed streams reduce seeds mod 2**64
             raise ConfigError(f"problem.seed: must be in [0, 2**64), got {self.problem.seed!r}")
         if self.algorithm not in ALGORITHMS:

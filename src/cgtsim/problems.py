@@ -72,6 +72,11 @@ class ProblemConstants:
         return self.L / self.mu
 
 
+def _is_int(x: object) -> bool:
+    # a seed is an int (a bool is one) or a NumPy integer: a float is refused, not truncated
+    return isinstance(x, (int, np.integer))
+
+
 def generate_ridge(n: int, p: int, rho: float, noise_std: float, seed: int) -> RidgeProblem:
     """Draw u_i uniform on [-1, 1]^p and v_i = u_i^T x~_i + noise.
 
@@ -81,6 +86,8 @@ def generate_ridge(n: int, p: int, rho: float, noise_std: float, seed: int) -> R
     """
     if n < 1 or p < 1:
         raise ProblemError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+    if not _is_int(seed):
+        raise ProblemError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:  # the keyed compressor streams reduce seeds mod 2**64
         raise ProblemError(f"seed must be in [0, 2**64), got {seed!r}")
     if not (math.isfinite(rho) and math.isfinite(noise_std)):

@@ -29,6 +29,7 @@ from cgtsim.algorithms import (
 )
 from cgtsim.compression import (
     TAG_INIT,
+    CompressionError,
     Identity,
     NormSign,
     RandK,
@@ -258,6 +259,16 @@ def test_determinism_same_seed_identical(pb, W_dir):
     assert [t.residual for t in a.trace] == [t.residual for t in b.trace]
 
 
+def test_a_float_seed_is_refused_by_a_stochastic_run(pb, W_dir):
+    # the keyed streams refuse a float seed: it does not give the trace of its floor
+    hp = HyperParams(eta=0.001, gamma=0.5)
+    with pytest.raises(CompressionError, match=r"^key words must be integers, got 1\.5$"):
+        run_cgt_efficient(pb, W_dir, hp, RandK(k=1), 5, seed=1.5)
+    # a bool is an int: True keys as 1
+    assert (run_cgt_efficient(pb, W_dir, hp, RandK(k=1), 5, seed=True).trace
+            == run_cgt_efficient(pb, W_dir, hp, RandK(k=1), 5, seed=1).trace)
+
+
 def test_different_seeds_differ(pb, W_dir):
     hp = HyperParams(eta=0.001, gamma=0.5)
     a = run_cgt_efficient(pb, W_dir, hp, RandK(k=1), 50, seed=9)
@@ -356,6 +367,38 @@ def test_trace_blocks_do_not_change_results(pb, W_und, W_dir, monkeypatch, name,
             assert run_in_blocks(run, c) == expected, c
 
 
+@pytest.mark.parametrize("name", list(BLOCK_RUNNERS))
+def test_a_checked_block_stacks_its_z_once(pb, W_und, monkeypatch, name):
+    # at trace_every = 1 every iteration is a trace point and a recorded state; the block
+    # check stacks each block's Z, and the trace and the states read that one stack
+    kept_z, stacks = [], []  # both hold their arrays, so no id is reused during a run
+    real_stack, real_check = algorithms._stack, algorithms._check_block
+
+    def stack(arrays):
+        stacks.append(list(arrays))
+        return real_stack(arrays)
+
+    def check(kept, *args):
+        kept_z.extend(pt[0] for pt in kept)
+        return real_check(kept, *args)
+
+    monkeypatch.setattr(algorithms, "_stack", stack)
+    monkeypatch.setattr(algorithms, "_check_block", check)
+    K = 10
+    for c in (1, 3, _default_block(pb, name)):
+        monkeypatch.setattr(algorithms, "_BLOCK_BYTES", _block_bytes(pb, name, c))
+        kept_z.clear()
+        stacks.clear()
+        res = BLOCK_RUNNERS[name](pb, W_und, HyperParams(eta=0.05, gamma=0.6), QUANT, K,
+                                  trace_every=1, record_states=True)
+        ids = {id(z) for z in kept_z}
+        z_stacks = [len(s) for s in stacks if any(id(a) in ids for a in s)]
+        assert z_stacks == [min(c, K - done) for done in range(0, K, c)], c
+        assert [t.k for t in res.trace] == list(range(K + 1))
+        assert res.states_x.shape == res.states_y.shape == (K + 1, pb.n, pb.dim)
+        assert res.states_x.flags.c_contiguous and res.states_y.flags.c_contiguous
+
+
 # sha256 of repr(outcomes) in the test below, recorded with the per-iteration guard the
 # engine had before it checked in blocks, and re-recorded when the checks moved from BLAS
 # dots to pairwise sums: every message, trace and state stayed, and the maxima moved by
@@ -434,9 +477,12 @@ def test_block_checks_equal_per_iteration_checks(n, m):
     grads = [rng.standard_normal((n, p)) for _ in range(m)]
     steps = [eta * Z[1] for Z in Zs[:-1]]
     its = [(Zs[j + 1], None, None, None, grads[j], steps[j]) for j in range(m)]
-    residual, drift, track, cs_block = algorithms._check_block(its, Zs[0][0].sum(axis=0), x_star,
-                                                               denom)
+    residual, drift, track, cs_block, Z_block = algorithms._check_block(
+        its, Zs[0][0].sum(axis=0), x_star, denom)
     assert cs_block.shape == (m, 2, p)
+    # the returned stack is the kept Z, byte for byte, in C order
+    assert Z_block.shape == (m, 2, n, p) and Z_block.flags.c_contiguous
+    assert Z_block.tobytes() == b"".join(Z.tobytes() for Z in Zs[1:])
     for j in range(m):
         cs, cs_new = Zs[j].sum(axis=1), Zs[j + 1].sum(axis=1)
         assert cs_block[j].tobytes() == cs_new.tobytes()
@@ -460,7 +506,7 @@ def test_guard_residual_is_the_trace_residual(n):
     x_star = rng.standard_normal(p)
     Zs = rng.standard_normal((m, 2, n, p)) * 10.0 ** rng.integers(-3, 4, (m, 1, 1, 1))
     its = [(Z, None, None, None, Z[1], Z[1]) for Z in Zs]
-    residual, _, _, _ = algorithms._check_block(its, np.zeros(p), x_star, denom)
+    residual, _, _, _, _ = algorithms._check_block(its, np.zeros(p), x_star, denom)
     assert residual.tolist() == [_metrics_reference(NetworkState(Z, Z), x_star,
                                                     residual_denom=denom).residual for Z in Zs]
 
@@ -510,7 +556,7 @@ def test_invariants_read_past_an_overflowed_dot():
     its = [(np.stack([X1, Y1]), None, None, None, grad, step)]
     # as in the engine, the overflowing sums of squares raise no warning
     with np.errstate(over="ignore"):
-        _, drift, track, _ = algorithms._check_block(its, X0.sum(axis=0), np.zeros(p), 1.0)
+        _, drift, track, _, _ = algorithms._check_block(its, X0.sum(axis=0), np.zeros(p), 1.0)
     diff = X1.sum(axis=0) - X0.sum(axis=0) + step.sum(axis=0)
     want = math.hypot(*diff) / n / (1.0 + math.hypot(*X0.sum(axis=0)) / n)
     assert 0 < drift[0] < math.inf and drift[0] == pytest.approx(want, rel=1e-12)

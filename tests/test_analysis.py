@@ -277,6 +277,22 @@ def test_sufficient_params_ef_certifies(setup, kind):
     assert sp.certificate.rho_M <= sp.certificate.theta + 1e-10
 
 
+@pytest.mark.parametrize("chain", [an.sufficient_params, an.sufficient_params_ef])
+def test_a_chain_that_fails_its_own_certificate_is_refused(setup, monkeypatch, chain):
+    # the chain checks the verdict of the certificate it builds: a system that fails its
+    # componentwise test raises, and no SufficientParams carries a failed verdict
+    pb, consts, spec = setup
+    certify = an.certify
+
+    def failing(system):
+        return dataclasses.replace(certify(system), componentwise_ok=False)
+
+    monkeypatch.setattr(an, "certify", failing)
+    with pytest.raises(an.AnalysisError,
+                       match="^sufficient-parameter chain failed its own certificate$"):
+        chain(consts, spec, analytic_profile(TopK(k=1), pb.dim), 1.0, 1.0, n=pb.n)
+
+
 def test_analysis_records_compare_and_hash_by_identity():
     # each record holds arrays, so == is identity: equal-valued results compare unequal
     # without raising, and each hashes

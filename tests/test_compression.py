@@ -390,6 +390,17 @@ def test_scalar_first_key_fold_equals_the_array_fold(words, m):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("word", [1.9, 1.0, np.float64(1.0), 1 + 0j, "1", None,
+                                  np.array([1.0, 2.0]), np.array([1 + 0j]),
+                                  np.array([True, False]), np.array(1.0)])
+def test_a_key_word_that_is_not_an_integer_is_refused(word):
+    # a float word is refused, not truncated to the integer below it
+    with pytest.raises(CompressionError, match="^key words must be integers, got "):
+        compression._uniforms(2, 1, word, 0)
+    with pytest.raises(CompressionError, match="^key words must be integers, got "):
+        RngStream(word).uniform(2)
+
+
 def test_identity_returns_input_and_full_bit_cost():
     x = np.array([1.0, 2.0, -3.0])
     assert np.array_equal(compress(Identity(), x), x)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgtsim import cli, compression, harness, problems, topology
+from cgtsim import analysis, cli, compression, harness, problems, topology
 from cgtsim.algorithms import DivergenceError
 from cgtsim.harness import (
     ConfigError,
@@ -360,6 +360,21 @@ def test_preset_overrides():
     assert str(exc.value) == "problem.seed: must be in [0, 2**64), got 18446744073709551616"
     with pytest.raises(ConfigError, match="unknown preset"):
         preset("fig9-lead")
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), "3"])
+def test_preset_refuses_a_seed_that_is_not_an_integer(seed):
+    # a seed is refused when the config is made, not truncated or crashed on in the run
+    with pytest.raises(ConfigError) as exc:
+        preset("fig1-cgt", K=10, seed=seed)
+    assert str(exc.value) == f"problem.seed: must be an integer, got {seed!r}"
+
+
+def test_preset_takes_a_numpy_integer_or_bool_seed_as_its_int():
+    for seed, want in ((np.int64(3), 3), (np.uint64(2**64 - 1), 2**64 - 1), (True, 1)):
+        cfg = preset("fig1-cgt", K=10, seed=seed)
+        assert trace_csv(run_from_config(cfg).trace) == trace_csv(
+            run_from_config(preset("fig1-cgt", K=10, seed=want)).trace)
 
 
 def test_trace_csv_17_digit_floats():
@@ -904,6 +919,32 @@ def test_verify_suite_all_pass():
     checks = verify_suite(seed=1)
     failed = [c for c in checks if not c.passed]
     assert not failed, harness.verify_report(checks)
+
+
+def test_verify_suite_reports_a_failed_certificate_and_a_guard_that_did_not_trip(monkeypatch):
+    # each failure is one FAIL record with its detail, and the suite runs on past it
+    def refuse(*args, **kw):
+        raise analysis.AnalysisError("chain refused")
+
+    run = harness.run_cgt_efficient
+
+    def never_diverges(*args, **kw):
+        try:
+            return run(*args, **kw)
+        except DivergenceError as exc:
+            return exc.partial
+
+    monkeypatch.setattr(analysis, "sufficient_params", refuse)
+    monkeypatch.setattr(harness, "run_cgt_efficient", never_diverges)
+    checks = verify_suite(seed=1)
+    failed = [(c.name, c.detail) for c in checks if not c.passed]
+    assert failed == [("certificate (identity)", "chain refused"),
+                      ("certificate (top-1)", "chain refused"),
+                      ("divergence guard triggers (expected failure)", "run did not diverge")]
+    report = harness.verify_report(checks).splitlines()
+    assert "[FAIL] certificate (top-1) -- chain refused" in report
+    assert "[FAIL] divergence guard triggers (expected failure) -- run did not diverge" in report
+    assert report[-1] == f"{len(checks) - 3}/{len(checks)} checks passed"
 
 
 def test_cli_verify_exit_0(capsys):

@@ -220,6 +220,9 @@ def test_generate_rejects_bad_parameters():
         generate_ridge(5, 5, 0.1, 1.0, seed=-1)
     with pytest.raises(ProblemError):
         generate_ridge(5, 5, 0.1, 1.0, seed=2**64)
+    for seed in (2.5, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(ProblemError, match="^seed must be an integer, got "):
+            generate_ridge(5, 5, 0.1, 1.0, seed=seed)
     with pytest.raises(ProblemError):
         generate_ridge(5, 5, float("inf"), 1.0, seed=0)
     with pytest.raises(ProblemError):
