@@ -15,7 +15,8 @@ reference mode.
 The engine state Z, the reference states H and H_w = W H and the
 error-feedback accumulator E are (2, n, p) arrays: channel 0 is the decision
 x, channel 1 the tracker y, row i belongs to agent i.  ``NetworkState`` holds
-them in this layout from the update loop to the trace.  alpha, beta and
+a run's final state in this layout, ``metrics`` reads (c, 2, n, p) stacks of
+c points, and the recorded states one (K+1, 2, n, p) stack.  alpha, beta and
 keep = 1 - alpha are 0-d float64 arrays when the x and y values agree and
 (2, 1, 1) columns otherwise, so each update, and each ``metrics`` reduction,
 is written once for both.  eta and gamma are 0-d arrays too, each built once
@@ -60,7 +61,7 @@ stacked once, by the check: the trace points and the recorded states read
 rows of that stack.  Every residual, maximum, record and state is bit for bit
 that of a check after each iteration.  This rests on an invariant of the
 engine: every iteration builds fresh arrays, and an array that reached a
-block (or ``states_x``/``states_y``) is never updated in place.
+block (or ``states``) is never updated in place.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ from .compression import (
     _row_norms,
     _uniforms,
 )
-from .problems import RidgeProblem, gradient_matrix, optimal_solution
+from .problems import RidgeProblem, _is_int, gradient_matrix, optimal_solution
 from .topology import WeightMatrix
 
 DIVERGENCE_LIMIT = 1e12
@@ -157,12 +158,10 @@ class HyperParams:
 
 @dataclass
 class NetworkState:
-    """The engine's arrays in the channel layout of the module docstring.
+    """A run's final state, (2, n, p) arrays in the module docstring's channel layout.
 
     ``H_w`` is set in the communication-efficient forms only and ``E`` with
-    error feedback only.  A run's ``final`` state is (2, n, p); a block of c
-    snapshots, as ``metrics`` reads it, carries a leading block axis,
-    (c, 2, n, p).  ``X`` and ``Y`` are views of the two channels of ``Z``.
+    error feedback only.  ``X`` and ``Y`` are ``Z[0]`` and ``Z[1]``, views.
     """
 
     Z: np.ndarray
@@ -172,11 +171,11 @@ class NetworkState:
 
     @property
     def X(self) -> np.ndarray:
-        return self.Z[..., 0, :, :]
+        return self.Z[0]
 
     @property
     def Y(self) -> np.ndarray:
-        return self.Z[..., 1, :, :]
+        return self.Z[1]
 
 
 class TraceRecord(NamedTuple):
@@ -201,7 +200,8 @@ class RunResult:
     ``max_tracking_violation`` and ``max_mean_drift`` are the largest relative
     violations of the two invariants over the iterations run (to the
     divergence guard's, for a diverged run).  Each reads nan when the run's
-    state overflowed, so that an identity compared inf with inf.
+    state overflowed, so that an identity compared inf with inf.  ``states``
+    is every Z from the start on, one C-ordered (K+1, 2, n, p) array, when recorded.
     """
 
     trace: list[TraceRecord]
@@ -210,8 +210,7 @@ class RunResult:
     algorithm: str
     max_tracking_violation: float = 0.0
     max_mean_drift: float = 0.0
-    states_x: np.ndarray | None = None  # (K+1, n, p) when recorded
-    states_y: np.ndarray | None = None
+    states: np.ndarray | None = None
 
 
 def _sum_sq(m: np.ndarray) -> np.ndarray:
@@ -220,20 +219,19 @@ def _sum_sq(m: np.ndarray) -> np.ndarray:
     return np.add.reduce(m * m, axis=(-2, -1))
 
 
-def metrics(state: NetworkState, x_star: np.ndarray, *, k: Sequence[int],
-            bits_sent: Sequence[int], residual: np.ndarray, z_sum: np.ndarray
-            ) -> list[TraceRecord]:
+def metrics(Z: np.ndarray, H: np.ndarray, E: np.ndarray | None, x_star: np.ndarray, *,
+            k: Sequence[int], bits_sent: Sequence[int], residual: np.ndarray,
+            z_sum: np.ndarray) -> list[TraceRecord]:
     """All trace fields for a block of c snapshots, from their residuals and column sums.
 
-    Each array of ``state`` has shape (c, 2, n, p); ``k`` and ``bits_sent``
-    hold one value per snapshot.  A single snapshot is a block of one: pass
-    ``a[None]`` views.  ``residual`` (c,) and ``z_sum`` (c, 2, p), the column
-    sums of X and Y, are the block check's values for the same snapshots, or
-    the start's from set-up, so no sum is taken twice.  When each (n, p) slice
-    is C- or F-contiguous, every record is bit for bit the one its snapshot
-    gives alone: each sum runs over its slice in memory order.
+    ``Z``, ``H`` and, with error feedback, ``E`` are (c, 2, n, p) stacks; ``k``
+    and ``bits_sent`` hold one value per snapshot.  A single snapshot is a block
+    of one: pass ``a[None]`` views.  ``residual`` (c,) and ``z_sum`` (c, 2, p),
+    the column sums of X and Y, are the block check's values for the same
+    snapshots, or the start's from set-up, so no sum is taken twice.  When each
+    (n, p) slice is C- or F-contiguous, every record is bit for bit the one its
+    snapshot gives alone: each sum runs over its slice in memory order.
     """
-    Z = state.Z
     # np.mean(axis=-2) is the column sum divided by n
     z_bar = z_sum / Z.shape[-2]
     opt = z_bar[:, 0] - x_star
@@ -241,8 +239,8 @@ def metrics(state: NetworkState, x_star: np.ndarray, *, k: Sequence[int],
     # each an (x, y) pair of per-snapshot lists: consensus and tracking, compression,
     # error feedback
     spread = _sum_sq(Z - z_bar[:, :, None, :]).T.tolist()
-    comp = _sum_sq(Z - state.H).T.tolist()
-    ef = _sum_sq(state.E).T.tolist() if state.E is not None else [[0.0] * len(k)] * 2
+    comp = _sum_sq(Z - H).T.tolist()
+    ef = _sum_sq(E).T.tolist() if E is not None else [[0.0] * len(k)] * 2
     return list(map(TraceRecord, k, residual.tolist(), opt_error, *spread, *comp, *ef,
                     bits_sent))
 
@@ -305,7 +303,7 @@ def _check_block(kept: list[tuple], cs_x: np.ndarray, x_star: np.ndarray, denom:
     iterations and ``cs_x`` the column sums of X before the first.  Returns the
     three (m,) arrays, the (m, 2, p) column sums of X and Y after each
     iteration and the block's C-ordered (m, 2, n, p) Z stack, which the trace
-    and the recorded states read too.  Each value is bit for bit the one the
+    and ``RunResult.states`` read too.  Each value is bit for bit the one the
     iteration's own arrays give: the residual is ``_sum_sq``, as the start's
     is, and the norms are ``compression._row_norms``' pairwise sums, so no
     value depends on the BLAS thread count.
@@ -355,6 +353,9 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
               trace_every: int = 1, record_states: bool = False) -> RunResult:
     if W.n != pb.n:
         raise AlgorithmError(f"topology has n={W.n} agents but problem has n={pb.n}")
+    if not (_is_int(K) and _is_int(trace_every)):
+        raise AlgorithmError(f"K and trace_every must be integers, got K={K!r}, "
+                             f"trace_every={trace_every!r}")
     if K < 0:
         raise AlgorithmError(f"iteration count K must be nonnegative, got {K}")
     if trace_every < 1:
@@ -406,8 +407,8 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
         # the start is the k = 0 record: its residual is the normaliser's own sum over denom,
         # and its column sums one reduce
         cs = np.add.reduce(Z, axis=1)[None]
-        trace = metrics(NetworkState(Z[None], H[None], E=None if E is None else E[None]),
-                        x_star, k=[0], bits_sent=[0], residual=(sq0 / denom)[None], z_sum=cs)
+        trace = metrics(Z[None], H[None], None if E is None else E[None], x_star, k=[0],
+                        bits_sent=[0], residual=(sq0 / denom)[None], z_sum=cs)
         max_track = max_drift = 0.0
         zs = [Z[None]] if record_states else None
         done = 0  # iterations checked
@@ -463,8 +464,8 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
                 at = [i - done - 1 for i in ks]
                 # no name holds the points' H and E stacks, so they are freed before the next block
                 trace.extend(metrics(
-                    NetworkState(Zs[at], _stack([kept[j][1] for j in at]),
-                                 E=_stack([kept[j][3] for j in at]) if error_feedback else None),
+                    Zs[at], _stack([kept[j][1] for j in at]),
+                    _stack([kept[j][3] for j in at]) if error_feedback else None,
                     x_star, k=ks, bits_sent=[i * bits_per_iter for i in ks],
                     residual=residual[at], z_sum=cs[at]))
             if zs is not None:
@@ -473,13 +474,10 @@ def _simulate(pb: RidgeProblem, W: WeightMatrix, hp: HyperParams, kind: Compress
             done = end
             if diverged:
                 break
-    # per channel, so that numpy lays out each (K+1, n, p) result in C order
-    states_x, states_y = (None, None) if zs is None else (
-        np.concatenate([z[:, c] for z in zs]) for c in (0, 1))
     res = RunResult(trace=trace, final=NetworkState(Z, H, H_w, E),
                     compressor=compressor_label(kind), algorithm=algorithm,
                     max_tracking_violation=max_track, max_mean_drift=max_drift,
-                    states_x=states_x, states_y=states_y)
+                    states=None if zs is None else np.concatenate(zs))
     if diverged:
         raise DivergenceError(
             f"{algorithm} diverged at iteration {done}: residual {residual[m - 1]:.3e} "

@@ -8,10 +8,11 @@ the plain algorithm, 7x7 with error feedback.  A spectral radius below
 with M eps <= theta eps witnesses it componentwise.
 
 Both systems read one :class:`ErrorConstants` record, free of (gamma, eta):
-:func:`cgt_constants` builds it from the profile's (C, delta, r) and
-:func:`efcgt_constants` at C = 1, r = 1 with :func:`contractive_delta`, where
-the paper's d1, d2, d3, d4, d_x, d_y are c1, c2, c5, c8, c_x, c_y.
-:func:`build_A` and :func:`build_B` take (gamma, eta) and assemble M.
+:func:`cgt_constants` builds it from a profile's (C, delta, r), and
+:func:`efcgt_constants` is it at C = 1, r = 1 with :func:`contractive_delta`,
+where the paper's d1, d2, d3, d4, d_x, d_y are c1, c2, c5, c8, c_x, c_y.
+:func:`build_A` and :func:`build_B` take (gamma, eta) and assemble M; both
+sufficient-parameter chains certify theirs in one ``_certified``.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ class ErrorConstants:
     t_y: float
 
 
-def _constants(prob: ProblemConstants, spec: SpectralInfo, alpha_x: float, alpha_y: float,
-               n: int, C: float, delta: float, r: float, span: str) -> ErrorConstants:
-    """Constants for variance bound C, contraction delta, scale r; ``span`` names alpha's range."""
+def cgt_constants(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
+                  alpha_x: float, alpha_y: float, n: int) -> ErrorConstants:
+    """The error-system constants for the profile's (C, delta, r) at given mixing rates."""
+    C, delta, r = profile.C, profile.delta, profile.r
     # an eigensolve can round a tiny mu to or below zero; every bound below divides by it
     if not prob.mu > 0:
         raise AnalysisError(f"strong convexity mu must be positive, got mu={prob.mu!r}")
@@ -86,7 +88,7 @@ def _constants(prob: ProblemConstants, spec: SpectralInfo, alpha_x: float, alpha
         raise AnalysisError(f"spectral gap s must be positive, got s={spec.s!r}")
     for name, alpha in (("alpha_x", alpha_x), ("alpha_y", alpha_y)):
         if not alpha_in_range(alpha, r):
-            raise AnalysisError(f"{name}={alpha!r} outside {span}")
+            raise AnalysisError(f"{name}={alpha!r} outside (0, 1/r] for r={r!r}")
     s, niw = spec.s, spec.norm_IminusW
     (c_x, t_x), (c_y, t_y) = _slack(alpha_x, alpha_y, r, delta)
     if c_x >= 1.0 or c_y >= 1.0:
@@ -108,13 +110,6 @@ def _constants(prob: ProblemConstants, spec: SpectralInfo, alpha_x: float, alpha
     )
 
 
-def cgt_constants(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
-                  alpha_x: float, alpha_y: float, n: int) -> ErrorConstants:
-    """Assemble the error-system constants for given mixing rates."""
-    return _constants(prob, spec, alpha_x, alpha_y, n, profile.C, profile.delta, profile.r,
-                      f"(0, 1/r] for r={profile.r!r}")
-
-
 def contractive_delta(profile: CompressorProfile) -> float:
     """Contraction coefficient of the un-scaled operator, required by error feedback.
 
@@ -134,8 +129,8 @@ def contractive_delta(profile: CompressorProfile) -> float:
 def efcgt_constants(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
                     alpha_x: float, alpha_y: float, n: int) -> ErrorConstants:
     """The error-feedback constants: the plain ones at C = 1, r = 1 and the contractive delta."""
-    return _constants(prob, spec, alpha_x, alpha_y, n, 1.0, contractive_delta(profile), 1.0,
-                      "(0, 1]")
+    ef = CompressorProfile(C=1.0, delta=contractive_delta(profile), r=1.0)
+    return cgt_constants(prob, spec, ef, alpha_x, alpha_y, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,9 +326,15 @@ class SufficientParams:
         return out.getvalue()
 
 
-def _certified(eps: np.ndarray, system: ErrorSystem) -> SufficientParams:
-    """Certify a chain's system; the chain must pass its own componentwise test."""
-    cert = certify(system)
+def _certified(eps: np.ndarray, build, c: ErrorConstants, gamma: float,
+               eta: float) -> SufficientParams:
+    """Certify ``build`` (``build_A`` or ``build_B``) at gamma and eta clamped below the step
+    bound, with the chain's ``eps`` as test vector, its y-side third, fifth and seventh
+    components times L^2; the chain must pass its own componentwise test."""
+    eta = min(eta, 0.99 * _step_bound(c.mu, c.L)[0])
+    test_vec = eps.copy()
+    test_vec[2::2] *= c.L**2
+    cert = certify(build(c, gamma, eta, test_vec))
     if not cert.componentwise_ok:
         raise AnalysisError("sufficient-parameter chain failed its own certificate")
     return SufficientParams(epsilon=eps, certificate=cert)
@@ -363,9 +364,7 @@ def sufficient_params(prob: ProblemConstants, spec: SpectralInfo, profile: Compr
     gamma = min(1.0, (1.0 - c.c_x) / m3 * e4, (1.0 - c.c_y) / m4 * e5)
     eta = min(s * e2 / (4 * kappa * e3),
               s * e3 / (12 * kappa * (2 * n * e1 + 2 * e2 + e3))) * gamma / prob.L
-    eta = min(eta, 0.99 * _step_bound(prob.mu, prob.L)[0])
-    test_vec = np.array([e1, e2, prob.L**2 * e3, e4, prob.L**2 * e5])
-    return _certified(np.array([e1, e2, e3, e4, e5]), build_A(c, gamma, eta, test_vec))
+    return _certified(np.array([e1, e2, e3, e4, e5]), build_A, c, gamma, eta)
 
 
 def sufficient_params_ef(prob: ProblemConstants, spec: SpectralInfo, profile: CompressorProfile,
@@ -393,10 +392,7 @@ def sufficient_params_ef(prob: ProblemConstants, spec: SpectralInfo, profile: Co
     eta = min(s * e3 / (6 * kappa * (2 * n * e1 + 2 * e2 + e3)) * gamma / prob.L,
               s * e2 / (4 * kappa * e3) * gamma / prob.L,
               dl / (2 * prob.mu))
-    eta = min(eta, 0.99 * _step_bound(prob.mu, prob.L)[0])
-    L2 = prob.L**2
-    test_vec = np.array([e1, e2, L2 * e3, e4, L2 * e5, e6, L2 * e7])
-    return _certified(np.array([e1, e2, e3, e4, e5, e6, e7]), build_B(c, gamma, eta, test_vec))
+    return _certified(np.array([e1, e2, e3, e4, e5, e6, e7]), build_B, c, gamma, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,17 @@ from functools import lru_cache
 
 import numpy as np
 
+from .problems import _is_int
+
 
 class CompressionError(ValueError):
     """Raised for invalid operator parameters or inputs."""
+
+
+def _check_count(name: str, value: object) -> None:
+    # a bool is an int, but it labels itself True, which parse_compressor refuses
+    if isinstance(value, bool) or not _is_int(value):
+        raise CompressionError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +54,7 @@ class UnbiasedQuantize:
     q: float  # 1, 2 or math.inf
 
     def __post_init__(self) -> None:
+        _check_count("quantizer bits", self.bits)
         # a double holds every level 0..2**(bits-1) exactly only up to 53 bits
         if not 1 <= self.bits <= 53:
             raise CompressionError(f"quantizer needs 1 <= bits <= 53, got {self.bits}")
@@ -62,6 +71,7 @@ class TopK:
     k: int
 
     def __post_init__(self) -> None:
+        _check_count("top-k's k", self.k)
         if self.k < 1:
             raise CompressionError(f"top-k needs k >= 1, got {self.k}")
 
@@ -73,6 +83,7 @@ class RandK:
     k: int
 
     def __post_init__(self) -> None:
+        _check_count("random-k's k", self.k)
         if self.k < 1:
             raise CompressionError(f"random-k needs k >= 1, got {self.k}")
 
@@ -203,7 +214,7 @@ def _u64(x: int | np.integer | np.ndarray) -> np.ndarray | np.uint64:
         if x.dtype.kind not in "iu":
             raise CompressionError(f"key words must be integers, got an array of dtype {x.dtype}")
         return np.atleast_1d(x).astype(np.uint64)
-    if not isinstance(x, (int, np.integer)):
+    if not _is_int(x):
         raise CompressionError(f"key words must be integers, got {x!r}")
     # int() first: a NumPy integer folds as the equal Python int
     return np.uint64(int(x) & _MASK)
@@ -558,11 +569,7 @@ def _test_inputs(p: int, count: int, rng: np.random.Generator) -> np.ndarray:
         else:
             v = np.zeros(p)
             v[int(rng.integers(0, p))] = 1.0
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            v[0] = 1.0
-            norm = 1.0
-        out[i] = v / norm
+        out[i] = v / np.linalg.norm(v)
     return out
 
 

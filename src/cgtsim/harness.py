@@ -130,8 +130,9 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run's settings.  It checks itself when it is made, and ``dataclasses.replace``
-    checks the new config again, so every instance is a config the run accepts."""
+    """One run's settings.  Its own fields are checked when it is made, and
+    ``dataclasses.replace`` checks the new config again; the ring weights and the problem
+    data are checked where they are built, by ``parse_config`` or by a run or certificate."""
 
     topology: TopologySpec = TopologySpec()
     problem: ProblemSpec = ProblemSpec()
@@ -159,6 +160,10 @@ class ExperimentConfig:
             raise ConfigError(f"problem.seed: must be in [0, 2**64), got {self.problem.seed!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm.method: {self.algorithm!r} not in {ALGORITHMS}")
+        for name in ("K", "trace_every"):
+            if not problems._is_int(getattr(self, name)):
+                raise ConfigError(f"algorithm.{name}: must be an integer, "
+                                  f"got {getattr(self, name)!r}")
         if self.K < 1:
             raise ConfigError(f"algorithm.K: must be >= 1, got {self.K}")
         if self.trace_every < 1:
@@ -601,7 +606,7 @@ def verify_suite(seed: int = 7) -> list[CheckResult]:
                             record_states=True)
     dev = max(
         float(np.linalg.norm(a - b) / (1 + np.linalg.norm(b)))
-        for a, b in zip(ref.states_x, eff.states_x)
+        for a, b in zip(ref.states[:, 0], eff.states[:, 0])
     )
     record("reference/efficient equivalence (quant)", dev <= 1e-6, f"max rel dev {dev:.2e}")
 

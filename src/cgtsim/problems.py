@@ -73,7 +73,7 @@ class ProblemConstants:
 
 
 def _is_int(x: object) -> bool:
-    # a seed is an int (a bool is one) or a NumPy integer: a float is refused, not truncated
+    # an int (a bool is one) or a NumPy integer: a float count or seed is refused, not truncated
     return isinstance(x, (int, np.integer))
 
 
@@ -84,6 +84,8 @@ def generate_ridge(n: int, p: int, rho: float, noise_std: float, seed: int) -> R
     levels i/(n-1) in [0, 1] (level 0.5 for a single agent).  :class:`RidgeProblem`
     refuses a penalty rho <= 0.
     """
+    if not (_is_int(n) and _is_int(p)):
+        raise ProblemError(f"n and p must be integers, got n={n!r}, p={p!r}")
     if n < 1 or p < 1:
         raise ProblemError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     if not _is_int(seed):

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problems import _is_int
+
 STOCHASTIC_TOL = 1e-12
 _POWER_TOL = 1e-12  # spectral_norm stops when its estimate changes by less (relative)
 _POWER_MAX_ITER = 100_000
@@ -37,6 +39,8 @@ class Ring:
     directed: bool = True
 
     def __post_init__(self) -> None:
+        if not _is_int(self.n):
+            raise TopologyError(f"ring size n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise TopologyError(f"ring needs n >= 2, got n={self.n}")
 

@@ -109,8 +109,8 @@ def test_criterion_3_reference_efficient_equivalence(pb, W_und):
             ref = ref_fn(pb, W_und, hps[label], kind, 500, SEED, record_states=True)
             eff = eff_fn(pb, W_und, hps[label], kind, 500, SEED, record_states=True)
             for k in range(501):
-                dev = float(np.linalg.norm(eff.states_x[k] - ref.states_x[k]))
-                rel = dev / (1.0 + float(np.linalg.norm(ref.states_x[k])))
+                dev = float(np.linalg.norm(eff.states[k, 0] - ref.states[k, 0]))
+                rel = dev / (1.0 + float(np.linalg.norm(ref.states[k, 0])))
                 worst = max(worst, rel)
     report(3, worst <= 1e-6,
            f"reference/efficient pairs (top-1, rand-1), 500 iterations, "
@@ -122,8 +122,8 @@ def test_criterion_4_identity_collapse(pb, W_und):
     gt = cg.run_gt(pb, W_und, hp, 400, SEED, record_states=True)
     ident = cg.run_cgt_reference(pb, W_und, hp, cg.Identity(), 400, SEED,
                                  record_states=True)
-    bitwise = (np.array_equal(gt.states_x, ident.states_x)
-               and np.array_equal(gt.states_y, ident.states_y)
+    bitwise = (np.array_equal(gt.states[:, 0], ident.states[:, 0])
+               and np.array_equal(gt.states[:, 1], ident.states[:, 1])
                and [t.residual for t in gt.trace] == [t.residual for t in ident.trace])
     ef = cg.run_efcgt_reference(pb, W_und, hp, cg.Identity(), 400, SEED, trace_every=1)
     ef_zero = all(t.ef_error_x == 0.0 and t.ef_error_y == 0.0 for t in ef.trace[1:])

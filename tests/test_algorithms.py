@@ -105,7 +105,7 @@ def test_single_agent_gt_is_centralized_gradient_descent():
     x = np.zeros(3)
     for k in range(50):
         x = x - eta * gradient_matrix(pb1, x[None, :])[0]
-        assert np.allclose(res.states_x[k + 1][0], x, rtol=1e-12, atol=1e-14)
+        assert np.allclose(res.states[k + 1, 0][0], x, rtol=1e-12, atol=1e-14)
 
 
 def test_consensus_start_at_optimum_is_mean_fixed_point(pb, W_und):
@@ -115,16 +115,16 @@ def test_consensus_start_at_optimum_is_mean_fixed_point(pb, W_und):
                  record_states=True)
     # tracker columns start at the local gradients, whose average vanishes at
     # the optimum, so the first mean update is exactly zero
-    y0 = res.states_y[0]
+    y0 = res.states[0, 1]
     assert np.allclose(y0, gradient_matrix(pb, x0), atol=1e-14)
     assert np.linalg.norm(y0.mean(axis=0)) <= 1e-12 * (1 + np.linalg.norm(x_star))
-    x_bar_1 = res.states_x[1].mean(axis=0)
+    x_bar_1 = res.states[1, 0].mean(axis=0)
     assert np.linalg.norm(x_bar_1 - x_star) <= 1e-12 * (1 + np.linalg.norm(x_star))
     # later iterates wander transiently (the stacked state is not the fixed
     # point) but the run returns toward the optimum
-    excursion = max(np.linalg.norm(res.states_x[k].mean(axis=0) - x_star)
+    excursion = max(np.linalg.norm(res.states[k, 0].mean(axis=0) - x_star)
                     for k in range(2, 50))
-    final_bar = res.states_x[-1].mean(axis=0)
+    final_bar = res.states[-1, 0].mean(axis=0)
     assert np.linalg.norm(final_bar - x_star) <= max(0.05 * excursion, 1e-6)
 
 
@@ -140,8 +140,8 @@ def test_identity_collapse_bit_for_bit(pb, W_und):
     hp = HyperParams(eta=0.05, gamma=0.8, alpha_x=0.7, alpha_y=0.9)
     gt = run_gt(pb, W_und, hp, 300, seed=4, record_states=True)
     ident = run_cgt_reference(pb, W_und, hp, Identity(), 300, seed=4, record_states=True)
-    assert np.array_equal(gt.states_x, ident.states_x)
-    assert np.array_equal(gt.states_y, ident.states_y)
+    assert np.array_equal(gt.states[:, 0], ident.states[:, 0])
+    assert np.array_equal(gt.states[:, 1], ident.states[:, 1])
     assert np.array_equal(gt.final.X, ident.final.X)
     assert [t.residual for t in gt.trace] == [t.residual for t in ident.trace]
 
@@ -172,8 +172,8 @@ def test_reference_efficient_equivalence_cgt(pb, W_und, kind):
     ref = run_cgt_reference(pb, W_und, hp, kind, 500, seed=SEED, record_states=True)
     eff = run_cgt_efficient(pb, W_und, hp, kind, 500, seed=SEED, record_states=True)
     for k in range(501):
-        dev = np.linalg.norm(eff.states_x[k] - ref.states_x[k])
-        assert dev <= 1e-6 * (1 + np.linalg.norm(ref.states_x[k]))
+        dev = np.linalg.norm(eff.states[k, 0] - ref.states[k, 0])
+        assert dev <= 1e-6 * (1 + np.linalg.norm(ref.states[k, 0]))
 
 
 @pytest.mark.parametrize("kind", [RandK(k=3), TopK(k=1)])
@@ -182,8 +182,8 @@ def test_reference_efficient_equivalence_efcgt(pb, W_und, kind):
     ref = run_efcgt_reference(pb, W_und, hp, kind, 500, seed=SEED, record_states=True)
     eff = run_efcgt_efficient(pb, W_und, hp, kind, 500, seed=SEED, record_states=True)
     for k in range(501):
-        dev = np.linalg.norm(eff.states_x[k] - ref.states_x[k])
-        assert dev <= 1e-6 * (1 + np.linalg.norm(ref.states_x[k]))
+        dev = np.linalg.norm(eff.states[k, 0] - ref.states[k, 0])
+        assert dev <= 1e-6 * (1 + np.linalg.norm(ref.states[k, 0]))
 
 
 def test_quantizer_equivalence_is_floor_limited(pb, W_und):
@@ -193,8 +193,8 @@ def test_quantizer_equivalence_is_floor_limited(pb, W_und):
     hp = HyperParams(eta=0.09, gamma=1.0)
     ref = run_cgt_reference(pb, W_und, hp, QUANT, 500, seed=SEED, record_states=True)
     eff = run_cgt_efficient(pb, W_und, hp, QUANT, 500, seed=SEED, record_states=True)
-    devs = [np.linalg.norm(eff.states_x[k] - ref.states_x[k])
-            / (1 + np.linalg.norm(ref.states_x[k])) for k in range(501)]
+    devs = [np.linalg.norm(eff.states[k, 0] - ref.states[k, 0])
+            / (1 + np.linalg.norm(ref.states[k, 0])) for k in range(501)]
     assert max(devs) <= 1e-2
     assert ref.trace[-1].residual < 0.1 * ref.trace[0].residual
     assert eff.trace[-1].residual < 0.1 * eff.trace[0].residual
@@ -227,11 +227,11 @@ def test_efcgt_identity_matches_cgt_identity(pb, W_und):
     # differs in floating point (H + alpha*Q versus convex blend), so the
     # trajectories agree numerically rather than bitwise
     for k in range(201):
-        assert np.allclose(a.states_x[k], b.states_x[k], rtol=1e-10, atol=1e-12)
+        assert np.allclose(a.states[k, 0], b.states[k, 0], rtol=1e-10, atol=1e-12)
     a = run_efcgt_efficient(pb, W_und, hp, Identity(), 200, seed=3, record_states=True)
     b = run_cgt_efficient(pb, W_und, hp, Identity(), 200, seed=3, record_states=True)
     for k in range(201):
-        assert np.allclose(a.states_x[k], b.states_x[k], rtol=1e-10, atol=1e-12)
+        assert np.allclose(a.states[k, 0], b.states[k, 0], rtol=1e-10, atol=1e-12)
 
 
 def test_bits_accounting_quant(pb, W_und):
@@ -255,7 +255,7 @@ def test_determinism_same_seed_identical(pb, W_dir):
     hp = HyperParams(eta=0.001, gamma=0.5)
     a = run_cgt_efficient(pb, W_dir, hp, RandK(k=1), 100, seed=9, record_states=True)
     b = run_cgt_efficient(pb, W_dir, hp, RandK(k=1), 100, seed=9, record_states=True)
-    assert np.array_equal(a.states_x, b.states_x)
+    assert np.array_equal(a.states[:, 0], b.states[:, 0])
     assert [t.residual for t in a.trace] == [t.residual for t in b.trace]
 
 
@@ -298,8 +298,8 @@ BLOCK_RUNNERS = {
 def _fingerprint(res):
     """Everything a run returns, as exact text and bytes (repr keeps -0.0 and nan)."""
     arrays = [a for a in vars(res.final).values() if a is not None]
-    if res.states_x is not None:
-        arrays += [res.states_x, res.states_y]
+    if res.states is not None:
+        arrays += [res.states[:, 0], res.states[:, 1]]
     return (repr(res.trace), [a.tobytes() for a in arrays],
             repr((res.max_tracking_violation, res.max_mean_drift)))
 
@@ -344,9 +344,9 @@ def test_trace_blocks_do_not_change_results(pb, W_und, W_dir, monkeypatch, name,
     calls = []
     block_metrics = algorithms.metrics
 
-    def counted(state, x_star, **kw):
+    def counted(*args, **kw):
         calls.append(list(kw["k"]))
-        return block_metrics(state, x_star, **kw)
+        return block_metrics(*args, **kw)
 
     def run_in_blocks(run, c):
         # the k = 0 point is the start's own call; each later metrics call holds exactly
@@ -395,8 +395,7 @@ def test_a_checked_block_stacks_its_z_once(pb, W_und, monkeypatch, name):
         z_stacks = [len(s) for s in stacks if any(id(a) in ids for a in s)]
         assert z_stacks == [min(c, K - done) for done in range(0, K, c)], c
         assert [t.k for t in res.trace] == list(range(K + 1))
-        assert res.states_x.shape == res.states_y.shape == (K + 1, pb.n, pb.dim)
-        assert res.states_x.flags.c_contiguous and res.states_y.flags.c_contiguous
+        assert res.states.shape == (K + 1, 2, pb.n, pb.dim) and res.states.flags.c_contiguous
 
 
 # sha256 of repr(outcomes) in the test below, recorded with the per-iteration guard the
@@ -573,11 +572,28 @@ def test_final_state_is_the_engine_stack(pb, W_und, name):
     assert final.Z.shape == final.H.shape == (2, pb.n, pb.dim)
     # X and Y are views of the engine's Z, not copies
     assert final.X.base is final.Z and final.Y.base is final.Z
-    assert np.array_equal(final.X, res.states_x[-1]) and np.array_equal(final.Y, res.states_y[-1])
+    assert np.array_equal(final.Z, res.states[-1])
     assert (final.H_w is not None) == (name in ("cgt", "efcgt"))
     assert (final.E is not None) == name.startswith("efcgt")
     if final.E is not None:
         assert final.E.shape == (2, pb.n, pb.dim)
+
+
+@pytest.mark.parametrize("name", list(BLOCK_RUNNERS))
+def test_recorded_states_are_one_c_ordered_stack(pb, W_und, W_dir, name):
+    # one (K+1, 2, n, p) array, x then y per iteration, for a finished run and for the
+    # partial result of a run the guard cut inside a block
+    res = BLOCK_RUNNERS[name](pb, W_und, HyperParams(eta=0.05, gamma=0.6), QUANT, 47,
+                              trace_every=7, record_states=True)
+    with pytest.raises(DivergenceError) as exc:
+        BLOCK_RUNNERS[name](pb, W_dir, HyperParams(eta=5.0, gamma=0.5), TopK(k=1), 5000,
+                            trace_every=7, record_states=True)
+    stop = int(re.search(r"diverged at iteration (\d+):", str(exc.value))[1])
+    for run, K in ((res, 47), (exc.value.partial, stop)):
+        assert run.states.shape == (K + 1, 2, pb.n, pb.dim)
+        assert run.states.flags.c_contiguous
+        assert run.states[-1].tobytes() == run.final.Z.tobytes()
+    assert BLOCK_RUNNERS[name](pb, W_und, HyperParams(eta=0.05), QUANT, 5).states is None
 
 
 def test_trace_length_and_cadence(pb, W_und):
@@ -591,13 +607,14 @@ def test_trace_length_and_cadence(pb, W_und):
 
 
 def _one(state):
-    """``state`` as a block of one: ``a[None]`` views of its arrays."""
-    return NetworkState(*(None if a is None else a[None] for a in vars(state).values()))
+    """``state``'s Z, H and E as blocks of one: ``a[None]`` views."""
+    return tuple(None if a is None else a[None] for a in (state.Z, state.H, state.E))
 
 
 def _snapshot(block, i):
-    """Snapshot i of a block of snapshots."""
-    return NetworkState(*(None if a is None else a[i] for a in vars(block).values()))
+    """Snapshot i of a block (Z, H, E) of snapshots, as a state."""
+    Z, H, E = block
+    return NetworkState(Z[i], H[i], E=None if E is None else E[i])
 
 
 def test_metrics_fixed_points(pb):
@@ -605,7 +622,7 @@ def test_metrics_fixed_points(pb):
     n, p = pb.n, pb.dim
     X = np.tile(x_star, (n, 1))
     state = NetworkState(Z=np.stack([X, np.zeros((n, p))]), H=np.stack([X, np.zeros((n, p))]))
-    rec = metrics(_one(state), x_star, k=[5], bits_sent=[7],
+    rec = metrics(*_one(state), x_star, k=[5], bits_sent=[7],
                   **_reference_sums(_one(state), x_star, 2.0))[0]
     assert rec.residual == 0.0
     # the row mean of identical rows can differ from the row by an ulp
@@ -615,7 +632,7 @@ def test_metrics_fixed_points(pb):
     assert rec.compress_error_x == 0.0
     rng = np.random.default_rng(0)
     state = NetworkState(Z=rng.standard_normal((2, n, p)), H=rng.standard_normal((2, n, p)))
-    rec = metrics(_one(state), x_star, k=[0], bits_sent=[0],
+    rec = metrics(*_one(state), x_star, k=[0], bits_sent=[0],
                   **_reference_sums(_one(state), x_star))[0]
     for field in ("residual", "opt_error", "consensus_error", "tracking_error",
                   "compress_error_x", "compress_error_y"):
@@ -628,11 +645,13 @@ def _sq(m):
 
 
 def _reference_sums(block, x_star, residual_denom=1.0):
-    """The residuals and column sums of X and Y that ``metrics`` takes for a block, as the
-    reference below forms them: its np.sum over each snapshot, and np.mean's column sums."""
+    """The residuals and column sums of X and Y that ``metrics`` takes for a block (Z, H, E),
+    as the reference below forms them: its np.sum over each snapshot, and np.mean's column
+    sums."""
+    Z = block[0]
     return dict(residual=np.array([_sq(X - x_star[None, :]) / residual_denom
-                                   for X in block.X]),
-                z_sum=block.Z.sum(axis=-2))
+                                   for X in Z[:, 0]]),
+                z_sum=Z.sum(axis=-2))
 
 
 def _metrics_reference(state, x_star, *, k=0, residual_denom=1.0, bits_sent=0):
@@ -669,7 +688,7 @@ def test_metrics_equal_mean_and_sum_reference(shape, order):
         state = NetworkState(Z=draw(), H=draw(), E=draw() if with_ef else None)
         x_star = rng.standard_normal(p)
         kw = dict(k=trial, residual_denom=float(rng.uniform(0.5, 2.0)), bits_sent=3 * trial)
-        got = metrics(_one(state), x_star, k=[kw["k"]], bits_sent=[kw["bits_sent"]],
+        got = metrics(*_one(state), x_star, k=[kw["k"]], bits_sent=[kw["bits_sent"]],
                       **_reference_sums(_one(state), x_star, kw["residual_denom"]))[0]
         want = _metrics_reference(state, x_star, **kw)
         for field in TraceRecord._fields:
@@ -691,13 +710,13 @@ def test_metrics_block_equals_blocks_of_one(shape, order, with_ef):
         block[...] = rng.standard_normal((c, 2, n, p)) * 10.0 ** rng.uniform(-8, 8, (c, 2, n, p))
         return block
 
-    state = NetworkState(Z=draw(), H=draw(), E=draw() if with_ef else None)
+    block = (draw(), draw(), draw() if with_ef else None)
     x_star = rng.standard_normal(p)
     ks, bits = [0, 7, 9], [0, 70, 90]
-    got = metrics(state, x_star, k=ks, bits_sent=bits, **_reference_sums(state, x_star, 1.5))
+    got = metrics(*block, x_star, k=ks, bits_sent=bits, **_reference_sums(block, x_star, 1.5))
     for i in range(c):
-        snap = _snapshot(state, i)
-        one = metrics(_one(snap), x_star, k=[ks[i]], bits_sent=[bits[i]],
+        snap = _snapshot(block, i)
+        one = metrics(*_one(snap), x_star, k=[ks[i]], bits_sent=[bits[i]],
                       **_reference_sums(_one(snap), x_star, 1.5))
         assert repr(one) == repr(got[i:i + 1]), i
 
@@ -722,10 +741,10 @@ def test_trace_from_the_check_sums_equals_metrics_own(monkeypatch, p):
     block_metrics = algorithms.metrics
     snaps = []
 
-    def recorded(state, x_star, **kw):
-        got = block_metrics(state, x_star, **kw)
+    def recorded(Z, H, E, x_star, **kw):
+        got = block_metrics(Z, H, E, x_star, **kw)
         assert [r.k for r in got] == list(kw["k"])
-        snaps.extend(zip(got, (_snapshot(state, i) for i in range(len(got)))))
+        snaps.extend(zip(got, (_snapshot((Z, H, E), i) for i in range(len(got)))))
         return got
 
     def check(res, denom):
@@ -734,8 +753,8 @@ def test_trace_from_the_check_sums_equals_metrics_own(monkeypatch, p):
             want = _metrics_reference(snap, x_star, k=rec.k, residual_denom=denom,
                                       bits_sent=rec.bits_sent)
             assert _records_bytes([rec]) == _records_bytes([want]), rec.k
-            assert snap.X.tobytes() == res.states_x[rec.k].tobytes()
-            assert snap.Y.tobytes() == res.states_y[rec.k].tobytes()
+            assert snap.X.tobytes() == res.states[rec.k, 0].tobytes()
+            assert snap.Y.tobytes() == res.states[rec.k, 1].tobytes()
 
     monkeypatch.setattr(algorithms, "metrics", recorded)
     kind = QUANT if p > 1 else UnbiasedQuantize(bits=2, q=2)
@@ -771,7 +790,7 @@ def test_a_run_of_no_iterations_is_its_start(pb, W_und, name):
     assert _records_bytes(res.trace) == _records_bytes([want]) and len(res.trace) == 1
     for got, a in zip(vars(res.final).values(), vars(start).values()):
         assert (got is None and a is None) or got.tobytes() == a.tobytes()
-    assert res.states_x.tobytes() == X0[None].tobytes()
+    assert res.states[:, 0].tobytes() == X0[None].tobytes()
     assert (res.max_tracking_violation, res.max_mean_drift) == (0.0, 0.0)
 
 

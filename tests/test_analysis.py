@@ -19,6 +19,8 @@ from cgtsim.algorithms import (
 from cgtsim.compression import (
     CompressorProfile,
     Identity,
+    RandK,
+    RescaledNormSign,
     TopK,
     analytic_profile,
     parse_compressor,
@@ -235,6 +237,18 @@ def test_build_B_delta_one_error_feedback_rows(setup):
     assert np.allclose(m[5], [0, 0, 0, 0, 0, 0.5, 0])
     assert np.allclose(m[6], [0, 0, 0, 0, 0, 0, 0.5])
     assert np.all(m >= 0)
+
+
+@pytest.mark.parametrize("kind", [TopK(k=1), RandK(k=2), RescaledNormSign(q=math.inf, r=20.0),
+                                  Identity()])
+def test_efcgt_constants_are_the_plain_ones_at_the_ef_profile(setup, kind):
+    pb, consts, spec = setup
+    profile = analytic_profile(kind, pb.dim)
+    ef = CompressorProfile(C=1.0, delta=an.contractive_delta(profile), r=1.0)
+    got = an.efcgt_constants(consts, spec, profile, 0.9, 0.7, n=pb.n)
+    want = an.cgt_constants(consts, spec, ef, 0.9, 0.7, n=pb.n)
+    for f in dataclasses.fields(an.ErrorConstants):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 def test_efcgt_constants_monotone_in_delta(setup):

@@ -1,7 +1,7 @@
 """Golden digests of engine trajectories, bit for bit.
 
 Each digest is the sha256 of the run's trace CSV followed by the bytes of its
-final X and Y (and, for ``record_states``, of ``states_x``/``states_y``).  The
+final X and Y (and, for ``record_states``, of ``states``' two channels).  The
 values were recorded before the engine moved to one channel-stacked state, so
 any change to the order or the values of the floating-point updates shows up
 here, where the other engine tests compare with tolerances or with the engine
@@ -331,7 +331,7 @@ def _case(name, pb, W):
         with pytest.raises(DivergenceError) as exc:
             RUNNERS[algo](pb, W, hp, parse_compressor(comp), trace_every=1, record_states=True)
         res = exc.value.partial
-        return res, (res.states_x, res.states_y) + _final(res)
+        return res, (res.states[:, 0], res.states[:, 1]) + _final(res)
     quant = parse_compressor("quant:b=2,q=inf")
     if name == "init-uniform":
         return run_cgt_efficient(pb, W, hp, quant, K, 3, trace_every=1, init="uniform"), ()
@@ -346,14 +346,14 @@ def _case(name, pb, W):
         return run_efcgt_efficient(pb, W, hp, kind, K, 3, trace_every=1), ()
     if name == "record-states":
         res = run_cgt_reference(pb, W, hp, quant, K, 3, trace_every=1, record_states=True)
-        return res, (res.states_x, res.states_y)
+        return res, (res.states[:, 0], res.states[:, 1])
     if name == "divergence-partial":
         hp = HyperParams(eta=5.0, gamma=0.5)
         with pytest.raises(DivergenceError) as exc:
             run_cgt_efficient(pb, W, hp, parse_compressor("topk:k=1"), 4000, 3,
                               trace_every=7, record_states=True)
         res = exc.value.partial
-        return res, (res.states_x, res.states_y)
+        return res, (res.states[:, 0], res.states[:, 1])
     if name.startswith("shape/"):
         _, algo, shape = name.split("/")
         n, p, directed, comp = SHAPES[shape]

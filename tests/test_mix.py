@@ -86,7 +86,7 @@ def _run(algo, comp):
 
 def _kept(res) -> list[np.ndarray]:
     f = res.final
-    return [a for a in (f.Z, f.H, f.H_w, f.E, res.states_x, res.states_y) if a is not None]
+    return [a for a in (f.Z, f.H, f.H_w, f.E, res.states) if a is not None]
 
 
 def _digest(res) -> str:

@@ -73,6 +73,17 @@ def test_simulate_refuses_trace_every_below_1(small):
         run_cgt_efficient(pb, W, HyperParams(eta=0.01), Identity(), 5, trace_every=0)
 
 
+@pytest.mark.parametrize("K,trace_every", [(2.5, 1), (np.float64(3.0), 1), (6, 2.5)])
+def test_simulate_refuses_a_count_that_is_not_an_integer(small, K, trace_every):
+    # K = 2.5 raised numpy's TypeError for top-k and a key-word error for rand-k, and
+    # trace_every = 2.5 traced k = 0, 5, 6 without a word
+    pb, W = small
+    for kind in (TopK(k=1), RandK(k=1)):
+        with pytest.raises(AlgorithmError, match=re.escape(
+                f"K and trace_every must be integers, got K={K!r}, trace_every={trace_every!r}")):
+            run_cgt_efficient(pb, W, HyperParams(eta=0.01), kind, K, trace_every=trace_every)
+
+
 def test_simulate_refuses_an_x0_of_the_wrong_shape(small):
     pb, W = small
     with pytest.raises(AlgorithmError, match=re.escape("x0 must have shape (4, 3), got (4, 2)")):
@@ -127,6 +138,17 @@ def test_constants_refuse_a_slack_c_x_that_rounds_to_1(consts):
         an.cgt_constants(prob, spec, compression.analytic_profile(Identity(), 4), alpha, alpha, 6)
 
 
+@pytest.mark.parametrize("alpha", [1.5, 0.0])
+def test_efcgt_constants_refuse_alpha_outside_0_1_by_the_plain_range(consts, alpha):
+    # HyperParams refuses an alpha outside (0, 1], so only the Python API reaches this; the
+    # error-feedback constants are the plain ones at r = 1, and so is the message
+    prob, spec = consts[:2]
+    profile = compression.analytic_profile(TopK(k=1), 4)
+    with pytest.raises(an.AnalysisError,
+                       match=re.escape(f"alpha_x={alpha!r} outside (0, 1/r] for r=1.0")):
+        an.efcgt_constants(prob, spec, profile, alpha, 1.0, 6)
+
+
 def _trace(residuals):
     return [TraceRecord(k, r, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0) for k, r in
             enumerate(residuals)]
@@ -153,6 +175,22 @@ def test_empirical_rate_of_a_flat_window_is_rate_1_with_r_squared_1():
 def test_sparsifier_refuses_k_below_1(cls, name, k):
     with pytest.raises(CompressionError, match=rf"{name} needs k >= 1, got {k}$"):
         cls(k=k)
+
+
+@pytest.mark.parametrize("make,name,value", [
+    (lambda v: compression.UnbiasedQuantize(bits=v, q=math.inf), "quantizer bits", 2.5),
+    (lambda v: compression.UnbiasedQuantize(bits=v, q=math.inf), "quantizer bits", True),
+    (lambda v: TopK(k=v), "top-k's k", 2.0),
+    (lambda v: TopK(k=v), "top-k's k", True),
+    (lambda v: RandK(k=v), "random-k's k", 2.0),
+    (lambda v: RandK(k=v), "random-k's k", np.float64(1.0)),
+])
+def test_a_kind_refuses_a_count_that_is_not_an_integer(make, name, value):
+    # bits = 2.5 ran and labelled itself quant:b=2.5,q=inf, and k = True topk:k=True, which
+    # parse_compressor refuses; k = 2.0 raised numpy's TypeError on the first compress
+    with pytest.raises(CompressionError, match=re.escape(f"{name} must be an integer, "
+                                                         f"got {value!r}")):
+        make(value)
 
 
 def test_parse_compressor_refuses_an_argument_without_equals():
@@ -211,6 +249,14 @@ def test_parse_config_refuses_text_configparser_cannot_read():
         harness.parse_config("[topology\nn = 6\n")
 
 
+@pytest.mark.parametrize("field", ["K", "trace_every"])
+def test_config_refuses_a_count_that_is_not_an_integer(field):
+    # config text parses both as int, so only the Python API reaches this
+    with pytest.raises(ConfigError, match=re.escape(f"algorithm.{field}: must be an integer, "
+                                                    "got 2.5")):
+        dataclasses.replace(harness.preset("fig1-cgt"), **{field: 2.5})
+
+
 def test_compare_refuses_no_configs():
     with pytest.raises(ConfigError, match="compare needs at least one config"):
         harness.compare([])
@@ -227,6 +273,18 @@ def test_compare_refuses_configs_whose_K_or_trace_every_differ(tmp_path, field, 
 
 # ---------------------------------------------------------------------------
 # problems and topology
+
+
+@pytest.mark.parametrize("n,p", [(10.0, 20), (10, np.float64(20.0))])
+def test_generate_ridge_refuses_a_size_that_is_not_an_integer(n, p):
+    with pytest.raises(ProblemError, match=re.escape(f"n and p must be integers, got n={n!r}, "
+                                                     f"p={p!r}")):
+        generate_ridge(n, p, 0.01, 5.0, seed=1)
+
+
+def test_build_ring_refuses_a_size_that_is_not_an_integer():
+    with pytest.raises(TopologyError, match=re.escape("ring size n must be an integer, got 10.0")):
+        build_ring(10.0)
 
 
 def test_ridge_problem_refuses_U_and_v_of_mismatched_lengths():
