@@ -17,7 +17,6 @@ sufficient-parameter chains certify theirs in one ``_certified``.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -229,16 +228,6 @@ class Certificate(ErrorSystem):
     rho_M: float
     componentwise_ok: bool
 
-    def to_text(self) -> str:
-        out = io.StringIO()
-        out.write(f"verdict = {'certified' if self.componentwise_ok else 'not-certified'}\n")
-        out.write(f"rho = {self.rho_M:.17g}\n")
-        out.write(f"theta = {self.theta:.17g}\n")
-        out.write(f"gamma = {self.gamma:.17g}\n")
-        out.write(f"eta = {self.eta:.17g}\n")
-        out.write("epsilon = " + " ".join(f"{x:.17g}" for x in self.epsilon) + "\n")
-        return out.getvalue()
-
 
 def spectral_radius(m: np.ndarray) -> float:
     """Spectral radius of a nonnegative matrix via norm growth of matrix powers.
@@ -318,12 +307,6 @@ class SufficientParams:
 
     epsilon: np.ndarray  # raw chain values; certificate.epsilon adds the L^2 weights
     certificate: Certificate
-
-    def to_text(self) -> str:
-        out = io.StringIO()
-        out.write("epsilon-chain = " + " ".join(f"{x:.17g}" for x in self.epsilon) + "\n")
-        out.write(self.certificate.to_text())
-        return out.getvalue()
 
 
 def _certified(eps: np.ndarray, build, c: ErrorConstants, gamma: float,

@@ -27,10 +27,12 @@ class CompressionError(ValueError):
     """Raised for invalid operator parameters or inputs."""
 
 
-def _check_count(name: str, value: object) -> None:
-    # a bool is an int, but it labels itself True, which parse_compressor refuses
-    if isinstance(value, bool) or not _is_int(value):
+def _check_count(kind: object, field: str, name: str) -> None:
+    # a NumPy integer is stored as the equal int, so its run's bits_sent are ints too
+    value = getattr(kind, field)
+    if not _is_int(value):
         raise CompressionError(f"{name} must be an integer, got {value!r}")
+    object.__setattr__(kind, field, int(value))
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +56,7 @@ class UnbiasedQuantize:
     q: float  # 1, 2 or math.inf
 
     def __post_init__(self) -> None:
-        _check_count("quantizer bits", self.bits)
+        _check_count(self, "bits", "quantizer bits")
         # a double holds every level 0..2**(bits-1) exactly only up to 53 bits
         if not 1 <= self.bits <= 53:
             raise CompressionError(f"quantizer needs 1 <= bits <= 53, got {self.bits}")
@@ -71,7 +73,7 @@ class TopK:
     k: int
 
     def __post_init__(self) -> None:
-        _check_count("top-k's k", self.k)
+        _check_count(self, "k", "top-k's k")
         if self.k < 1:
             raise CompressionError(f"top-k needs k >= 1, got {self.k}")
 
@@ -83,7 +85,7 @@ class RandK:
     k: int
 
     def __post_init__(self) -> None:
-        _check_count("random-k's k", self.k)
+        _check_count(self, "k", "random-k's k")
         if self.k < 1:
             raise CompressionError(f"random-k needs k >= 1, got {self.k}")
 
@@ -577,13 +579,15 @@ _INNER_REPS = 50
 _BLOCK_ROWS = 1000  # (input, repetition) rows per estimator kernel call
 
 
-def estimate_contraction(kind: CompressorKind, r: float, p: int, trials: int = 10_000,
+def estimate_contraction(kind: CompressorKind, p: int, trials: int = 10_000,
                          rng: int | np.random.Generator = 0) -> float:
-    """Empirical max over inputs of E||C(x)/r - x||^2 / ||x||^2; at r = 1 the variance ratio."""
+    """Empirical max over inputs of E||C(x) - x||^2 / ||x||^2, the variance ratio of ``kind``.
+
+    A scaled operator C(x)/r is a kind of its own: ``RescaledNormSign(q, r)`` is
+    norm-sign's C(x)/r.
+    """
     if trials < 1000:
         raise CompressionError(f"need trials >= 1000, got {trials}")
-    if r <= 0:
-        raise CompressionError(f"r must be positive, got {r!r}")
     gen = np.random.default_rng(rng)
     inner = _INNER_REPS if isinstance(kind, _STOCHASTIC_KINDS) else 1
     count = max(1, trials // inner)
@@ -599,7 +603,7 @@ def estimate_contraction(kind: CompressorKind, r: float, p: int, trials: int = 1
         if isinstance(kind, _STOCHASTIC_KINDS):
             # input t, repetition rep: the stream keyed by (seed_t, t, rep, 0)
             u = _uniforms(p, seeds[trial, None], trial[:, None], reps[None, :], 0).reshape(-1, p)
-        err = ((_apply_rows(kind, m, u) / r - m) ** 2).sum(axis=1)
+        err = ((_apply_rows(kind, m, u) - m) ** 2).sum(axis=1)
         # inputs are unit norm, so the mean error is the ratio
         worst = max(worst, float(err.reshape(-1, inner).mean(axis=1).max()))
     return worst
@@ -613,7 +617,7 @@ def empirical_profile(kind: CompressorKind, p: int, trials: int = 10_000,
     unbiased form r = C + 1, delta = 1/(C + 1), which is valid for the dithered
     quantizer.
     """
-    c_hat = 1.05 * estimate_contraction(kind, 1.0, p, trials, rng)
+    c_hat = 1.05 * estimate_contraction(kind, p, trials, rng)
     if c_hat < 1.0:
         return CompressorProfile(C=c_hat, delta=1.0 - c_hat if c_hat > 0 else 1.0,
                                  r=1.0, provenance="empirical")

@@ -354,6 +354,17 @@ class ExperimentOutcome:
     diverged: bool = False
 
 
+def chain_text(params: analysis.SufficientParams) -> str:
+    """The lines :func:`certificate_report` ends with: the chain's raw test vector, then the
+    verdict, radius, theta, (gamma, eta) and test vector of its certificate."""
+    cert = params.certificate
+    return (f"epsilon-chain = {' '.join(map(_fmt, params.epsilon))}\n"
+            f"verdict = {'certified' if cert.componentwise_ok else 'not-certified'}\n"
+            f"rho = {_fmt(cert.rho_M)}\ntheta = {_fmt(cert.theta)}\n"
+            f"gamma = {_fmt(cert.gamma)}\neta = {_fmt(cert.eta)}\n"
+            f"epsilon = {' '.join(map(_fmt, cert.epsilon))}\n")
+
+
 def certificate_report(cfg: ExperimentConfig) -> str:
     """Sufficient-parameter certificate for the configured compressor and problem."""
     pb = make_problem(cfg.problem)
@@ -374,15 +385,11 @@ def certificate_report(cfg: ExperimentConfig) -> str:
             system_name = "plain (5x5)"
     except analysis.AnalysisError as exc:
         raise ConfigError(f"certification infeasible: {exc}") from None
-    out = io.StringIO()
-    out.write(f"system = {system_name}\n")
-    out.write(f"compressor = {comp}\n")
-    out.write(f"profile: C = {profile.C:.17g}, delta = {profile.delta:.17g}, "
-              f"r = {profile.r:.17g} ({profile.provenance})\n")
-    out.write(f"mu = {consts.mu:.17g}\nL = {consts.L:.17g}\nkappa = {consts.kappa:.17g}\n")
-    out.write(f"s = {spec.s:.17g}\nnorm_IminusW = {spec.norm_IminusW:.17g}\n")
-    out.write(params.to_text())
-    return out.getvalue()
+    return (f"system = {system_name}\ncompressor = {comp}\n"
+            f"profile: C = {_fmt(profile.C)}, delta = {_fmt(profile.delta)}, "
+            f"r = {_fmt(profile.r)} ({profile.provenance})\n"
+            f"mu = {_fmt(consts.mu)}\nL = {_fmt(consts.L)}\nkappa = {_fmt(consts.kappa)}\n"
+            f"s = {_fmt(spec.s)}\nnorm_IminusW = {_fmt(spec.norm_IminusW)}\n" + chain_text(params))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentOutcome:
@@ -586,7 +593,7 @@ def verify_suite(seed: int = 7) -> list[CheckResult]:
     prof = analytic_profile(NormSign(q=2), 20)
     record("norm-sign profile (q=2)", prof is not None and prof.C == 19.0 and prof.delta == 0.05,
            repr(prof))
-    ratio = compression.estimate_contraction(TopK(k=1), 1.0, 20, trials=1000, rng=seed)
+    ratio = compression.estimate_contraction(TopK(k=1), 20, trials=1000, rng=seed)
     record("top-1 variance ratio within bound", ratio <= 0.95 * (1 + 1e-9), f"{ratio:.6f}")
 
     # identities on short runs

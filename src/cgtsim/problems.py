@@ -73,8 +73,9 @@ class ProblemConstants:
 
 
 def _is_int(x: object) -> bool:
-    # an int (a bool is one) or a NumPy integer: a float count or seed is refused, not truncated
-    return isinstance(x, (int, np.integer))
+    # an int or a NumPy integer: a float count or seed is refused, not truncated, and so is a
+    # bool, which config text writes as True and does not read back
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def generate_ridge(n: int, p: int, rho: float, noise_std: float, seed: int) -> RidgeProblem:

@@ -234,8 +234,9 @@ def test_criterion_8_compressor_bounds():
     for q in (1, 2, math.inf):
         for p in (2, 5, 20):
             prof = cg.analytic_profile(cg.NormSign(q=q), p)
-            var = cg.estimate_contraction(cg.NormSign(q=q), 1.0, p, trials=10_000, rng=SEED)
-            con = cg.estimate_contraction(cg.NormSign(q=q), prof.r, p, trials=10_000, rng=SEED)
+            var = cg.estimate_contraction(cg.NormSign(q=q), p, trials=10_000, rng=SEED)
+            con = cg.estimate_contraction(cg.RescaledNormSign(q=q, r=prof.r), p, trials=10_000,
+                                          rng=SEED)
             good = var <= prof.C * fp and con <= (1 - prof.delta) * fp
             ok &= good
             if not good:
@@ -244,7 +245,7 @@ def test_criterion_8_compressor_bounds():
     # top-k: deterministic, no statistical slack
     for k, p in ((1, 20), (3, 20), (2, 5)):
         prof = cg.analytic_profile(cg.TopK(k=k), p)
-        var = cg.estimate_contraction(cg.TopK(k=k), 1.0, p, trials=10_000, rng=SEED)
+        var = cg.estimate_contraction(cg.TopK(k=k), p, trials=10_000, rng=SEED)
         good = var <= (1 - k / p) * fp
         ok &= good
         if not good:

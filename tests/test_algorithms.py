@@ -36,6 +36,7 @@ from cgtsim.compression import (
     RngStream,
     TopK,
     UnbiasedQuantize,
+    compressor_label,
 )
 from cgtsim.problems import RidgeProblem, generate_ridge, gradient_matrix, optimal_solution
 from cgtsim.topology import build_ring, build_weights_outdegree
@@ -264,9 +265,21 @@ def test_a_float_seed_is_refused_by_a_stochastic_run(pb, W_dir):
     hp = HyperParams(eta=0.001, gamma=0.5)
     with pytest.raises(CompressionError, match=r"^key words must be integers, got 1\.5$"):
         run_cgt_efficient(pb, W_dir, hp, RandK(k=1), 5, seed=1.5)
-    # a bool is an int: True keys as 1
-    assert (run_cgt_efficient(pb, W_dir, hp, RandK(k=1), 5, seed=True).trace
-            == run_cgt_efficient(pb, W_dir, hp, RandK(k=1), 5, seed=1).trace)
+    # and so is a bool, which no config text reads back
+    with pytest.raises(CompressionError, match=r"^key words must be integers, got True$"):
+        run_cgt_efficient(pb, W_dir, hp, RandK(k=1), 5, seed=True)
+
+
+def test_a_numpy_integer_count_runs_as_its_int(pb, W_dir):
+    # a kind stores its count as the Python int: the records, not just the CSV, are k = 1's
+    hp = HyperParams(eta=0.001, gamma=0.5)
+    kind = TopK(k=np.int64(1))
+    assert type(kind.k) is int and compressor_label(kind) == "topk:k=1"
+    got = run_cgt_efficient(pb, W_dir, hp, kind, 20, seed=SEED).trace
+    assert got == run_cgt_efficient(pb, W_dir, hp, TopK(k=1), 20, seed=SEED).trace
+    assert all(type(t.bits_sent) is int for t in got)
+    assert type(RandK(k=np.int32(2)).k) is int
+    assert type(UnbiasedQuantize(bits=np.uint8(2), q=math.inf).bits) is int
 
 
 def test_different_seeds_differ(pb, W_dir):

@@ -315,7 +315,7 @@ def test_analysis_records_compare_and_hash_by_identity():
     args = (constants(pb), spectral_info(W), analytic_profile(TopK(k=1), pb.dim),
             cfg.hyper.alpha_x, cfg.hyper.alpha_y, pb.n)
     a, b = an.sufficient_params(*args), an.sufficient_params(*args)
-    assert a.to_text() == b.to_text()
+    assert harness.chain_text(a) == harness.chain_text(b)
     cert, c = a.certificate, an.cgt_constants(*args)
     systems = [an.build_A(c, cert.gamma, cert.eta, cert.epsilon) for _ in range(2)]
     for x, y in ((a, b), (cert, b.certificate), systems):
@@ -493,7 +493,7 @@ def test_certificate_text_round_trip_fields(setup):
     pb, consts, spec = setup
     sp = an.sufficient_params(consts, spec, analytic_profile(Identity(), pb.dim),
                               1.0, 1.0, n=pb.n)
-    text = sp.to_text()
+    text = harness.chain_text(sp)
     assert "verdict = certified" in text
     assert "epsilon-chain" in text
     assert f"{sp.certificate.gamma:.17g}" in text

@@ -2,7 +2,7 @@
 
 Each preset digest is the sha256 of its ``certificate_report`` text, or of
 ``ConfigError: <message>`` for a preset the chain refuses.  Each ring digest is
-the sha256 of a sufficient-parameter chain's ``to_text()`` followed by the
+the sha256 of a sufficient-parameter chain's ``chain_text`` followed by the
 bytes of its system's ``M`` and ``epsilon``.  The values were recorded while
 the plain and error-feedback systems still had separate constants records, so
 a change to any certificate constant, matrix entry or printed digit shows up
@@ -22,6 +22,7 @@ from cgtsim.harness import (
     ProblemSpec,
     TopologySpec,
     certificate_report,
+    chain_text,
     make_problem,
     make_topology,
 )
@@ -105,5 +106,5 @@ def test_ring_certificate_digest(case):
     pb = make_problem(ProblemSpec(n=100, dim=20, seed=int(seed.removeprefix("seed"))))
     sp = CHAINS[chain](constants(pb), _spec(direction), analytic_profile(TopK(k=1), pb.dim),
                        1.0, 1.0, n=pb.n)
-    blob = sp.to_text().encode() + sp.certificate.M.tobytes() + sp.certificate.epsilon.tobytes()
+    blob = chain_text(sp).encode() + sp.certificate.M.tobytes() + sp.certificate.epsilon.tobytes()
     assert _sha(blob) == RING_GOLDEN[case]

@@ -373,7 +373,7 @@ def _uniforms_reference(m, *words):
 _KEY_WORDS = [
     (), (0,), (5,), (2**64 - 1,), (2**64 + 7,), (-1,), (-(2**63),),
     (123, 4, 56, 2), (np.int64(-3), np.uint64(2**64 - 1), np.int32(7), np.uint8(200)),
-    (2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1), (True, 3),
+    (2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1), (np.int8(-1), 3),
     (np.array(9), 1, 2), (4, np.array(2**63), 5), (4, 5, np.array(-2)),
     (np.arange(3), 1, 2, 3), (1, np.arange(4), 2, 3), (1, 2, np.arange(5)[:, None, None], 3),
     (1, 2, 3, np.arange(3)), (2**64 - 1, np.arange(4), np.arange(3)[:, None], 2**64 - 1),
@@ -392,9 +392,10 @@ def test_scalar_first_key_fold_equals_the_array_fold(words, m):
 
 @pytest.mark.parametrize("word", [1.9, 1.0, np.float64(1.0), 1 + 0j, "1", None,
                                   np.array([1.0, 2.0]), np.array([1 + 0j]),
-                                  np.array([True, False]), np.array(1.0)])
+                                  np.array([True, False]), np.array(1.0), True, False])
 def test_a_key_word_that_is_not_an_integer_is_refused(word):
-    # a float word is refused, not truncated to the integer below it
+    # a float word is refused, not truncated to the integer below it, and a bool is refused
+    # as a bool count is
     with pytest.raises(CompressionError, match="^key words must be integers, got "):
         compression._uniforms(2, 1, word, 0)
     with pytest.raises(CompressionError, match="^key words must be integers, got "):
@@ -585,18 +586,18 @@ def test_analytic_profile_of_an_identity_operator_is_the_identity_profile():
 
 
 def test_estimate_variance_identity_and_full_topk_are_zero():
-    assert estimate_contraction(Identity(), 1.0, 6, trials=1000) == 0.0
-    assert estimate_contraction(TopK(k=6), 1.0, 6, trials=1000) == 0.0
-    assert estimate_contraction(RandK(k=6), 1.0, 6, trials=1000) == 0.0
+    assert estimate_contraction(Identity(), 6, trials=1000) == 0.0
+    assert estimate_contraction(TopK(k=6), 6, trials=1000) == 0.0
+    assert estimate_contraction(RandK(k=6), 6, trials=1000) == 0.0
 
 
 @pytest.mark.parametrize("q", [1, 2, math.inf])
 @pytest.mark.parametrize("p", [2, 5, 20])
 def test_normsign_bounds_hold_empirically(q, p):
     prof = analytic_profile(NormSign(q=q), p)
-    ratio = estimate_contraction(NormSign(q=q), 1.0, p, trials=2000, rng=0)
+    ratio = estimate_contraction(NormSign(q=q), p, trials=2000, rng=0)
     assert ratio <= prof.C * (1 + 1e-12)
-    contr = estimate_contraction(NormSign(q=q), prof.r, p, trials=2000, rng=0)
+    contr = estimate_contraction(RescaledNormSign(q=q, r=prof.r), p, trials=2000, rng=0)
     assert contr <= (1 - prof.delta) * (1 + 1e-12)
 
 
@@ -646,9 +647,22 @@ def test_empirical_profile_quantizer_is_contractive_here():
     assert prof.r == 1.0
 
 
+@pytest.mark.parametrize("q", [1, 2, math.inf])
+@pytest.mark.parametrize("p", [2, 7, 20])
+def test_estimate_of_the_rescaled_kind_is_normsign_over_r_bit_for_bit(q, p):
+    # RescaledNormSign(q, r)'s payload is NormSign(q)'s divided by r, so measuring the kind
+    # gives the bits of the estimator's old scaled form, written out here for a deterministic
+    # kind: one repetition per input, 2600 inputs, worst squared error
+    xs = _test_inputs(p, 2600, np.random.default_rng(5))
+    for r in (1.0, 3.0, float(p)):
+        err = ((_apply_rows(NormSign(q=q), xs, None) / r - xs) ** 2).sum(axis=1)
+        est = estimate_contraction(RescaledNormSign(q=q, r=r), p, trials=2600, rng=5)
+        assert est.hex() == float(err.max()).hex()
+
+
 def test_estimate_requires_enough_trials():
     with pytest.raises(CompressionError):
-        estimate_contraction(Identity(), 1.0, 4, trials=10)
+        estimate_contraction(Identity(), 4, trials=10)
 
 
 def test_profile_validation():
@@ -795,8 +809,7 @@ def test_golden_default_x0_uniform():
 
 
 def test_golden_estimate_contraction_quantizer():
-    est = estimate_contraction(UnbiasedQuantize(bits=2, q=math.inf), 1.0, 20,
-                               trials=10_000, rng=0)
+    est = estimate_contraction(UnbiasedQuantize(bits=2, q=math.inf), 20, trials=10_000, rng=0)
     assert est.hex() == "0x1.e6ceab685fa3bp-2"  # 0.4753977568106255
 
 
@@ -827,6 +840,8 @@ def reference_contraction(kind, r, p, trials, rng):
     (NormSign(q=2), 7.0),
 ])
 def test_estimate_contraction_equals_per_draw_reference(kind, r):
-    # 2600 trials leave a partial last block for both kinds
-    est = estimate_contraction(kind, r, 7, trials=2600, rng=4)
+    # 2600 trials leave a partial last block for both kinds; norm-sign's C(x)/r is measured
+    # as the kind that is it, RescaledNormSign(q, r)
+    scaled = kind if r == 1.0 else RescaledNormSign(q=kind.q, r=r)
+    est = estimate_contraction(scaled, 7, trials=2600, rng=4)
     assert est == reference_contraction(kind, r, 7, trials=2600, rng=4)

@@ -371,10 +371,32 @@ def test_preset_refuses_a_seed_that_is_not_an_integer(seed):
 
 
 def test_preset_takes_a_numpy_integer_or_bool_seed_as_its_int():
-    for seed, want in ((np.int64(3), 3), (np.uint64(2**64 - 1), 2**64 - 1), (True, 1)):
+    for seed, want in ((np.int64(3), 3), (np.uint64(2**64 - 1), 2**64 - 1)):
         cfg = preset("fig1-cgt", K=10, seed=seed)
         assert trace_csv(run_from_config(cfg).trace) == trace_csv(
             run_from_config(preset("fig1-cgt", K=10, seed=want)).trace)
+    # a bool seed is refused: config_text would write seed = True, which parse_config refuses
+    with pytest.raises(ConfigError) as exc:
+        preset("fig1-cgt", K=10, seed=True)
+    assert str(exc.value) == "problem.seed: must be an integer, got True"
+
+
+def test_config_text_reads_back_numpy_integer_counts():
+    # every count a config holds, made NumPy integers, reads back from its text as the same value
+    base = preset("fig1-cgt")
+    cfg = dataclasses.replace(
+        base, K=np.int64(30), trace_every=np.int32(3),
+        topology=dataclasses.replace(base.topology, n=np.int64(6)),
+        problem=dataclasses.replace(base.problem, n=np.int16(6), dim=np.int64(4),
+                                    seed=np.uint64(2**64 - 1)))
+    back = parse_config(harness.config_text(cfg))
+    counts = [("K",), ("trace_every",), ("topology", "n"), ("problem", "n"), ("problem", "dim"),
+              ("problem", "seed")]
+    for path in counts:
+        want, got = cfg, back
+        for name in path:
+            want, got = getattr(want, name), getattr(got, name)
+        assert got == want and type(got) is int, path
 
 
 def test_trace_csv_17_digit_floats():

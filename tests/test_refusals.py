@@ -22,6 +22,7 @@ from cgtsim.compression import (
     Identity,
     NormSign,
     RandK,
+    RescaledNormSign,
     TopK,
 )
 from cgtsim.harness import ConfigError
@@ -73,7 +74,8 @@ def test_simulate_refuses_trace_every_below_1(small):
         run_cgt_efficient(pb, W, HyperParams(eta=0.01), Identity(), 5, trace_every=0)
 
 
-@pytest.mark.parametrize("K,trace_every", [(2.5, 1), (np.float64(3.0), 1), (6, 2.5)])
+@pytest.mark.parametrize("K,trace_every", [(2.5, 1), (np.float64(3.0), 1), (6, 2.5), (True, 1),
+                                           (6, False)])
 def test_simulate_refuses_a_count_that_is_not_an_integer(small, K, trace_every):
     # K = 2.5 raised numpy's TypeError for top-k and a key-word error for rand-k, and
     # trace_every = 2.5 traced k = 0, 5, 6 without a word
@@ -231,8 +233,10 @@ def test_check_dimension_refuses_p_below_1(p):
 def test_profile_and_contraction_refuse_r_not_positive(r):
     with pytest.raises(CompressionError, match=re.escape(f"r must be positive, got {r!r}")):
         CompressorProfile(C=0.0, delta=1.0, r=r)
-    with pytest.raises(CompressionError, match=re.escape(f"r must be positive, got {r!r}")):
-        compression.estimate_contraction(Identity(), r, 3, trials=1000)
+    # the estimator measures C(x)/r as the kind RescaledNormSign(q, r), which refuses the scale
+    with pytest.raises(CompressionError, match=re.escape(f"scale r must be positive and finite, "
+                                                         f"got {r!r}")):
+        RescaledNormSign(q=2, r=r)
 
 
 def test_empirical_profile_refuses_a_biased_kind_with_C_at_least_1():
@@ -257,6 +261,14 @@ def test_config_refuses_a_count_that_is_not_an_integer(field):
         dataclasses.replace(harness.preset("fig1-cgt"), **{field: 2.5})
 
 
+@pytest.mark.parametrize("field", ["K", "trace_every"])
+def test_config_refuses_a_bool_count(field):
+    # K = True ran as K = 1, but config_text wrote K = True, which parse_config refuses
+    with pytest.raises(ConfigError, match=re.escape(f"algorithm.{field}: must be an integer, "
+                                                    "got True")):
+        dataclasses.replace(harness.preset("fig1-cgt"), **{field: True})
+
+
 def test_compare_refuses_no_configs():
     with pytest.raises(ConfigError, match="compare needs at least one config"):
         harness.compare([])
@@ -275,7 +287,7 @@ def test_compare_refuses_configs_whose_K_or_trace_every_differ(tmp_path, field, 
 # problems and topology
 
 
-@pytest.mark.parametrize("n,p", [(10.0, 20), (10, np.float64(20.0))])
+@pytest.mark.parametrize("n,p", [(10.0, 20), (10, np.float64(20.0)), (True, 20), (10, True)])
 def test_generate_ridge_refuses_a_size_that_is_not_an_integer(n, p):
     with pytest.raises(ProblemError, match=re.escape(f"n and p must be integers, got n={n!r}, "
                                                      f"p={p!r}")):
@@ -285,6 +297,14 @@ def test_generate_ridge_refuses_a_size_that_is_not_an_integer(n, p):
 def test_build_ring_refuses_a_size_that_is_not_an_integer():
     with pytest.raises(TopologyError, match=re.escape("ring size n must be an integer, got 10.0")):
         build_ring(10.0)
+
+
+def test_a_bool_seed_or_ring_size_is_refused():
+    # each ran as the int 1 or read n >= 2 as its error, and no config text reads one back
+    with pytest.raises(ProblemError, match=r"^seed must be an integer, got True$"):
+        generate_ridge(10, 20, 0.01, 5.0, seed=True)
+    with pytest.raises(TopologyError, match=r"^ring size n must be an integer, got True$"):
+        build_ring(True)
 
 
 def test_ridge_problem_refuses_U_and_v_of_mismatched_lengths():
