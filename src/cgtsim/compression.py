@@ -589,10 +589,12 @@ def estimate_contraction(kind: CompressorKind, p: int, trials: int = 10_000,
     if trials < 1000:
         raise CompressionError(f"need trials >= 1000, got {trials}")
     gen = np.random.default_rng(rng)
-    inner = _INNER_REPS if isinstance(kind, _STOCHASTIC_KINDS) else 1
+    stochastic = isinstance(kind, _STOCHASTIC_KINDS)
+    inner = _INNER_REPS if stochastic else 1
     count = max(1, trials // inner)
     xs = _test_inputs(p, count, gen)
-    seeds = np.array([gen.integers(2**32) for _ in range(count)], dtype=np.uint64)
+    if stochastic:  # drawn after the inputs, so the inputs are the same without them
+        seeds = np.array([gen.integers(2**32) for _ in range(count)], dtype=np.uint64)
     per_block = max(1, _BLOCK_ROWS // inner)
     reps = np.arange(inner)
     worst = 0.0
@@ -600,7 +602,7 @@ def estimate_contraction(kind: CompressorKind, p: int, trials: int = 10_000,
         trial = np.arange(lo, min(lo + per_block, count))
         m = np.repeat(xs[trial], inner, axis=0)
         u = None
-        if isinstance(kind, _STOCHASTIC_KINDS):
+        if stochastic:
             # input t, repetition rep: the stream keyed by (seed_t, t, rep, 0)
             u = _uniforms(p, seeds[trial, None], trial[:, None], reps[None, :], 0).reshape(-1, p)
         err = ((_apply_rows(kind, m, u) - m) ** 2).sum(axis=1)

@@ -247,10 +247,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"hyper.{exc.field}: {exc}") from None
     cfg = ExperimentConfig(**specs, **fields["algorithm"], **fields["output"])
     # build the weights and the problem once, so a value only their constructors check,
-    # or a size they cannot allocate, fails here and not when the run starts
+    # or a problem too large to allocate, fails here and not when the run starts; the
+    # weights hold no array, so a ring too large for its dense form is refused where
+    # that form is built
     try:
         make_topology(cfg.topology)
-    except (topology.TopologyError, MemoryError) as exc:
+    except topology.TopologyError as exc:
         raise ConfigError(f"topology: {exc}") from None
     try:
         make_problem(cfg.problem)

@@ -7,10 +7,11 @@ the offsets 1 and n - 1 (one offset at n = 2).  :func:`build_weights_outdegree`
 is the one builder: a scalar ``p`` on each edge and a positive self weight
 1 - Deg_out*p.  The Laplacian scheme I - aL is that stencil with p = a.
 
-A :class:`WeightMatrix` holds only that stencil, a few scalars at any n.  Its
-dense forms ``matrix`` and ``i_minus_w`` (8 n^2 bytes each) are built on each
-access and belong to the caller, so an n = 1000 run holds the one operand its
-form multiplies by for as long as the run, not for as long as the record.
+A :class:`WeightMatrix` holds only that stencil, a few scalars at any n, and is
+checked on it, so making one takes O(1) time and memory.  Its dense forms
+``matrix`` and ``i_minus_w`` (8 n^2 bytes each) are built on each access and
+belong to the caller, so an n = 1000 run holds the one operand its form
+multiplies by for as long as the run, not for as long as the record.
 """
 
 from __future__ import annotations
@@ -56,8 +57,12 @@ def build_ring(n: int, directed: bool = True) -> Ring:
 
 def _circulant(n: int, offsets: tuple[int, ...], diag: float, off: float) -> np.ndarray:
     """Read-only n x n array: ``diag`` on the diagonal, ``off`` at (i, (i+k) mod n)
-    for each offset k, +0.0 elsewhere."""
-    m = np.zeros((n, n))
+    for each offset k, +0.0 elsewhere.  Refused by name when it cannot be allocated."""
+    try:
+        m = np.zeros((n, n))
+    except MemoryError as exc:
+        raise TopologyError(f"topology: the dense n x n form of the ring's weights at n={n} "
+                            f"cannot be allocated: {exc}") from None
     rows = np.arange(n)
     m[rows, rows] = diag
     for k in offsets:
@@ -69,13 +74,14 @@ def _circulant(n: int, offsets: tuple[int, ...], diag: float, off: float) -> np.
 @dataclass(frozen=True)
 class WeightMatrix:
     """Nonnegative doubly stochastic circulant: ``self_weight`` on the diagonal and
-    ``weight`` at (i, (i+k) mod n) for each offset k, no k a multiple of n.
+    ``weight`` at (i, (i+k) mod n) for each offset k, the offsets distinct mod n
+    and none a multiple of n.
 
     The record holds no array.  ``matrix`` and ``i_minus_w`` build a fresh
     read-only dense form on each access, so a caller reads one once and keeps it
-    as long as it needs it.  The doubly stochastic check runs when the record is
-    made, on a dense form it then drops, so a size whose dense W cannot be
-    allocated fails there with ``MemoryError``.
+    as long as it needs it.  Every row and column of the circulant holds the self
+    weight and one weight per offset, so the check of row 0 when the record is
+    made is :func:`check_doubly_stochastic`'s check of the dense W, in its words.
     """
 
     n: int
@@ -84,12 +90,18 @@ class WeightMatrix:
     weight: float
 
     def __post_init__(self) -> None:
-        # an offset k = 0 mod n would overwrite the diagonal, so I - W would not be
-        # the stencil of 1 - self_weight and -weight
-        if any(k % self.n == 0 for k in self.offsets):
-            raise TopologyError(f"offsets must not be multiples of n={self.n}, got {self.offsets}")
-        ok, detail = check_doubly_stochastic(self.matrix)
-        if not ok:
+        n = self.n
+        if not _is_int(n) or n < 1:
+            raise TopologyError(f"weight matrix needs an integer n >= 1, got n={n!r}")
+        # an offset k = 0 mod n would overwrite the diagonal, and two offsets equal mod n
+        # would write one entry twice, so the dense W would not be the stencil
+        cols = [k % n for k in self.offsets]
+        if 0 in cols:
+            raise TopologyError(f"offsets must not be multiples of n={n}, got {self.offsets}")
+        if len(set(cols)) < len(cols):
+            raise TopologyError(f"offsets must be distinct mod n={n}, got {self.offsets}")
+        detail = _stencil_fault(float(self.self_weight), float(self.weight), cols)
+        if detail is not None:
             raise TopologyError(f"not doubly stochastic: {detail}")
 
     @property
@@ -102,6 +114,26 @@ class WeightMatrix:
         """The dense I - W, built on each access: bit for bit ``np.eye(n) - matrix``,
         +0.0 where W is 0."""
         return _circulant(self.n, self.offsets, 1.0 - self.self_weight, 0.0 - self.weight)
+
+
+def _stencil_fault(self_weight: float, weight: float, cols: list[int]) -> str | None:
+    """The fault :func:`check_doubly_stochastic` names in a row 0 of ``self_weight`` at
+    column 0 and ``weight`` at each of ``cols``, or None; the row sum is rounded once."""
+    entries = [self_weight] + [weight] * len(cols)
+    if not all(map(math.isfinite, entries)):
+        return "matrix has non-finite entries"
+    if self_weight < 0:
+        return f"negative entry at (0, 0): {self_weight!r}"
+    if weight < 0 and cols:
+        return f"negative entry at (0, {min(cols)}): {weight!r}"
+    try:
+        total = math.fsum(entries)
+    except OverflowError:  # nonnegative finite entries whose sum exceeds the largest float
+        total = math.inf
+    err = abs(total - 1.0)
+    if err > STOCHASTIC_TOL:
+        return f"row 0 sums to {total!r} (error {err:.3e} > {STOCHASTIC_TOL:g})"
+    return None
 
 
 def check_doubly_stochastic(m: np.ndarray) -> tuple[bool, str]:

@@ -813,6 +813,22 @@ def test_golden_estimate_contraction_quantizer():
     assert est.hex() == "0x1.e6ceab685fa3bp-2"  # 0.4753977568106255
 
 
+@pytest.mark.parametrize("kind,rng,want", [
+    (TopK(k=1), 0, "0x1.c29f4ce81638ap-1"),
+    (TopK(k=1), 7, "0x1.bf97b46250892p-1"),
+    (NormSign(q=math.inf), 0, "0x1.d753d9c66de1ap+2"),
+    (NormSign(q=2.0), 7, "0x1.e79b9cea17898p+3"),
+])
+def test_deterministic_estimate_draws_only_its_inputs(kind, rng, want):
+    # the stream seeds are drawn after the inputs and read only by stochastic kinds, so a
+    # deterministic kind's estimate keeps its bits and its generator advances by the inputs alone
+    assert estimate_contraction(kind, 20, trials=2000, rng=rng).hex() == want
+    gen, ref = np.random.default_rng(3), np.random.default_rng(3)
+    estimate_contraction(kind, 20, trials=1000, rng=gen)
+    _test_inputs(20, 1000, ref)
+    assert gen.integers(2**62) == ref.integers(2**62)
+
+
 def reference_contraction(kind, r, p, trials, rng):
     """Per-draw reference for estimate_contraction: one compress call per repetition.
 

@@ -30,6 +30,7 @@ from cgtsim.harness import (
     verify_suite,
 )
 from cgtsim.topology import spectral_info
+from test_topology import NumpyRefusingZeros
 
 CONFIG_TEXT = """
 [topology]
@@ -370,7 +371,7 @@ def test_preset_refuses_a_seed_that_is_not_an_integer(seed):
     assert str(exc.value) == f"problem.seed: must be an integer, got {seed!r}"
 
 
-def test_preset_takes_a_numpy_integer_or_bool_seed_as_its_int():
+def test_preset_takes_a_numpy_integer_seed_as_its_int_and_refuses_a_bool():
     for seed, want in ((np.int64(3), 3), (np.uint64(2**64 - 1), 2**64 - 1)):
         cfg = preset("fig1-cgt", K=10, seed=seed)
         assert trace_csv(run_from_config(cfg).trace) == trace_csv(
@@ -900,12 +901,11 @@ def test_cli_certify_refuses_an_unconverged_spectral_norm(tmp_path, capsys, monk
     assert not (tmp_path / "out" / "fig1-cgt.cert.txt").exists()
 
 
-@pytest.mark.parametrize("section,builder", [("topology", "build_weights_outdegree"),
-                                             ("problem", "generate_ridge")])
+@pytest.mark.parametrize("section,builder", [("problem", "generate_ridge")])
 def test_cli_refuses_a_size_that_cannot_be_allocated(tmp_path, capsys, monkeypatch, section,
                                                      builder):
-    # a patched builder stands in for numpy refusing a dense W or a problem too large for
-    # memory; asking numpy for such an array could succeed lazily and touch gigabytes
+    # a patched builder stands in for numpy refusing a problem too large for memory; asking
+    # numpy for such an array could succeed lazily and touch gigabytes
     message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
 
     def refuse(*args, **kwargs):
@@ -918,6 +918,23 @@ def test_cli_refuses_a_size_that_cannot_be_allocated(tmp_path, capsys, monkeypat
     assert str(exc.value) == f"{section}: {message}"
     rc = cli.main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")])
     assert (rc, capsys.readouterr().err) == (1, f"config error: {section}: {message}\n")
+
+
+def test_cli_refuses_a_ring_whose_dense_form_cannot_be_allocated(tmp_path, capsys, monkeypatch):
+    # making W reads its stencil and allocates nothing, so the config is read; run and
+    # certify each build a dense form, which numpy refuses here, and refuse it by name
+    # before they write anything
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+    text = harness.config_text(preset("fig1-cgt"))
+    monkeypatch.setattr(topology, "np", NumpyRefusingZeros(message))
+    parse_config(text)
+    cfg_path = write_cfg(tmp_path, text)
+    want = (f"config error: topology: the dense n x n form of the ring's weights at n=10 "
+            f"cannot be allocated: {message}\n")
+    for verb in ("run", "certify"):
+        rc = cli.main([verb, str(cfg_path), "--out", str(tmp_path / "out")])
+        assert (rc, capsys.readouterr()) == (1, ("", want)), verb
+    assert not list(tmp_path.glob("out/*"))
 
 
 def test_gt_certificate_describes_the_identity_operator_it_runs():

@@ -1,6 +1,8 @@
 import math
+import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,7 +255,9 @@ def test_lazy_mixing_contraction(gamma):
 
 
 def test_weight_matrix_rejects_non_stochastic():
-    with pytest.raises(TopologyError, match="not doubly stochastic"):
+    # row 0's sum is exact up to its one rounding, and printed as a Python float
+    with pytest.raises(TopologyError, match=r"^not doubly stochastic: row 0 sums to 1\.1 "
+                                            r"\(error 1\.000e-01 > 1e-12\)$"):
         WeightMatrix(n=3, offsets=(1,), self_weight=0.8, weight=0.3)
 
 
@@ -292,15 +296,102 @@ def test_weight_matrix_holds_no_array():
 
 
 def test_weight_matrix_at_n_2000_leaves_no_dense_form():
-    ring = build_ring(2000, directed=False)
-    tracemalloc.start()
-    try:
-        W = build_weights_outdegree(ring, 0.1)  # its check builds a 30.5 MiB W and drops it
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert W.n == 2000
-    assert held < 0.1 * 2**20
+    # the check reads the stencil, so no n x n array is made even for a moment: a dense
+    # W is 30.5 MiB at n = 2000 and 7.3 TiB at n = 10^6
+    for n in (2000, 10**6):
+        tracemalloc.start()
+        try:
+            W = build_weights_outdegree(build_ring(n, directed=False), 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert W.n == n
+        assert peak < 2**20, (n, peak)
+
+
+def _fault_records(n):
+    """(offsets, self_weight, weight) of each fault kind on every offset set a ring of
+    n agents has, and on none, next to records that pass."""
+    offset_sets = {()} | ({build_ring(n, d).offsets for d in (True, False)} if n >= 2 else set())
+    for offsets in sorted(offset_sets):
+        deg = len(offsets)
+        w = 0.1 if deg else 0.0
+        sw = 1.0 - deg * w
+        for self_weight, weight in [
+                (sw, w), (math.nan, w), (math.inf, w), (-math.inf, w), (sw, math.nan),
+                (sw, math.inf), (-0.5, math.nan),  # NaN is named before the negative entry
+                (1.0, math.nan), (1.0, -1.0),  # a weight no dense W holds without offsets
+                (-0.1, 1.1 / deg if deg else 0.0), (1.0 + deg * 0.1, -0.1), (-0.5, -0.5),
+                (sw + 1e-11, w), (sw - 1e-11, w), (sw + 1e-13, w), (sw - 1e-13, w),
+                (1e308, 1e308)]:  # a row sum past the largest float
+            yield offsets, self_weight, weight
+
+
+def _head(detail):
+    """A refusal's detail up to its value: numpy prints a value as np.float64(...), and a
+    row sum can differ in its last bit, since the dense check sums the row with its zeros."""
+    return re.split(r": | sums to ", detail)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 37, 1000])
+def test_stencil_check_refuses_what_the_dense_check_refuses(n):
+    for offsets, self_weight, weight in _fault_records(n):
+        record = SimpleNamespace(n=n, offsets=offsets, self_weight=self_weight, weight=weight)
+        with np.errstate(over="ignore"):
+            ok, detail = check_doubly_stochastic(_parent_dense(record)[0])
+        try:
+            WeightMatrix(n, offsets, self_weight, weight)
+            got = None
+        except TopologyError as exc:
+            got = str(exc)
+        assert (got is None) == ok, (record, got, detail)
+        if got is not None:
+            assert got.startswith("not doubly stochastic: "), got
+            got = got.removeprefix("not doubly stochastic: ")
+            assert _head(got) == _head(detail), (got, detail)
+            if got.startswith("negative entry"):  # printed as a Python float
+                assert got.endswith(f": {self_weight if self_weight < 0 else weight!r}"), got
+
+
+@pytest.mark.parametrize("offsets,self_weight", [((1, 1), 0.5), ((1, 6), 0.75), ((2, -3), 0.5)])
+def test_weight_matrix_refuses_offsets_equal_mod_n(offsets, self_weight):
+    # the dense W writes one entry twice, so at self weight 0.75 it passed the dense check
+    # while the stencil's row held one weight more than the dense W
+    with pytest.raises(TopologyError, match=r"^offsets must be distinct mod n=5, got "):
+        WeightMatrix(n=5, offsets=offsets, self_weight=self_weight, weight=0.25)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.0, True])
+def test_weight_matrix_refuses_a_size_that_is_not_a_positive_integer(n):
+    with pytest.raises(TopologyError, match=r"^weight matrix needs an integer n >= 1, got n="):
+        WeightMatrix(n=n, offsets=(), self_weight=1.0, weight=0.0)
+
+
+class NumpyRefusingZeros:
+    """numpy, but ``zeros`` raises ``MemoryError(message)``: set as ``topology.np``, it
+    stands in for a ring too large for memory, since asking numpy for such an array could
+    succeed lazily and touch gigabytes."""
+
+    def __init__(self, message):
+        self.message = message
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, *args, **kwargs):
+        raise MemoryError(self.message)
+
+
+def test_dense_form_that_cannot_be_allocated_is_refused_by_name(monkeypatch):
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+    W = build_weights_outdegree(build_ring(10**6, directed=False), 0.1)
+    monkeypatch.setattr(topology, "np", NumpyRefusingZeros(message))
+    want = (f"topology: the dense n x n form of the ring's weights at n=1000000 cannot be "
+            f"allocated: {message}")
+    for form in ("matrix", "i_minus_w"):
+        with pytest.raises(TopologyError) as exc:
+            getattr(W, form)
+        assert str(exc.value) == want
 
 
 @pytest.mark.parametrize("offsets,self_weight,weight", [((0,), 0.0, 1.0), ((3,), 0.0, 1.0),
